@@ -41,7 +41,6 @@ from .explorer import (
     enumerate_exchangeable,
     generate_random_complex,
     is_du_exchangeable,
-    oracle_from_document,
 )
 from .formats import (
     SkdDocument,

@@ -10,30 +10,37 @@ fingerprint.
 
 import hashlib
 
-from .singularity import Arc, SingularityComplex
+from .singularity import DescendentDisk, SingularityComplex, TriplePoint
+
+
+def triple_line(t: TriplePoint) -> str:
+    types = ",".join(lt.value for lt in t.line_types)
+    return f"triple {t.id} lines={types}\n"
+
+
+def disk_line(d: DescendentDisk) -> str:
+    return (f"disk {d.id} e1={d.edge1} e2={d.edge2} pair={d.pair.value} "
+            f"level1={d.level1.value} level2={d.level2.value}\n")
+
+
+def middle_block(cx: SingularityComplex) -> str:
+    """The branch, edge and circle lines, which no crossing change alters."""
+    return "".join([*(f"branch {b.id}\n" for b in cx.branch_points),
+                    *(f"edge {e.id} {e.end1} {e.end2}\n" for e in cx.arcs),
+                    *(f"circle {e.id}\n" for e in cx.circles)])
 
 
 def serialize_canonical(cx: SingularityComplex) -> str:
     """Deterministic `.skd` text for a complex (no comments, sorted ids)."""
-    lines = []
-    for t in cx.triple_points:
-        types = ",".join(lt.value for lt in t.line_types)
-        lines.append(f"triple {t.id} lines={types}")
-    for b in cx.branch_points:
-        lines.append(f"branch {b.id}")
-    for e in cx.edges:
-        if isinstance(e, Arc):
-            lines.append(f"edge {e.id} {e.end1} {e.end2}")
-    for e in cx.edges:
-        if not isinstance(e, Arc):
-            lines.append(f"circle {e.id}")
-    for d in cx.disks:
-        lines.append(
-            f"disk {d.id} e1={d.edge1} e2={d.edge2} pair={d.pair.value} "
-            f"level1={d.level1.value} level2={d.level2.value}")
-    return "".join(line + "\n" for line in lines)
+    return "".join([*map(triple_line, cx.triple_points), middle_block(cx),
+                    *map(disk_line, cx.disks)])
+
+
+def digest(text: str) -> str:
+    """SHA-256 hex digest of a canonical text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint(cx: SingularityComplex) -> str:
     """SHA-256 hex digest of the canonical serialization."""
-    return hashlib.sha256(serialize_canonical(cx).encode("utf-8")).hexdigest()
+    return digest(serialize_canonical(cx))

@@ -9,6 +9,7 @@ machine-readable report with a top-level ``format_version`` field.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .canonical import fingerprint, serialize_canonical
@@ -27,8 +28,6 @@ from .explorer import (
     TrivialityOracle,
     Verdict,
     du_index_upper_bound,
-    enumerate_exchangeable,
-    oracle_from_document,
 )
 from .formats import (
     curve_summary,
@@ -61,10 +60,10 @@ def _load_document(path: str):
 
 
 def _load_oracle(doc, oracle_path: str | None) -> TrivialityOracle:
-    oracle = oracle_from_document(doc.oracle)
+    oracle = TrivialityOracle.from_mapping(doc.oracle)
     if oracle_path:
         sidecar = _load_document(oracle_path)
-        oracle = oracle.merged_with(oracle_from_document(sidecar.oracle))
+        oracle = oracle.merged_with(TrivialityOracle.from_mapping(sidecar.oracle))
     return oracle
 
 
@@ -107,6 +106,13 @@ def _write_out(args, text: str, payload: dict) -> None:
         Path(args.output).write_text(text, encoding="utf-8")
 
 
+def _size(token: str) -> int:
+    if not token.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {token!r}")
+    return int(token)
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -139,15 +145,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_census(args) -> int:
     cx = _load_document(args.skd).complex
-    rec = census(cx)
-    counts = {
-        "triple_points": rec.triple_points,
-        "branch_points": rec.branch_points,
-        "arc_edges": rec.arc_edges,
-        "circles": rec.circles,
-        "open_curves": rec.open_curves,
-        "closed_curves": rec.closed_curves,
-    }
+    counts = asdict(census(cx))
     _emit(args, {"command": "census", "counts": counts},
           [f"{k}: {v}" for k, v in counts.items()])
     return OK
@@ -220,29 +218,21 @@ def _cmd_apply(args) -> int:
     return OK
 
 
+def _union_rows(report, verdicts: bool) -> list[dict]:
+    return [{"gamma": list(w.gamma), "size": w.size, "dd": w.dd}
+            | ({"verdict": w.verdict.value} if verdicts else {})
+            for w in report.witnesses]
+
+
 def _cmd_enumerate(args) -> int:
     doc = _load_document(args.skd)
-    cx = doc.complex
-    oracle = _load_oracle(doc, args.oracle)
-    if args.oracle is not None or doc.oracle:
-        report = du_index_upper_bound(cx, oracle, max_size=args.max_size,
-                                      jobs=args.jobs)
-        rows = [{"gamma": list(w.gamma), "size": w.size, "dd": w.dd,
-                 "verdict": w.verdict.value} for w in report.witnesses]
-        human = [f"size={w.size} gamma={','.join(w.gamma) or '(empty)'} "
-                 f"dd={'yes' if w.dd else 'no'} verdict={w.verdict.value}"
-                 for w in report.witnesses]
-        _emit(args, {"command": "enumerate", "unions": rows}, human)
-        return OK
-    unions = enumerate_exchangeable(cx, max_size=args.max_size, jobs=args.jobs)
-    rows = []
-    human = []
-    for gamma in unions:
-        ordered = sorted(gamma)
-        dd = satisfies_dd_condition(cx, gamma)
-        rows.append({"gamma": ordered, "size": len(gamma), "dd": dd})
-        human.append(f"size={len(gamma)} gamma={','.join(ordered) or '(empty)'} "
-                     f"dd={'yes' if dd else 'no'}")
+    with_verdicts = args.oracle is not None or bool(doc.oracle)
+    report = du_index_upper_bound(doc.complex, _load_oracle(doc, args.oracle),
+                                  max_size=args.max_size)
+    rows = _union_rows(report, with_verdicts)
+    human = [f"size={r['size']} gamma={','.join(r['gamma']) or '(empty)'} "
+             f"dd={'yes' if r['dd'] else 'no'}"
+             + (f" verdict={r['verdict']}" if with_verdicts else "") for r in rows]
     _emit(args, {"command": "enumerate", "unions": rows}, human)
     return OK
 
@@ -250,10 +240,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_du_bound(args) -> int:
     doc = _load_document(args.skd)
     oracle = _load_oracle(doc, args.oracle)
-    report = du_index_upper_bound(doc.complex, oracle, max_size=args.max_size,
-                                  jobs=args.jobs)
-    rows = [{"gamma": list(w.gamma), "size": w.size, "dd": w.dd,
-             "verdict": w.verdict.value} for w in report.witnesses]
+    report = du_index_upper_bound(doc.complex, oracle, max_size=args.max_size)
+    rows = _union_rows(report, verdicts=True)
     human = [f"note: {report.note}"]
     if report.best_size is None:
         human.append("best_size: unknown (no annotated trivial result)")
@@ -325,15 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trail", default=None, help="write the per-move trail (JSON)")
 
     p = add("enumerate", _cmd_enumerate, help="list exchangeable unions")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_size, default=None)
     p.add_argument("--oracle", default=None, help="triviality annotation file")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("du-bound", _cmd_du_bound,
             help="du-exchange-index upper bound against an oracle")
     p.add_argument("--oracle", default=None, help="triviality annotation file")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-size", type=_size, default=None)
 
     p = add("schematic", _cmd_schematic, help="export a DOT schematic")
     p.add_argument("-o", "--output", default=None)

@@ -5,7 +5,14 @@ exactly when, at every triple point, reversing the pairwise height relations
 on the flipped lines still leaves an acyclic (total) order on the three
 local sheets. Of the eight subsets of {bm, bt, mt} exactly six are valid;
 flipping only the bottom/top line, or the bottom/middle and middle/top lines
-together, forces a cyclic height relation.
+together, forces a cyclic height relation. In one line: a flip is valid iff
+bit(bt) == bit(bm) or bit(bt) == bit(mt).
+
+Checks run on integer masks: given a bit per curve, a triple point compiles
+to the masks (m_bm, m_bt, m_mt) of the curves on its lines of each type, a
+disk to the masks (m_e1, m_e2) of its edges' curves, and a union to the OR
+of its curves' bits. Scans give each curve its own bit in sorted-id order;
+single checks give bit 1 to the union's curves and test the mask 1.
 
 A valid change relabels the line types at each triple point by the sheet
 role permutation the new height order induces, and swaps the decker tags of
@@ -14,18 +21,23 @@ descendent-disk arcs that ride on flipped curves. The incidence structure
 """
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
+from .canonical import digest, disk_line, middle_block, triple_line
 from .errors import NotExchangeableError, UnknownIdError
 from .singularity import (
     SHEET_PAIR,
     TYPE_OF_PAIR,
+    DescendentDisk,
     LineType,
     SingularityComplex,
     TriplePoint,
 )
 
 ExchangeSet = frozenset[str]
+
+#: line type of each bit of a flip pattern: bit 0 bm, bit 1 bt, bit 2 mt
+PATTERN_TYPES = (LineType.BM, LineType.BT, LineType.MT)
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,7 @@ class FlipSet:
 def exchange_set(cx: SingularityComplex, curve_ids: Iterable[str]) -> ExchangeSet:
     """Normalize an iterable of curve ids, rejecting unknown ones."""
     gamma = frozenset(curve_ids)
-    unknown = gamma - set(cx.curves_by_id)
+    unknown = gamma - cx.curves_by_id.keys()
     if unknown:
         raise UnknownIdError(f"unknown curve id(s): {', '.join(sorted(unknown))}")
     return gamma
@@ -69,24 +81,78 @@ def is_valid_flip(flipped: Iterable[LineType]) -> bool:
     return role_permutation(frozenset(flipped)) is not None
 
 
+#: new line type of each old one, for each of the six valid flip patterns
+RELABEL = {
+    p: {lt: TYPE_OF_PAIR[frozenset(perm[role] for role in pair)]
+        for lt, pair in SHEET_PAIR.items()}
+    for p in range(8) if (perm := role_permutation(frozenset(
+        lt for i, lt in enumerate(PATTERN_TYPES) if p >> i & 1))) is not None}
+
+
+def curve_bits(cx: SingularityComplex) -> dict[str, int]:
+    """Bit ``1 << i`` for the i-th curve in sorted-id order."""
+    return {c.id: 1 << i for i, c in enumerate(cx.curves)}
+
+
+def triple_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
+    """(m_bm, m_bt, m_mt) per triple point in id order: the OR of the bits of
+    the curves on its lines of each type (a curve without a bit counts 0)."""
+    out = []
+    for t in cx.triple_points:
+        m = dict.fromkeys(PATTERN_TYPES, 0)
+        for i, lt in enumerate(t.line_types):
+            m[lt] |= bits.get(cx.line_curve(t.id, i), 0)
+        out.append(tuple(m.values()))
+    return out
+
+
+def disk_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
+    """(m_e1, m_e2) per disk in id order: the bits of its edges' curves."""
+    return [(bits.get(cx.curve_of(d.edge1), 0), bits.get(cx.curve_of(d.edge2), 0))
+            for d in cx.disks]
+
+
+def flip_pattern(g: int, masks: tuple) -> int:
+    """The line types union mask ``g`` flips at a triple point (PATTERN_TYPES bits)."""
+    bm, bt, mt = masks
+    return (g & bm != 0) | (g & bt != 0) << 1 | (g & mt != 0) << 2
+
+
+def disk_flips(g: int, masks: tuple) -> int:
+    """Bit 0 / bit 1 set when union mask ``g`` flips the curve of edge1 / edge2."""
+    return (g & masks[0] != 0) | (g & masks[1] != 0) << 1
+
+
+def first_invalid_triple(g: int, masks: Iterable[tuple]) -> int | None:
+    """Index of the first triple point where union mask ``g`` flips an
+    invalid set, exactly {bt} or {bm, mt}; None when every flip is valid."""
+    for i, (bm, bt, mt) in enumerate(masks):
+        if (g & bm != 0) == (g & mt != 0) != (g & bt != 0):
+            return i
+    return None
+
+
+def dd_holds(g: int, masks: Iterable[tuple]) -> bool:
+    """Descendent disk condition for union mask ``g``."""
+    return all((g & e1 != 0) == (g & e2 != 0) for e1, e2 in masks)
+
+
+def _flip_set(cx: SingularityComplex, t: TriplePoint, gamma: ExchangeSet) -> FlipSet:
+    lines = frozenset(i for i in range(3) if cx.line_curve(t.id, i) in gamma)
+    return FlipSet(t.id, lines, frozenset(t.line_types[i] for i in lines))
+
+
 def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
     """One FlipSet per triple point: a line flips iff its through-curve
     belongs to gamma."""
     gamma = exchange_set(cx, gamma)
-    out = []
-    for t in cx.triple_points:
-        lines = frozenset(
-            i for i in range(3) if cx.line_curve(t.id, i) in gamma)
-        types = frozenset(t.line_types[i] for i in lines)
-        out.append(FlipSet(t.id, lines, types))
-    return out
+    return [_flip_set(cx, t, gamma) for t in cx.triple_points]
 
 
 def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:
-    for fs in flip_sets(cx, gamma):
-        if not is_valid_flip(fs.flipped_types):
-            return fs
-    return None
+    gamma = exchange_set(cx, gamma)
+    bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1)))
+    return None if bad is None else _flip_set(cx, cx.triple_points[bad], gamma)
 
 
 def is_exchangeable(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
@@ -94,14 +160,16 @@ def is_exchangeable(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
     return first_invalid_flip(cx, gamma) is None
 
 
-def _relabelled_triple(t: TriplePoint, flipped: frozenset[LineType]) -> TriplePoint:
-    perm = role_permutation(flipped)
-    assert perm is not None
-    new_types = []
-    for lt in t.line_types:
-        pair = frozenset(perm[role] for role in SHEET_PAIR[lt])
-        new_types.append(TYPE_OF_PAIR[pair])
-    return TriplePoint(t.id, tuple(new_types))
+def relabelled_triple(t: TriplePoint, pattern: int) -> TriplePoint:
+    """``t`` after a valid flip of the line types in ``pattern``."""
+    relabel = RELABEL[pattern]
+    return TriplePoint(t.id, tuple(relabel[lt] for lt in t.line_types))
+
+
+def flipped_disk(d: DescendentDisk, flips: int) -> DescendentDisk:
+    """``d`` with level1 / level2 swapped where bit 0 / bit 1 of flips is set."""
+    return replace(d, level1=d.level1.flipped() if flips & 1 else d.level1,
+                   level2=d.level2.flipped() if flips & 2 else d.level2)
 
 
 def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> SingularityComplex:
@@ -116,34 +184,44 @@ def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> Singularity
     gamma = exchange_set(cx, gamma)
     if not gamma:
         return cx
-    bad = first_invalid_flip(cx, gamma)
+    bits = dict.fromkeys(gamma, 1)
+    masks = triple_masks(cx, bits)
+    bad = first_invalid_triple(1, masks)
     if bad is not None:
-        types = "{" + ", ".join(sorted(t.value for t in bad.flipped_types)) + "}"
+        fs = _flip_set(cx, cx.triple_points[bad], gamma)
+        types = "{" + ", ".join(sorted(t.value for t in fs.flipped_types)) + "}"
         raise NotExchangeableError(
-            bad.triple_id,
-            f"flip set {types} at triple point {bad.triple_id} is not valid")
-    new_triples = []
-    for t in cx.triple_points:
-        flipped = frozenset(
-            t.line_types[i] for i in range(3) if cx.line_curve(t.id, i) in gamma)
-        new_triples.append(_relabelled_triple(t, flipped))
-    new_disks = []
-    for d in cx.disks:
-        level1 = d.level1.flipped() if cx.curve_of(d.edge1) in gamma else d.level1
-        level2 = d.level2.flipped() if cx.curve_of(d.edge2) in gamma else d.level2
-        new_disks.append(replace(d, level1=level1, level2=level2))
+            fs.triple_id,
+            f"flip set {types} at triple point {fs.triple_id} is not valid")
+    new_triples = [relabelled_triple(t, flip_pattern(1, m))
+                   for t, m in zip(cx.triple_points, masks)]
+    new_disks = [flipped_disk(d, disk_flips(1, m))
+                 for d, m in zip(cx.disks, disk_masks(cx, bits))]
     return SingularityComplex.build(
         new_triples, cx.branch_points, cx.edges, new_disks)
+
+
+def changed_fingerprinter(cx: SingularityComplex,
+                          bits: Mapping[str, int]) -> Callable[[int], str]:
+    """``g -> fingerprint(crossing_change(cx, gamma))`` for an exchangeable
+    union gamma of mask ``g`` under ``bits``, without building the change:
+    the canonical lines of each triple point (one per valid flip pattern),
+    each disk (one per pair of level flips) and the unchanged middle block
+    are built once, and a call only picks, joins and hashes them."""
+    triples = [(m, {p: triple_line(relabelled_triple(t, p)) for p in RELABEL})
+               for t, m in zip(cx.triple_points, triple_masks(cx, bits))]
+    disks = [(m, [disk_line(flipped_disk(d, f)) for f in range(4)])
+             for d, m in zip(cx.disks, disk_masks(cx, bits))]
+    middle = middle_block(cx)
+    return lambda g: digest("".join([
+        *(lines[flip_pattern(g, m)] for m, lines in triples), middle,
+        *(lines[disk_flips(g, m)] for m, lines in disks)]))
 
 
 def satisfies_dd_condition(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
     """Descendent disk condition: every disk has both of its curves in
     gamma or both outside it. Decided purely from the disk registry."""
-    gamma = exchange_set(cx, gamma)
-    for d in cx.disks:
-        if (cx.curve_of(d.edge1) in gamma) != (cx.curve_of(d.edge2) in gamma):
-            return False
-    return True
+    return dd_holds(1, disk_masks(cx, dict.fromkeys(exchange_set(cx, gamma), 1)))
 
 
 def all_curves(cx: SingularityComplex) -> ExchangeSet:

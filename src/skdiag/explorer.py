@@ -16,8 +16,14 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations
 
-from .canonical import fingerprint
-from .crossing import crossing_change, is_exchangeable, satisfies_dd_condition
+from .crossing import (
+    changed_fingerprinter,
+    curve_bits,
+    dd_holds,
+    disk_masks,
+    first_invalid_triple,
+    triple_masks,
+)
 from .errors import EnumerationCapExceeded
 from .singularity import (
     Arc,
@@ -105,72 +111,54 @@ class DuVerdict:
     witness: tuple[str, ...] | None = None
 
 
-def _eval_chunk(args):
-    """Worker for parallel enumeration: (canonical text, candidate chunk)."""
-    from .formats import parse_skd
-
-    text, chunk = args
-    cx = parse_skd(text)
-    return [is_exchangeable(cx, frozenset(combo)) for combo in chunk]
-
-
 def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
-                           cap: int = ENUMERATION_CAP,
-                           jobs: int = 1) -> list[frozenset[str]]:
+                           cap: int = ENUMERATION_CAP) -> list[frozenset[str]]:
     """All exchangeable unions of double curves, in size-then-lexicographic
     order (size bounded by max_size when given).
 
     Refuses with the cap value when the candidate-subset count would
-    exceed ``cap`` and no max_size was supplied. ``jobs`` > 1 evaluates the
-    candidates in a process pool.
-    """
-    ids = sorted(cx.curves_by_id)
-    n = len(ids)
+    exceed ``cap`` and no max_size was supplied. Candidates are checked as
+    curve masks against triple-point masks compiled once."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be non-negative, not {max_size}")
+    bits = curve_bits(cx)
+    n = len(bits)
     if max_size is None and 2 ** n > cap:
         raise EnumerationCapExceeded(
             cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
             "pass max_size to bound the scan")
     limit = n if max_size is None else min(max_size, n)
-    candidates = [combo for k in range(limit + 1) for combo in combinations(ids, k)]
-    if jobs > 1 and len(candidates) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .canonical import serialize_canonical
-
-        text = serialize_canonical(cx)
-        step = max(1, len(candidates) // jobs)
-        chunks = [candidates[i:i + step] for i in range(0, len(candidates), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = [f for part in pool.map(_eval_chunk,
-                                            ((text, c) for c in chunks))
-                     for f in part]
-    else:
-        flags = [is_exchangeable(cx, frozenset(c)) for c in candidates]
-    return [frozenset(c) for c, ok in zip(candidates, flags) if ok]
+    masks = triple_masks(cx, bits)
+    bit = bits.__getitem__
+    return [frozenset(combo) for k in range(limit + 1)
+            for combo in combinations(bits, k)
+            if first_invalid_triple(sum(map(bit, combo)), masks) is None]
 
 
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
                          max_size: int | None = None,
-                         cap: int = ENUMERATION_CAP,
-                         jobs: int = 1) -> DuReport:
+                         cap: int = ENUMERATION_CAP) -> DuReport:
     """Filter exchangeable unions through the descendent disk condition,
     apply the crossing change, and look each result up in the oracle.
 
     best_size is the smallest union size whose changed diagram the oracle
     marks trivial; the already-unknotted branch appears as the empty union
     (size 0, identity change). Unknown verdicts are carried, never dropped.
+    Changed diagrams are fingerprinted without being built, and not at all
+    when the oracle is empty (every verdict is then unknown).
     """
+    unions = enumerate_exchangeable(cx, max_size=max_size, cap=cap)
+    bits = curve_bits(cx)
+    dmasks = disk_masks(cx, bits)
+    changed = changed_fingerprinter(cx, bits) if oracle.entries else None
     witnesses = []
-    best: int | None = None
-    for gamma in enumerate_exchangeable(cx, max_size=max_size, cap=cap, jobs=jobs):
-        dd = satisfies_dd_condition(cx, gamma)
-        verdict = Verdict.UNKNOWN
-        if dd:
-            changed = crossing_change(cx, gamma)
-            verdict = oracle.lookup(fingerprint(changed))
+    for gamma in unions:
+        g = sum(map(bits.__getitem__, gamma))
+        dd = dd_holds(g, dmasks)
+        verdict = oracle.lookup(changed(g)) if dd and changed else Verdict.UNKNOWN
         witnesses.append(DuWitness(tuple(sorted(gamma)), len(gamma), True, dd, verdict))
-        if dd and verdict is Verdict.TRIVIAL and (best is None or len(gamma) < best):
-            best = len(gamma)
+    best = min((w.size for w in witnesses
+                if w.dd and w.verdict is Verdict.TRIVIAL), default=None)
     return DuReport(tuple(witnesses), best)
 
 
@@ -238,8 +226,3 @@ def generate_random_complex(seed: int, budget: SizeBudget = SizeBudget(),
                 rng.choice((Pairing.CROSS, Pairing.PARALLEL)), level, level))
         cx = SingularityComplex.build(triples, branches, edges, registry)
     return cx
-
-
-def oracle_from_document(oracle_mapping) -> TrivialityOracle:
-    """Oracle from the `.skd` oracle section (fingerprint -> verdict token)."""
-    return TrivialityOracle.from_mapping(oracle_mapping)

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from ..explorer import TrivialityOracle, oracle_from_document
+from ..explorer import TrivialityOracle
 from ..formats import parse_skd_document
 from ..singularity import SingularityComplex
 
@@ -20,4 +20,4 @@ def trefoil_oracle() -> TrivialityOracle:
     """Triviality annotation for the trefoil diagram: the crossing change
     along its closed double curve yields a trivial 2-knot diagram."""
     doc = parse_skd_document(fixture_text("trefoil.oracle.skd"))
-    return oracle_from_document(doc.oracle)
+    return TrivialityOracle.from_mapping(doc.oracle)

@@ -363,10 +363,6 @@ def _closed_count(cx: SingularityComplex) -> int:
     return sum(1 for c in cx.curves if c.kind is CurveKind.CLOSED)
 
 
-def _open_count(cx: SingularityComplex) -> int:
-    return sum(1 for c in cx.curves if c.kind is CurveKind.OPEN)
-
-
 def _descend_curve(cx: SingularityComplex, out: _Outcome, curve_id: str) -> str | None:
     """New-complex curve containing the remains of an old curve, if any."""
     for eid in cx.curves_by_id[curve_id].edges:
@@ -619,8 +615,8 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
         new_cx = SingularityComplex.build(
             cx.triple_points, cx.branch_points, keep + [fused], other_disks)
         new_ids = (new_id, new_id)
-    delta = len(new_cx.curves) - len(cx.curves)
-    assert delta in (-1, 0, 1)
+    _require(len(new_cx.curves) - len(cx.curves) in (-1, 0, 1), "postcondition",
+             "double curve count changed by more than one")
     return _Outcome(new_cx, {}, new_ids)
 
 

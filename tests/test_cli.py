@@ -185,11 +185,12 @@ def test_enumerate_with_oracle(capsys, trefoil_path, oracle_path):
                for u in unions)
 
 
-def test_enumerate_jobs(capsys, trefoil_path):
-    code, out, _ = run(capsys, "enumerate", trefoil_path, "--jobs", "2",
-                       "--json")
-    assert code == 0
-    assert len(json.loads(out)["unions"]) == 8
+@pytest.mark.parametrize("command", ["enumerate", "du-bound"])
+def test_negative_max_size_exits_2(capsys, trefoil_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, trefoil_path, "--max-size", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_du_bound(capsys, trefoil_path, oracle_path):

@@ -19,6 +19,13 @@ from skdiag import (
     serialize_canonical,
     validate,
 )
+from skdiag.crossing import (
+    PATTERN_TYPES,
+    RELABEL,
+    first_invalid_triple,
+    flip_pattern,
+    role_permutation,
+)
 from skdiag.explorer import SizeBudget, enumerate_exchangeable, generate_random_complex
 from skdiag.singularity import DescendentDisk, Level, Pairing
 
@@ -56,6 +63,16 @@ def test_is_valid_flip_matches_oracle_on_all_eight():
     for subset in all_subsets():
         engine = is_valid_flip({LineType(n) for n in subset})
         assert engine == oracle_valid_flip(subset), subset
+
+
+def test_mask_rule_matches_role_permutation_on_all_eight():
+    masks = (0b001, 0b010, 0b100)  # one curve on each of the bm, bt, mt lines
+    for g in range(8):
+        flipped = frozenset(lt for i, lt in enumerate(PATTERN_TYPES) if g >> i & 1)
+        valid = role_permutation(flipped) is not None
+        assert (first_invalid_triple(g, [masks]) is None) == valid, flipped
+        assert flip_pattern(g, masks) == g
+        assert (g in RELABEL) == valid
 
 
 def test_full_reversal_is_valid():

@@ -78,9 +78,12 @@ def test_cap_refusal():
     assert len(enumerate_exchangeable(cx, max_size=1, cap=2 ** 5)) == 7
 
 
-def test_parallel_enumeration_matches_sequential(trefoil):
-    assert enumerate_exchangeable(trefoil, jobs=2) == \
-        enumerate_exchangeable(trefoil)
+def test_negative_max_size_rejected(trefoil, trefoil_oracle):
+    with pytest.raises(ValueError):
+        enumerate_exchangeable(trefoil, max_size=-1)
+    with pytest.raises(ValueError):
+        du_index_upper_bound(trefoil, trefoil_oracle, max_size=-1)
+    assert enumerate_exchangeable(trefoil, max_size=0) == [frozenset()]
 
 
 def test_du_bound_trefoil(trefoil, trefoil_oracle):
