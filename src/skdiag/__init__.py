@@ -23,6 +23,7 @@ from .errors import (
     EnumerationCapExceeded,
     MoveRejected,
     NotExchangeableError,
+    OracleConflict,
     ParseError,
     SequenceAborted,
     StructuralError,

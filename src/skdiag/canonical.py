@@ -9,6 +9,7 @@ fingerprint.
 """
 
 import hashlib
+from itertools import chain
 
 from .singularity import DescendentDisk, SingularityComplex, TriplePoint
 
@@ -23,17 +24,44 @@ def disk_line(d: DescendentDisk) -> str:
             f"level1={d.level1.value} level2={d.level2.value}\n")
 
 
+#: the line format of each record kind, in canonical text order
+LINE_FORMATS = (triple_line, lambda b: f"branch {b.id}\n",
+                lambda e: f"edge {e.id} {e.end1} {e.end2}\n",
+                lambda e: f"circle {e.id}\n", disk_line)
+
+
+def canonical_lines(cx: SingularityComplex) -> list:
+    """The canonical lines of each record kind, in text order. A complex
+    built by ``rebuilt`` keeps them, taking its parent's line for every
+    record the two share (by identity); any other complex formats every
+    record on each call and keeps nothing."""
+    lines = vars(cx).get("canonical_lines")
+    if lines is not None:
+        return lines
+    lineage = vars(cx).get("lineage")
+    parent = lineage.views.pop("canonical_lines", None) if lineage else None
+    lines = []
+    for kind, (records, fmt) in enumerate(zip(cx.kinds, LINE_FORMATS)):
+        if parent is None or not any(lineage.deltas[kind]):
+            lines.append(parent[kind] if parent else tuple(map(fmt, records)))
+            continue
+        added = lineage.deltas[kind][1]
+        known = dict(zip(map(id, lineage.records[kind]), parent[kind]))
+        known.update(zip(map(id, added), map(fmt, added)))
+        lines.append(tuple(map(known.__getitem__, map(id, records))))
+    if lineage is not None:
+        vars(cx)["canonical_lines"] = lines
+    return lines
+
+
 def middle_block(cx: SingularityComplex) -> str:
     """The branch, edge and circle lines, which no crossing change alters."""
-    return "".join([*(f"branch {b.id}\n" for b in cx.branch_points),
-                    *(f"edge {e.id} {e.end1} {e.end2}\n" for e in cx.arcs),
-                    *(f"circle {e.id}\n" for e in cx.circles)])
+    return "".join(chain.from_iterable(canonical_lines(cx)[1:4]))
 
 
 def serialize_canonical(cx: SingularityComplex) -> str:
     """Deterministic `.skd` text for a complex (no comments, sorted ids)."""
-    return "".join([*map(triple_line, cx.triple_points), middle_block(cx),
-                    *map(disk_line, cx.disks)])
+    return "".join(chain.from_iterable(canonical_lines(cx)))
 
 
 def digest(text: str) -> str:

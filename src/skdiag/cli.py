@@ -42,6 +42,9 @@ FORMAT_VERSION = 1
 
 OK, FALSE_VERDICT, ERROR = 0, 1, 2
 
+# compact: without ``indent``, json runs its C encoder
+_JSON = {"sort_keys": True, "separators": (",", ":")}
+
 
 def _read(path: str) -> str:
     try:
@@ -88,8 +91,7 @@ def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
 
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
-        payload = {"format_version": FORMAT_VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"format_version": FORMAT_VERSION, **payload}, **_JSON))
     else:
         for line in human:
             print(line)
@@ -205,8 +207,8 @@ def _cmd_apply(args) -> int:
               "dd": t.dd} for t in result.trail]
     if args.trail:
         Path(args.trail).write_text(
-            json.dumps({"format_version": FORMAT_VERSION, "trail": trail},
-                       indent=2) + "\n", encoding="utf-8")
+            json.dumps({"format_version": FORMAT_VERSION, "trail": trail}, **_JSON)
+            + "\n", encoding="utf-8")
     payload = {"command": "apply", "moves": len(moves),
                "gamma": sorted(result.gamma),
                "fingerprint": fingerprint(result.complex), "trail": trail}

@@ -38,6 +38,7 @@ ExchangeSet = frozenset[str]
 
 #: line type of each bit of a flip pattern: bit 0 bm, bit 1 bt, bit 2 mt
 PATTERN_TYPES = (LineType.BM, LineType.BT, LineType.MT)
+_BIT_OF = {lt: i for i, lt in enumerate(PATTERN_TYPES)}
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,14 @@ def curve_bits(cx: SingularityComplex) -> dict[str, int]:
 def triple_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
     """(m_bm, m_bt, m_mt) per triple point in id order: the OR of the bits of
     the curves on its lines of each type (a curve without a bit counts 0)."""
+    index, curve_of = cx.slot_index, cx.curve_by_edge
     out = []
     for t in cx.triple_points:
-        m = dict.fromkeys(PATTERN_TYPES, 0)
+        m = [0, 0, 0]
         for i, lt in enumerate(t.line_types):
-            m[lt] |= bits.get(cx.line_curve(t.id, i), 0)
-        out.append(tuple(m.values()))
+            # line i's curve, as cx.line_curve(t.id, i) finds it
+            m[_BIT_OF[lt]] |= bits.get(curve_of[index[t.id, i, "a"][0]], 0)
+        out.append(tuple(m))
     return out
 
 

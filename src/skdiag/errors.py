@@ -13,6 +13,10 @@ class UnknownIdError(DiagramError):
     """An operation was given an id that does not exist in the complex."""
 
 
+class OracleConflict(DiagramError):
+    """Two triviality annotations give one fingerprint different verdicts."""
+
+
 class NotExchangeableError(DiagramError):
     """A crossing change was requested along a non-exchangeable union."""
 

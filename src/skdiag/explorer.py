@@ -24,16 +24,18 @@ from .crossing import (
     first_invalid_triple,
     triple_masks,
 )
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, OracleConflict
 from .singularity import (
     Arc,
     BranchPoint,
-    BranchRef,
     Circle,
+    DescendentDisk,
+    Level,
     LineType,
+    Pairing,
     SingularityComplex,
     TriplePoint,
-    TripleSlot,
+    endpoints,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,8 +73,14 @@ class TrivialityOracle:
         return self._index.get(fp, Verdict.UNKNOWN)
 
     def merged_with(self, other: "TrivialityOracle") -> "TrivialityOracle":
+        """Both annotation sets; raises OracleConflict when they give one
+        fingerprint different verdicts."""
         combined = dict(self.entries)
-        combined.update(other.entries)
+        for fp, verdict in other.entries:
+            if combined.setdefault(fp, verdict) is not verdict:
+                raise OracleConflict(
+                    f"oracle {fp} is {combined[fp].value} in one annotation set "
+                    f"and {verdict.value} in the other")
         return TrivialityOracle.from_mapping(combined)
 
 
@@ -203,20 +211,14 @@ def generate_random_complex(seed: int, budget: SizeBudget = SizeBudget(),
         rng.shuffle(types)
         triples.append(TriplePoint(f"T{i + 1}", tuple(types)))
     branches = [BranchPoint(f"B{i + 1}") for i in range(n_branches)]
-    refs: list = []
-    for t in triples:
-        refs.extend(TripleSlot(t.id, line, slot)
-                    for line in range(3) for slot in ("a", "b"))
-    refs.extend(BranchRef(b.id) for b in branches)
+    refs = list(endpoints(triples, branches))
     rng.shuffle(refs)
     edges: list[Arc | Circle] = []
     for i in range(0, len(refs), 2):
         edges.append(Arc(f"E{i // 2 + 1}", refs[i], refs[i + 1]))
     edges.extend(Circle(f"C{i + 1}") for i in range(budget.circles))
-    cx = SingularityComplex.build(triples, branches, edges)
+    registry = []
     if disks and len(edges) >= 2:
-        from .singularity import DescendentDisk, Level, Pairing
-        registry = []
         ids = [e.id for e in edges]
         for i in range(disks):
             e1, e2 = rng.sample(ids, 2)
@@ -224,5 +226,4 @@ def generate_random_complex(seed: int, budget: SizeBudget = SizeBudget(),
             registry.append(DescendentDisk(
                 f"D{i + 1}", e1, e2,
                 rng.choice((Pairing.CROSS, Pairing.PARALLEL)), level, level))
-        cx = SingularityComplex.build(triples, branches, edges, registry)
-    return cx
+    return SingularityComplex.build(triples, branches, edges, registry)

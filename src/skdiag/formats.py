@@ -58,6 +58,9 @@ from .singularity import (
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 
+# a SHA-256 digest has 64 lowercase hex digits; shorter tokens stay accepted
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{1,64}\Z")
+
 ORACLE_VERDICTS = ("trivial", "nontrivial")
 
 
@@ -245,7 +248,14 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
                 col.error(lineno, 1,
                           "oracle record needs: oracle <fingerprint> trivial|nontrivial")
                 continue
-            oracle[args[0]] = args[1]
+            fp, verdict = args
+            if not _FINGERPRINT_RE.match(fp):
+                col.error(lineno, _column_of(line, fp),
+                          f"oracle fingerprint {fp!r} is not lowercase hex digits")
+            elif oracle.setdefault(fp, verdict) != verdict:
+                col.error(lineno, 1, f"oracle {fp} is {verdict} here but "
+                          f"{oracle[fp]} on line {lines_of['oracle', fp]}")
+            lines_of.setdefault(("oracle", fp), lineno)
         else:
             col.error(lineno, 1, f"unknown record kind {record!r}")
 

@@ -248,12 +248,13 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
     orphaned slot must be reconnected exactly once by the splice map.
     """
     orphans: dict[TripleSlot, tuple[str, int]] = {}
-    for arc in cx.arcs:
-        if arc.id in dead_edges:
-            continue
-        for idx, ref in enumerate(arc.ends):
-            if isinstance(ref, TripleSlot) and ref.triple_id in dead_triples:
-                orphans[ref] = (arc.id, idx)
+    for tid in sorted(dead_triples):
+        for line in range(3):
+            for slot in ("a", "b"):
+                ref = TripleSlot(tid, line, slot)
+                claim = cx.edge_end_at(ref)
+                if claim[0] not in dead_edges:
+                    orphans[ref] = claim
 
     partner: dict[tuple[str, int], tuple[str, int]] = {}
     seen: set[TripleSlot] = set()
@@ -315,7 +316,8 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
                 chain = [(eid, not f) for eid, f in reversed(chain)]
             first_edge = cx.edges_by_id[chain[0][0]]
             last_edge = cx.edges_by_id[chain[-1][0]]
-            assert isinstance(first_edge, Arc) and isinstance(last_edge, Arc)
+            _require(isinstance(first_edge, Arc) and isinstance(last_edge, Arc),
+                     "splice", f"chain {base} ends on an edge that is not an arc")
             start = first_edge.end1 if chain[0][1] else first_edge.end2
             stop = last_edge.end2 if chain[-1][1] else last_edge.end1
             new_id = _fresh_id(base, taken)
@@ -397,7 +399,7 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     survivors = [e for e in cx.edges
                  if e.id not in dead_edges and e.id not in descent]
     triples = [t for t in cx.triple_points if t.id not in dead_triples]
-    new_cx = SingularityComplex.build(
+    new_cx = cx.rebuilt(
         triples, cx.branch_points, survivors + new_edges, disks)
     return _Outcome(new_cx, descent, tuple(e.id for e in new_edges))
 
@@ -408,7 +410,7 @@ def _apply_r1_plus(cx: SingularityComplex, m: R1Plus) -> _Outcome:
     disks = list(cx.disks)
     if m.disk is not None:
         disks.append(_validate_disk_declaration(cx, m.disk, m.circle_id))
-    new_cx = SingularityComplex.build(
+    new_cx = cx.rebuilt(
         cx.triple_points, cx.branch_points,
         list(cx.edges) + [Circle(m.circle_id)], disks)
     return _Outcome(new_cx, {}, (m.circle_id,))
@@ -421,7 +423,7 @@ def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
              f"edge {m.circle_id!r} is not a free circle")
     descent: dict[str, str | None] = {m.circle_id: None}
     disks = _remap_disks(cx, descent, set(), {m.circle_id}, m.drop_disks)
-    new_cx = SingularityComplex.build(
+    new_cx = cx.rebuilt(
         cx.triple_points, cx.branch_points,
         [e for e in cx.edges if e.id != m.circle_id], disks)
     return _Outcome(new_cx, descent)
@@ -439,7 +441,7 @@ def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
     if m.disk is not None:
         disks.append(_validate_disk_declaration(cx, m.disk, m.edge_id))
     arc = Arc(m.edge_id, BranchRef(m.branch1), BranchRef(m.branch2))
-    new_cx = SingularityComplex.build(
+    new_cx = cx.rebuilt(
         cx.triple_points,
         list(cx.branch_points) + [BranchPoint(m.branch1), BranchPoint(m.branch2)],
         list(cx.edges) + [arc], disks)
@@ -456,7 +458,7 @@ def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
     dead_branches = {edge.end1.branch_id, edge.end2.branch_id}
     descent: dict[str, str | None] = {m.edge_id: None}
     disks = _remap_disks(cx, descent, set(), {m.edge_id}, m.drop_disks)
-    new_cx = SingularityComplex.build(
+    new_cx = cx.rebuilt(
         cx.triple_points,
         [b for b in cx.branch_points if b.id not in dead_branches],
         [e for e in cx.edges if e.id != m.edge_id], disks)
@@ -597,7 +599,7 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
                  e2.end1 if cross else e2.end2)
         dual = DescendentDisk(disk.id, n1.id, n2.id, Pairing.PARALLEL,
                               disk.level1, disk.level2)
-        new_cx = SingularityComplex.build(
+        new_cx = cx.rebuilt(
             cx.triple_points, cx.branch_points, keep + [n1, n2],
             other_disks + [dual])
         new_ids = (n1.id, n2.id)
@@ -612,7 +614,7 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
             fused: Arc | Circle = Arc(new_id, arc.end1, arc.end2)
         else:
             fused = Circle(new_id)
-        new_cx = SingularityComplex.build(
+        new_cx = cx.rebuilt(
             cx.triple_points, cx.branch_points, keep + [fused], other_disks)
         new_ids = (new_id, new_id)
     _require(len(new_cx.curves) - len(cx.curves) in (-1, 0, 1), "postcondition",

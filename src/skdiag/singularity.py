@@ -14,6 +14,8 @@ all higher operations (crossing changes, moves) are defined on top of it.
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter, is_
+from typing import NamedTuple
 
 from .errors import StructuralError, UnknownIdError
 
@@ -67,10 +69,10 @@ class Level(str, Enum):
         return Level.LOWER if self is Level.UPPER else Level.UPPER
 
 
-@dataclass(frozen=True)
-class TripleSlot:
+class TripleSlot(NamedTuple):
     """One of the six edge attachment slots at a triple point: line 0-2,
-    slot 'a' or 'b'. The two slots of a line are the opposite branches."""
+    slot 'a' or 'b'. The two slots of a line are the opposite branches.
+    A plain tuple, so that it keys the slot index at C speed."""
 
     triple_id: str
     line: int
@@ -83,8 +85,7 @@ class TripleSlot:
         return f"T:{self.triple_id}.{self.line}.{self.slot}"
 
 
-@dataclass(frozen=True)
-class BranchRef:
+class BranchRef(NamedTuple):
     branch_id: str
 
     def __str__(self) -> str:
@@ -210,22 +211,31 @@ class SingularityComplex:
 
     @classmethod
     def build(cls, triples=(), branches=(), edges=(), disks=()) -> "SingularityComplex":
-        triples = tuple(sorted(triples, key=lambda t: t.id))
-        branches = tuple(sorted(branches, key=lambda b: b.id))
-        edges = tuple(sorted(edges, key=lambda e: e.id))
-        disks = tuple(sorted(disks, key=lambda d: d.id))
+        by_id = attrgetter("id")
+        triples = tuple(sorted(triples, key=by_id))
+        branches = tuple(sorted(branches, key=by_id))
+        edges = tuple(sorted(edges, key=by_id))
+        disks = tuple(sorted(disks, key=by_id))
         for kind, items in (("triple point", triples), ("branch point", branches),
                             ("edge", edges), ("disk", disks)):
-            seen = set()
-            for item in items:
-                if item.id in seen:
-                    raise StructuralError(f"duplicate {kind} id {item.id!r}")
-                seen.add(item.id)
+            if len(set(map(by_id, items))) != len(items):
+                dup = next(a.id for a, b in zip(items, items[1:]) if a.id == b.id)
+                raise StructuralError(f"duplicate {kind} id {dup!r}")
         return cls(triples, branches, edges, disks)
 
     @classmethod
     def empty(cls) -> "SingularityComplex":
         return cls.build()
+
+    def rebuilt(self, triples=(), branches=(), edges=(), disks=()) -> "SingularityComplex":
+        """The complex with these records, built from this one: it inherits
+        the slot index, curves and canonical lines this one has computed,
+        patched by the records the two do not share (by identity)."""
+        child = self.build(triples, branches, edges, disks)
+        child.__dict__["lineage"] = Lineage(
+            self.kinds, {k: v for k, v in self.__dict__.items() if k in Lineage.VIEWS},
+            [_delta(old, new) for old, new in zip(self.kinds, child.kinds)])
+        return child
 
     # -- indexed views -------------------------------------------------
 
@@ -247,35 +257,63 @@ class SingularityComplex:
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
-        return tuple(e for e in self.edges if isinstance(e, Arc))
+        return tuple([e for e in self.edges if type(e) is Arc])
 
     @cached_property
     def circles(self) -> tuple[Circle, ...]:
-        return tuple(e for e in self.edges if isinstance(e, Circle))
+        return tuple([e for e in self.edges if type(e) is Circle])
+
+    @property
+    def kinds(self) -> tuple[tuple, ...]:
+        """The records of each kind, in canonical text order (TRIPLES ...)."""
+        return (self.triple_points, self.branch_points, self.arcs, self.circles,
+                self.disks)
 
     @cached_property
-    def endpoint_claims(self) -> dict[EndpointRef, list[tuple[str, int]]]:
-        """Every (edge id, end index) claiming each endpoint, in edge order.
+    def _claims(self) -> tuple[dict, str | None]:
+        """The endpoint index, mapping each endpoint to the (edge id, end
+        index) attached there (a contested one to the list of all its
+        claims), and the first structural problem met building it. A
+        complex built by ``rebuilt`` from a well-formed parent patches the
+        parent's index by the arcs removed and added; any other complex
+        claims every arc end afresh."""
+        lineage = self.__dict__.get("lineage")
+        parent = lineage.views.pop("_claims", None) if lineage else None
+        index, added, dead = {}, self.arcs, ()
+        if parent is not None and parent[1] is None:
+            index = dict(parent[0])
+            removed, added = lineage.deltas[ARCS]
+            for arc in removed:
+                del index[arc.end1], index[arc.end2]
+            dead = endpoints(
+                [t for t in lineage.deltas[TRIPLES][0] if t.id not in self.triples_by_id],
+                [b for b in lineage.deltas[BRANCHES][0] if b.id not in self.branches_by_id])
+        problem = _claim(self, added, index) or next(
+            (f"endpoint {ref} of a deleted point is still claimed by edge "
+             f"{index[ref][0]}" for ref in dead if ref in index), None)
+        every = 6 * len(self.triple_points) + len(self.branch_points)
+        if problem is None and len(index) != every:
+            problem = next(f"endpoint {ref} is unused" for ref in
+                           endpoints(self.triple_points, self.branch_points)
+                           if ref not in index)
+        return index, problem
 
-        Lenient: built even for malformed complexes so that validation can
-        report conflicts instead of crashing.
-        """
-        claims: dict[EndpointRef, list[tuple[str, int]]] = {}
-        for arc in self.arcs:
-            for idx, ref in enumerate(arc.ends):
-                claims.setdefault(ref, []).append((arc.id, idx))
-        return claims
+    @property
+    def slot_index(self) -> dict[EndpointRef, tuple[str, int]]:
+        """The (edge id, end index) attached at each endpoint. Raises
+        StructuralError naming the first broken reference, contested
+        endpoint or unused endpoint of a malformed complex."""
+        index, problem = self._claims
+        if problem is not None:
+            raise StructuralError(problem)
+        return index
 
     def edge_end_at(self, ref: EndpointRef) -> tuple[str, int]:
-        """The unique (edge id, end index) attached at ``ref``.
-
-        Raises StructuralError when the reference is unused or contested.
-        """
-        claims = self.endpoint_claims.get(ref, [])
-        if len(claims) != 1:
-            state = "unused" if not claims else "claimed by multiple edges"
-            raise StructuralError(f"endpoint {ref} is {state}")
-        return claims[0]
+        """The unique (edge id, end index) attached at ``ref``."""
+        claim = self.slot_index.get(ref)
+        if claim is None:
+            raise StructuralError(f"endpoint {ref} is unused")
+        return claim
 
     # -- traced curves -------------------------------------------------
 
@@ -289,7 +327,9 @@ class SingularityComplex:
 
     @cached_property
     def curve_by_edge(self) -> dict[str, str]:
-        return {e: c.id for c in self.curves for e in c.edges}
+        """Id of the curve through each edge id."""
+        self.curves  # trace_curves stores the map it builds
+        return self.__dict__["curve_by_edge"]
 
     def curve_of(self, edge_id: str) -> str:
         try:
@@ -300,7 +340,64 @@ class SingularityComplex:
     def line_curve(self, triple_id: str, line: int) -> str:
         """The curve passing through line ``line`` of a triple point."""
         edge_id, _ = self.edge_end_at(TripleSlot(triple_id, line, "a"))
-        return self.curve_of(edge_id)
+        return self.curve_by_edge[edge_id]
+
+
+#: indices of the record kinds in SingularityComplex.kinds
+TRIPLES, BRANCHES, ARCS, CIRCLES, DISKS = range(5)
+
+
+class Lineage(NamedTuple):
+    """What a complex built by ``rebuilt`` inherits: its parent's records
+    per kind (which keep identity comparisons sound), the parent's VIEWS,
+    each popped by its first use, and per kind the records (removed,
+    added) relative to the parent."""
+
+    records: tuple[tuple, ...]
+    views: dict
+    deltas: list[tuple[list, list]]
+
+    VIEWS = ("_claims", "curves", "curve_by_edge", "canonical_lines")
+
+
+def _delta(old: tuple, new: tuple) -> tuple[list, list]:
+    """The records only ``old`` has and those only ``new`` has, compared by
+    identity, in no particular order."""
+    if len(old) == len(new) and all(map(is_, old, new)):
+        return [], []
+    old_by, new_by = dict(zip(map(id, old), old)), dict(zip(map(id, new), new))
+    return ([old_by[i] for i in old_by.keys() - new_by.keys()],
+            [new_by[i] for i in new_by.keys() - old_by.keys()])
+
+
+def endpoints(triples, branches):
+    """Every endpoint of these points: six slots per triple point, in line
+    and slot order, then the branch points."""
+    for t in triples:
+        for line in range(3):
+            for slot in ("a", "b"):
+                yield TripleSlot(t.id, line, slot)
+    yield from (BranchRef(b.id) for b in branches)
+
+
+def _claim(cx: SingularityComplex, arcs, index: dict) -> str | None:
+    """Claim both ends of each arc in ``index``. Returns the first broken
+    reference or contested endpoint met, or None; a contested endpoint
+    keeps the list of all its claims."""
+    triples, branches = cx.triples_by_id, cx.branches_by_id
+    problem = None
+    for arc in arcs:
+        for claim, ref in (((arc.id, 0), arc.end1), ((arc.id, 1), arc.end2)):
+            if problem is None and not (
+                    ref.branch_id in branches if type(ref) is BranchRef
+                    else ref.triple_id in triples and ref.line in (0, 1, 2)
+                    and ref.slot in ("a", "b")):
+                problem = f"edge {arc.id} references broken endpoint {ref}"
+            prev = index.setdefault(ref, claim)
+            if prev is not claim:
+                index[ref] = [*prev, claim] if type(prev) is list else [prev, claim]
+                problem = problem or f"endpoint {ref} is claimed by multiple edges"
+    return problem
 
 
 def _line_type_violations(cx: SingularityComplex):
@@ -337,32 +434,20 @@ def _reference_violations(cx: SingularityComplex):
 
 
 def _coverage_violations(cx: SingularityComplex):
-    claims = cx.endpoint_claims
-    for t in cx.triple_points:
-        for line in range(3):
-            for slot in ("a", "b"):
-                ref = TripleSlot(t.id, line, slot)
-                n = len(claims.get(ref, []))
-                if n == 0:
-                    yield Violation("slot-unused",
-                                    f"slot {ref} is not used by any edge",
-                                    (("triple", t.id),))
-                elif n > 1:
-                    users = [e for e, _ in claims[ref]]
-                    yield Violation("slot-conflict",
-                                    f"slot {ref} claimed by edges " + ", ".join(users),
-                                    tuple(("edge", e) for e in users))
-    for b in cx.branch_points:
-        ref = BranchRef(b.id)
-        n = len(claims.get(ref, []))
-        if n == 0:
-            yield Violation("branch-unused",
-                            f"branch point {b.id} is not used by any edge",
-                            (("branch", b.id),))
-        elif n > 1:
-            users = [e for e, _ in claims[ref]]
-            yield Violation("branch-conflict",
-                            f"branch point {b.id} claimed by edges " + ", ".join(users),
+    index = cx._claims[0]
+    for ref in endpoints(cx.triple_points, cx.branch_points):
+        claim = index.get(ref)
+        users = ([] if claim is None else [e for e, _ in claim]
+                 if type(claim) is list else [claim[0]])
+        kind, name, point = (("slot", f"slot {ref}", ("triple", ref.triple_id))
+                             if type(ref) is TripleSlot else
+                             ("branch", f"branch point {ref.branch_id}",
+                              ("branch", ref.branch_id)))
+        if not users:
+            yield Violation(f"{kind}-unused", f"{name} is not used by any edge", (point,))
+        elif len(users) > 1:
+            yield Violation(f"{kind}-conflict",
+                            f"{name} claimed by edges " + ", ".join(users),
                             tuple(("edge", e) for e in users))
 
 
@@ -384,61 +469,24 @@ def validate(cx: SingularityComplex) -> ValidationReport:
 
     Checks slot and branch-point coverage, line-type bijections, dangling
     references, the counting identity 2|arcs| = 6|T| + |B|, and disk edge
-    references. Violations are report entries, never exceptions.
+    references. Violations are report entries, never exceptions. The
+    reference, coverage and counting checks read the slot index, and hold
+    without further work when building it met no problem.
     """
+    malformed = cx._claims[1] is not None
     violations = []
     violations.extend(_line_type_violations(cx))
-    violations.extend(_reference_violations(cx))
-    violations.extend(_coverage_violations(cx))
+    if malformed:
+        violations.extend(_reference_violations(cx))
+        violations.extend(_coverage_violations(cx))
     violations.extend(_disk_violations(cx))
     n_arcs = len(cx.arcs)
     expected = 6 * len(cx.triple_points) + len(cx.branch_points)
-    if 2 * n_arcs != expected:
+    if malformed and 2 * n_arcs != expected:
         violations.append(Violation(
             "counting-identity",
             f"2*|arcs| = {2 * n_arcs} but 6*|triples| + |branches| = {expected}"))
     return ValidationReport(tuple(violations))
-
-
-def _walk_from(cx: SingularityComplex, start: Arc):
-    """Follow the curve through ``start`` (traversed end1->end2).
-
-    Returns (oriented chain, closed flag); each chain element is
-    (edge id, forward) where forward means traversed end1->end2.
-    """
-    chain: list[tuple[str, bool]] = [(start.id, True)]
-    closed = False
-    ref = start.end2
-    while isinstance(ref, TripleSlot):
-        edge_id, entry = cx.edge_end_at(ref.mate())
-        if (edge_id, entry) == (start.id, 0):
-            closed = True
-            break
-        chain.append((edge_id, entry == 0))
-        nxt = cx.edges_by_id[edge_id]
-        assert isinstance(nxt, Arc)
-        ref = nxt.end2 if entry == 0 else nxt.end1
-    if closed:
-        return chain, True
-    # extend backwards from end1
-    ref = start.end1
-    head: list[tuple[str, bool]] = []
-    while isinstance(ref, TripleSlot):
-        edge_id, entry = cx.edge_end_at(ref.mate())
-        head.append((edge_id, entry == 1))
-        nxt = cx.edges_by_id[edge_id]
-        assert isinstance(nxt, Arc)
-        ref = nxt.end1 if entry == 1 else nxt.end2
-    head.reverse()
-    return head + chain, False
-
-
-def _terminal_branch(cx: SingularityComplex, edge_id: str, forward: bool, last: bool) -> str:
-    arc = cx.edges_by_id[edge_id]
-    assert isinstance(arc, Arc)
-    ref = (arc.end2 if forward else arc.end1) if last else (arc.end1 if forward else arc.end2)
-    assert isinstance(ref, BranchRef)
-    return ref.branch_id
 
 
 def _canonical_closed(ids: list[str]) -> tuple[str, ...]:
@@ -450,24 +498,32 @@ def _canonical_closed(ids: list[str]) -> tuple[str, ...]:
     return tuple(fwd)
 
 
-def _check_references(cx: SingularityComplex) -> None:
-    """Raise on the first broken reference of a malformed complex."""
-    for arc in cx.arcs:
-        for ref in arc.ends:
-            if isinstance(ref, BranchRef):
-                if ref.branch_id not in cx.branches_by_id:
-                    raise StructuralError(
-                        f"edge {arc.id} references unknown branch point "
-                        f"{ref.branch_id!r}")
-            elif (ref.triple_id not in cx.triples_by_id
-                  or not (0 <= ref.line <= 2) or ref.slot not in ("a", "b")):
-                raise StructuralError(f"edge {arc.id} references broken slot {ref}")
-    for t in cx.triple_points:
-        for line in range(3):
-            for slot in ("a", "b"):
-                cx.edge_end_at(TripleSlot(t.id, line, slot))
-    for b in cx.branch_points:
-        cx.edge_end_at(BranchRef(b.id))
+def _curve_through(start: DoubleEdge, index: dict, edges: dict) -> DoubleCurve:
+    """The curve through ``start``, walked through opposite slots from its
+    end2 and, unless that comes back round to its end1, from its end1."""
+    if type(start) is Circle:
+        return DoubleCurve(start.id, (start.id,), CurveKind.CLOSED)
+    halves = []
+    for ref in (start.end2, start.end1):
+        ids: list[str] = []
+        while type(ref) is TripleSlot:
+            tid, line, slot = ref
+            edge_id, entry = index[tid, line, "b" if slot == "a" else "a"]
+            if edge_id == start.id and entry == 0:
+                ids = _canonical_closed([start.id, *ids])
+                return DoubleCurve(ids[0], ids, CurveKind.CLOSED)
+            arc = edges[edge_id]
+            if type(arc) is not Arc:
+                raise StructuralError(f"endpoint {ref} leads to {edge_id!r}, "
+                                      "which is not an arc")
+            ids.append(edge_id)
+            ref = arc.end2 if entry == 0 else arc.end1
+        halves.append((ids, ref))
+    (tail, last), (head, first) = halves
+    ids = [*reversed(head), start.id, *tail]
+    if last.branch_id < first.branch_id:
+        ids.reverse()
+    return DoubleCurve(min(ids), tuple(ids), CurveKind.OPEN)
 
 
 def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
@@ -475,31 +531,41 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
 
     Traversal continues through a triple point on the opposite slot of the
     same line; a curve is open iff both of its ends are branch points.
-    Raises StructuralError (naming the first broken reference) when the
-    complex is malformed.
+    Raises StructuralError (naming the first broken reference, contested or
+    unused endpoint) when the complex is malformed. Under ``rebuilt`` each
+    parent curve that lost no edge is kept, and the walks start only from
+    added edges and from the survivors of curves that lost one. Stores the
+    edge-to-curve map as ``cx.curve_by_edge``.
     """
-    _check_references(cx)
-    curves: list[DoubleCurve] = []
-    for circle in cx.circles:
-        curves.append(DoubleCurve(circle.id, (circle.id,), CurveKind.CLOSED))
-    remaining = {a.id for a in cx.arcs}
-    for arc in cx.arcs:
-        if arc.id not in remaining:
-            continue
-        chain, closed = _walk_from(cx, arc)
-        ids = [e for e, _ in chain]
-        remaining.difference_update(ids)
-        if closed:
-            edges = _canonical_closed(ids)
-            curves.append(DoubleCurve(edges[0], edges, CurveKind.CLOSED))
-        else:
-            first = _terminal_branch(cx, chain[0][0], chain[0][1], last=False)
-            last = _terminal_branch(cx, chain[-1][0], chain[-1][1], last=True)
-            if last < first:
-                ids.reverse()
-            curves.append(DoubleCurve(min(ids), tuple(ids), CurveKind.OPEN))
-    curves.sort(key=lambda c: c.id)
-    return tuple(curves)
+    index, edges = cx.slot_index, cx.edges_by_id
+    lineage = cx.__dict__.get("lineage")
+    old = lineage.views.pop("curves", None) if lineage else None
+    by_edge = lineage.views.pop("curve_by_edge", None) if lineage else None
+    kept: list[DoubleCurve] = []
+    if old is None or by_edge is None:
+        by_edge, seeds = {}, cx.edges
+    else:
+        (removed_arcs, added_arcs), (removed_circles, added_circles) = \
+            lineage.deltas[ARCS], lineage.deltas[CIRCLES]
+        by_edge = dict(by_edge)
+        dirty = {by_edge[e.id] for e in [*removed_arcs, *removed_circles]}
+        seeds = [*added_arcs, *added_circles]
+        for curve in old:
+            if curve.id not in dirty:
+                kept.append(curve)
+                continue
+            for eid in curve.edges:
+                del by_edge[eid]
+                if eid in edges:
+                    seeds.append(edges[eid])
+    new = []
+    for edge in seeds:
+        if edge.id not in by_edge:
+            curve = _curve_through(edge, index, edges)
+            by_edge.update(dict.fromkeys(curve.edges, curve.id))
+            new.append(curve)
+    cx.__dict__["curve_by_edge"] = by_edge
+    return tuple(sorted(kept + new, key=attrgetter("id")))
 
 
 def curve_of(cx: SingularityComplex, edge_id: str) -> str:

@@ -225,3 +225,32 @@ def test_fingerprint_stable(capsys, trefoil_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(out1.strip()) == 64
+
+
+TREFOIL_CHANGED_FP = \
+    "267a73fac0a2d6308b9b56dec0b1ad94479f9144641dbfd4760509f0ae5ac58d"
+
+
+def test_conflicting_oracle_lines_exit_2(capsys, trefoil_path, oracle_path):
+    with open(oracle_path, "a") as f:
+        f.write(f"oracle {TREFOIL_CHANGED_FP} nontrivial\n")
+    code, out, err = run(capsys, "du-bound", trefoil_path, "--oracle", oracle_path)
+    assert code == 2
+    assert not out
+    assert "trefoil.oracle.skd:5:1:" in err and "line 4" in err
+
+
+def test_document_and_sidecar_oracle_conflict_exits_2(capsys, trefoil_path,
+                                                      oracle_path):
+    with open(trefoil_path, "a") as f:
+        f.write(f"oracle {TREFOIL_CHANGED_FP} nontrivial\n")
+    code, out, err = run(capsys, "du-bound", trefoil_path, "--oracle", oracle_path)
+    assert code == 2
+    assert TREFOIL_CHANGED_FP in err
+
+
+def test_json_output_is_compact(capsys, trefoil_path, tmp_path):
+    code, out, _ = run(capsys, "census", trefoil_path, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True,
+                             separators=(",", ":")) + "\n"

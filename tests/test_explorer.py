@@ -6,6 +6,7 @@ import pytest
 
 from skdiag import (
     EnumerationCapExceeded,
+    OracleConflict,
     SingularityComplex,
     all_curves,
     crossing_change,
@@ -164,3 +165,11 @@ def test_generator_with_disks_is_valid():
     assert validate(cx).ok
     assert len(cx.disks) == 2
     assert all(d.consistent for d in cx.disks)
+
+
+def test_merged_oracle_conflict_raises(trefoil_oracle):
+    (fp, verdict), = trefoil_oracle.entries
+    assert trefoil_oracle.merged_with(trefoil_oracle) == trefoil_oracle
+    other = "nontrivial" if verdict is Verdict.TRIVIAL else "trivial"
+    with pytest.raises(OracleConflict, match=fp):
+        trefoil_oracle.merged_with(TrivialityOracle.from_mapping({fp: other}))

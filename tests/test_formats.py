@@ -235,3 +235,21 @@ def test_derived_ids_are_deterministic(r2):
     b = apply_move(r2, r2_move())
     assert fingerprint(a) == fingerprint(b)
     assert "s1.1" in a.edges_by_id
+
+
+def test_conflicting_oracle_lines_name_both_lines():
+    fp = "ab" * 32
+    with pytest.raises(ParseError) as info:
+        parse_skd_document(f"circle C1\noracle {fp} trivial\n"
+                           f"oracle {fp} nontrivial\n")
+    ((line, _, message),) = info.value.diagnostics
+    assert line == 3 and "line 2" in message
+    # a repeated annotation that agrees is not a conflict
+    doc = parse_skd_document(f"oracle {fp} trivial\noracle {fp} trivial\n")
+    assert doc.oracle == {fp: "trivial"}
+
+
+@pytest.mark.parametrize("token", ["not-a-fingerprint", "AB12", "ab" * 33])
+def test_oracle_fingerprint_must_be_lowercase_hex(token):
+    with pytest.raises(ParseError, match="lowercase hex"):
+        parse_skd_document(f"oracle {token} trivial\n")

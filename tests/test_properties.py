@@ -2,11 +2,24 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skdiag import (
+    BranchRef,
+    DiskDeclaration,
+    Level,
+    MoveRejected,
+    Pairing,
+    R1Minus,
+    R1Plus,
+    R4Minus,
+    R4Plus,
+    R6,
+    SingularityComplex,
     all_curves,
+    apply_move,
     census,
     crossing_change,
     fingerprint,
@@ -26,6 +39,7 @@ from skdiag.explorer import (
     generate_random_complex,
 )
 
+from tests.conftest import load_fixture, r2_move, r3_move, r5_move, r6_move
 from tests.test_singularity import traced_partition, unionfind_partition
 
 budgets = st.builds(SizeBudget,
@@ -119,3 +133,84 @@ def test_changed_fingerprints_match_crossing_change(seed, budget, disks):
         if satisfies_dd_condition(cx, gamma):
             assert changed(sum(bits[c] for c in gamma)) == \
                 fingerprint(crossing_change(cx, gamma))
+
+
+# -- complexes a move derives from their parent -----------------------------
+
+
+def assert_matches_fresh_build(cx):
+    """The slot index, curves, curve map and fingerprint a derived complex
+    inherited equal those of the same records built and traced afresh."""
+    assert "lineage" in vars(cx)
+    fresh = SingularityComplex.build(cx.triple_points, cx.branch_points,
+                                     cx.edges, cx.disks)
+    assert cx.slot_index == fresh.slot_index
+    assert cx.curves == fresh.curves
+    assert cx.curve_by_edge == fresh.curve_by_edge
+    assert fingerprint(cx) == fingerprint(fresh)
+
+
+def apply_derived(cx, move):
+    """apply_move on a parent whose index, curves and lines exist, so the
+    child inherits all three; the child is checked against a fresh build."""
+    fingerprint(cx)
+    child = apply_move(cx, move)
+    assert_matches_fresh_build(child)
+    return child
+
+
+def random_move(cx, kind: int, pick: int, step: int):
+    """A move of the given kind on cx, with its locus chosen by ``pick``,
+    or None when cx has no locus for it."""
+    edges = [e.id for e in cx.edges]
+    decl = None
+    if edges and pick % 3:
+        decl = DiskDeclaration(f"d{step}", edges[pick % len(edges)],
+                               (Pairing.CROSS, Pairing.PARALLEL)[pick % 2],
+                               Level.UPPER, Level.UPPER)
+    if kind == 0:
+        return R1Plus(f"n{step}", decl)
+    if kind == 1:
+        return R4Plus(f"w{step}", f"wa{step}", f"wb{step}", decl)
+    if kind == 2:
+        loci = [e.id for e in cx.circles]
+        make = R1Minus
+    elif kind == 3:
+        loci = [a.id for a in cx.arcs if isinstance(a.end1, BranchRef)
+                and isinstance(a.end2, BranchRef)]
+        make = R4Minus
+    else:
+        return R6(cx.disks[pick % len(cx.disks)].id) if cx.disks else None
+    if not loci:
+        return None
+    locus = loci[pick % len(loci)]
+    return make(locus, tuple(d.id for d in cx.disks if locus in (d.edge1, d.edge2)))
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2),
+       steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 10 ** 6)),
+                      max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_derived_complexes_match_fresh_builds(seed, budget, disks, steps):
+    cx = generate_random_complex(seed, budget, disks=disks)
+    for step, (kind, pick) in enumerate(steps):
+        move = random_move(cx, kind, pick, step)
+        if move is None:
+            continue
+        try:
+            cx = apply_derived(cx, move)
+        except MoveRejected:
+            continue
+
+
+@pytest.mark.parametrize("name, move", [("r2", r2_move()), ("r3", r3_move()),
+                                        ("r5", r5_move()), ("r6", r6_move())])
+@given(births=st.integers(min_value=0, max_value=3))
+@settings(max_examples=4, deadline=None)
+def test_cancellations_derive_like_fresh_builds(name, move, births):
+    cx = load_fixture(name)
+    for i in range(births):
+        cx = apply_derived(cx, R4Plus(f"w{i}", f"wa{i}", f"wb{i}") if i % 2
+                           else R1Plus(f"n{i}"))
+    apply_derived(cx, move)

@@ -206,3 +206,31 @@ def test_generator_is_deterministic():
 def test_generator_circles_only():
     cx = generate_random_complex(1, SizeBudget(triples=0, branches=0, circles=4))
     assert census(cx).closed_curves == 4
+
+
+def test_rebuilt_rejects_a_double_claimed_slot(r2):
+    r2.curves
+    extra = Arc("X", TripleSlot("T1", 0, "a"), BranchRef("Bx"))
+    child = r2.rebuilt(r2.triple_points, [*r2.branch_points, BranchPoint("Bx")],
+                       [*r2.edges, extra], r2.disks)
+    with pytest.raises(StructuralError, match=r"T:T1\.0\.a is claimed by multiple"):
+        child.curves
+    assert "slot-conflict" in {v.code for v in validate(child).violations}
+
+
+def test_rebuilt_rejects_a_deleted_triples_claimed_slot(r2):
+    r2.curves
+    child = r2.rebuilt([t for t in r2.triple_points if t.id != "T1"],
+                       r2.branch_points, r2.edges, r2.disks)
+    with pytest.raises(StructuralError, match=r"T:T1\.0\.a of a deleted point"):
+        child.slot_index
+    assert "dangling-ref" in {v.code for v in validate(child).violations}
+
+
+def test_rebuilt_from_a_malformed_parent_indexes_afresh(r2):
+    broken = SingularityComplex.build(r2.triple_points, r2.branch_points,
+                                      [e for e in r2.edges if e.id != "s1"])
+    assert not validate(broken).ok
+    fixed = broken.rebuilt(r2.triple_points, r2.branch_points, r2.edges)
+    assert fixed.slot_index == r2.slot_index
+    assert fixed.curves == r2.curves
