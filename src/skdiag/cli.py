@@ -11,32 +11,13 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
-from .canonical import fingerprint, serialize_canonical
-from .crossing import (
-    crossing_change,
-    first_invalid_flip,
-    satisfies_dd_condition,
-)
-from .errors import (
-    DiagramError,
-    NotExchangeableError,
-    ParseError,
-    UnknownIdError,
-)
-from .explorer import (
-    TrivialityOracle,
-    Verdict,
-    du_index_upper_bound,
-)
-from .formats import (
-    curve_summary,
-    export_schematic,
-    parse_skd_document,
-    parse_skm,
-)
-from .moves import apply_sequence
-from .singularity import census, validate
+from .errors import DiagramError, NotExchangeableError, ParseError, UnknownIdError
+
+# Each subcommand imports the layers it calls where it calls them, so a
+# command loads only the modules it runs (reading a file never loads the
+# move engine or the union scan).
 
 FORMAT_VERSION = 1
 
@@ -54,6 +35,8 @@ def _read(path: str) -> str:
 
 
 def _load_document(path: str):
+    from .formats import parse_skd_document
+
     try:
         return parse_skd_document(_read(path))
     except ParseError as exc:
@@ -62,7 +45,9 @@ def _load_document(path: str):
         raise SystemExit(ERROR) from exc
 
 
-def _load_oracle(doc, oracle_path: str | None) -> TrivialityOracle:
+def _load_oracle(doc, oracle_path: str | None):
+    from .explorer import TrivialityOracle
+
     oracle = TrivialityOracle.from_mapping(doc.oracle)
     if oracle_path:
         sidecar = _load_document(oracle_path)
@@ -89,23 +74,27 @@ def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
     return frozenset(out)
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload: dict, human: Callable[[], list[str]]) -> None:
+    """Print the payload under --json, else the lines ``human()`` builds."""
     if args.json:
         print(json.dumps({"format_version": FORMAT_VERSION, **payload}, **_JSON))
     else:
-        for line in human:
+        for line in human():
             print(line)
+
+
+def _to_file(args) -> bool:
+    return bool(args.output) and args.output != "-"
 
 
 def _write_out(args, text: str, payload: dict) -> None:
     """Write produced text to -o, or to stdout (embedded under --json)."""
-    if args.output is None or args.output == "-":
-        if args.json:
-            payload["text"] = text
-        else:
-            sys.stdout.write(text)
-    else:
+    if _to_file(args):
         Path(args.output).write_text(text, encoding="utf-8")
+    elif args.json:
+        payload["text"] = text
+    else:
+        sys.stdout.write(text)
 
 
 def _size(token: str) -> int:
@@ -119,6 +108,9 @@ def _size(token: str) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .formats import parse_skd_document
+    from .singularity import validate
+
     # syntax problems are input errors (exit 2); a parseable complex that
     # violates invariants is a false verdict (exit 1)
     try:
@@ -132,28 +124,34 @@ def _cmd_validate(args) -> int:
           {"command": "validate", "ok": report.ok,
            "diagnostics": [{"code": v.code, "message": v.message}
                            for v in report.violations]},
-          [f"{args.skd}: well-formed complex"] if report.ok
+          lambda: [f"{args.skd}: well-formed complex"] if report.ok
           else [f"{args.skd}: {v.message}" for v in report.violations])
     return OK if report.ok else FALSE_VERDICT
 
 
 def _cmd_trace(args) -> int:
+    from .formats import curve_summary
+
     cx = _load_document(args.skd).complex
     curves = [{"id": c.id, "kind": c.kind.value, "edges": list(c.edges)}
               for c in cx.curves]
-    _emit(args, {"command": "trace", "curves": curves}, curve_summary(cx))
+    _emit(args, {"command": "trace", "curves": curves}, lambda: curve_summary(cx))
     return OK
 
 
 def _cmd_census(args) -> int:
+    from .singularity import census
+
     cx = _load_document(args.skd).complex
     counts = asdict(census(cx))
     _emit(args, {"command": "census", "counts": counts},
-          [f"{k}: {v}" for k, v in counts.items()])
+          lambda: [f"{k}: {v}" for k, v in counts.items()])
     return OK
 
 
 def _cmd_check_exchangeable(args) -> int:
+    from .crossing import first_invalid_flip
+
     cx = _load_document(args.skd).complex
     gamma = _resolve_gamma(cx, args.gamma)
     bad = first_invalid_flip(cx, gamma)
@@ -161,26 +159,32 @@ def _cmd_check_exchangeable(args) -> int:
     payload = {"command": "check-exchangeable", "gamma": sorted(gamma),
                "exchangeable": ok,
                "failing_triple": None if ok else bad.triple_id}
-    if ok:
-        human = [f"exchangeable: yes ({len(gamma)} curve(s))"]
-    else:
+
+    def human():
+        if ok:
+            return [f"exchangeable: yes ({len(gamma)} curve(s))"]
         types = ", ".join(sorted(t.value for t in bad.flipped_types))
-        human = [f"exchangeable: no (flip set {{{types}}} at triple point "
-                 f"{bad.triple_id} is invalid)"]
+        return [f"exchangeable: no (flip set {{{types}}} at triple point "
+                f"{bad.triple_id} is invalid)"]
     _emit(args, payload, human)
     return OK if ok else FALSE_VERDICT
 
 
 def _cmd_check_dd(args) -> int:
+    from .crossing import satisfies_dd_condition
+
     cx = _load_document(args.skd).complex
     gamma = _resolve_gamma(cx, args.gamma)
     ok = satisfies_dd_condition(cx, gamma)
     _emit(args, {"command": "check-dd", "gamma": sorted(gamma), "dd": ok},
-          [f"descendent disk condition: {'yes' if ok else 'no'}"])
+          lambda: [f"descendent disk condition: {'yes' if ok else 'no'}"])
     return OK if ok else FALSE_VERDICT
 
 
 def _cmd_crossing_change(args) -> int:
+    from .canonical import digest, serialize_canonical
+    from .crossing import crossing_change
+
     cx = _load_document(args.skd).complex
     gamma = _resolve_gamma(cx, args.gamma)
     try:
@@ -188,16 +192,21 @@ def _cmd_crossing_change(args) -> int:
     except NotExchangeableError as exc:
         print(f"crossing-change: {exc}", file=sys.stderr)
         return FALSE_VERDICT
+    # serialized once: the fingerprint is the digest of the written text
+    text = serialize_canonical(changed)
+    fp = digest(text)
     payload = {"command": "crossing-change", "gamma": sorted(gamma),
-               "output": args.output, "fingerprint": fingerprint(changed)}
-    _write_out(args, serialize_canonical(changed), payload)
-    _emit(args, payload,
-          [f"fingerprint: {fingerprint(changed)}"]
-          if args.output and args.output != "-" else [])
+               "output": args.output, "fingerprint": fp}
+    _write_out(args, text, payload)
+    _emit(args, payload, lambda: [f"fingerprint: {fp}"] if _to_file(args) else [])
     return OK
 
 
 def _cmd_apply(args) -> int:
+    from .canonical import digest, serialize_canonical
+    from .formats import parse_skm
+    from .moves import apply_sequence
+
     cx = _load_document(args.skd).complex
     moves = parse_skm(_read(args.skm))
     gamma = _resolve_gamma(cx, args.gamma)
@@ -209,14 +218,15 @@ def _cmd_apply(args) -> int:
         Path(args.trail).write_text(
             json.dumps({"format_version": FORMAT_VERSION, "trail": trail}, **_JSON)
             + "\n", encoding="utf-8")
+    text = serialize_canonical(result.complex)
+    fp = digest(text)
     payload = {"command": "apply", "moves": len(moves),
-               "gamma": sorted(result.gamma),
-               "fingerprint": fingerprint(result.complex), "trail": trail}
-    _write_out(args, serialize_canonical(result.complex), payload)
-    human = [f"applied {len(moves)} move(s); gamma: "
-             + (",".join(sorted(result.gamma)) or "(empty)"),
-             f"fingerprint: {fingerprint(result.complex)}"]
-    _emit(args, payload, human if args.output and args.output != "-" else [])
+               "gamma": sorted(result.gamma), "fingerprint": fp, "trail": trail}
+    _write_out(args, text, payload)
+    _emit(args, payload, lambda: [
+        f"applied {len(moves)} move(s); gamma: "
+        + (",".join(sorted(result.gamma)) or "(empty)"),
+        f"fingerprint: {fp}"] if _to_file(args) else [])
     return OK
 
 
@@ -227,34 +237,41 @@ def _union_rows(report, verdicts: bool) -> list[dict]:
 
 
 def _cmd_enumerate(args) -> int:
+    from .explorer import du_index_upper_bound
+
     doc = _load_document(args.skd)
     with_verdicts = args.oracle is not None or bool(doc.oracle)
     report = du_index_upper_bound(doc.complex, _load_oracle(doc, args.oracle),
                                   max_size=args.max_size)
     rows = _union_rows(report, with_verdicts)
-    human = [f"size={r['size']} gamma={','.join(r['gamma']) or '(empty)'} "
-             f"dd={'yes' if r['dd'] else 'no'}"
-             + (f" verdict={r['verdict']}" if with_verdicts else "") for r in rows]
-    _emit(args, {"command": "enumerate", "unions": rows}, human)
+    _emit(args, {"command": "enumerate", "unions": rows}, lambda: [
+        f"size={r['size']} gamma={','.join(r['gamma']) or '(empty)'} "
+        f"dd={'yes' if r['dd'] else 'no'}"
+        + (f" verdict={r['verdict']}" if with_verdicts else "") for r in rows])
     return OK
 
 
 def _cmd_du_bound(args) -> int:
+    from .explorer import Verdict, du_index_upper_bound
+
     doc = _load_document(args.skd)
     oracle = _load_oracle(doc, args.oracle)
     report = du_index_upper_bound(doc.complex, oracle, max_size=args.max_size)
     rows = _union_rows(report, verdicts=True)
-    human = [f"note: {report.note}"]
-    if report.best_size is None:
-        human.append("best_size: unknown (no annotated trivial result)")
-    else:
-        witness = report.best_witness()
-        human.append(f"best_size: {report.best_size} "
-                     f"(gamma={','.join(witness.gamma) or '(empty)'})")
-    for w in report.witnesses:
-        if w.dd and w.verdict is not Verdict.UNKNOWN:
-            human.append(f"  size={w.size} gamma={','.join(w.gamma) or '(empty)'}"
-                         f" -> {w.verdict.value}")
+
+    def human():
+        lines = [f"note: {report.note}"]
+        if report.best_size is None:
+            lines.append("best_size: unknown (no annotated trivial result)")
+        else:
+            witness = report.best_witness()
+            lines.append(f"best_size: {report.best_size} "
+                         f"(gamma={','.join(witness.gamma) or '(empty)'})")
+        for w in report.witnesses:
+            if w.dd and w.verdict is not Verdict.UNKNOWN:
+                lines.append(f"  size={w.size} gamma={','.join(w.gamma) or '(empty)'}"
+                             f" -> {w.verdict.value}")
+        return lines
     _emit(args,
           {"command": "du-bound", "best_size": report.best_size,
            "note": report.note, "witnesses": rows}, human)
@@ -262,18 +279,21 @@ def _cmd_du_bound(args) -> int:
 
 
 def _cmd_schematic(args) -> int:
+    from .formats import export_schematic
+
     cx = _load_document(args.skd).complex
     payload = {"command": "schematic", "output": args.output}
     _write_out(args, export_schematic(cx), payload)
-    _emit(args, payload,
-          [f"wrote {args.output}"] if args.output and args.output != "-" else [])
+    _emit(args, payload, lambda: [f"wrote {args.output}"] if _to_file(args) else [])
     return OK
 
 
 def _cmd_fingerprint(args) -> int:
+    from .canonical import fingerprint
+
     cx = _load_document(args.skd).complex
     fp = fingerprint(cx)
-    _emit(args, {"command": "fingerprint", "fingerprint": fp}, [fp])
+    _emit(args, {"command": "fingerprint", "fingerprint": fp}, lambda: [fp])
     return OK
 
 

@@ -28,10 +28,12 @@ from .errors import NotExchangeableError, UnknownIdError
 from .singularity import (
     SHEET_PAIR,
     TYPE_OF_PAIR,
+    Arc,
     DescendentDisk,
     LineType,
     SingularityComplex,
     TriplePoint,
+    TripleSlot,
 )
 
 ExchangeSet = frozenset[str]
@@ -95,12 +97,14 @@ def curve_bits(cx: SingularityComplex) -> dict[str, int]:
     return {c.id: 1 << i for i, c in enumerate(cx.curves)}
 
 
-def triple_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
-    """(m_bm, m_bt, m_mt) per triple point in id order: the OR of the bits of
-    the curves on its lines of each type (a curve without a bit counts 0)."""
+def triple_masks(cx: SingularityComplex, bits: Mapping[str, int],
+                 triples: Iterable[TriplePoint] | None = None) -> list[tuple]:
+    """(m_bm, m_bt, m_mt) per triple point (all of them, in id order, unless
+    ``triples`` are given): the OR of the bits of the curves on its lines of
+    each type (a curve without a bit counts 0)."""
     index, curve_of = cx.slot_index, cx.curve_by_edge
     out = []
-    for t in cx.triple_points:
+    for t in cx.triple_points if triples is None else triples:
         m = [0, 0, 0]
         for i, lt in enumerate(t.line_types):
             # line i's curve, as cx.line_curve(t.id, i) finds it
@@ -153,9 +157,17 @@ def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
 
 
 def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:
+    """The invalid flip set at the first triple point, in id order, or None.
+    Only a triple point at an end of one of gamma's arcs flips a line, so
+    only those are checked."""
     gamma = exchange_set(cx, gamma)
-    bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1)))
-    return None if bad is None else _flip_set(cx, cx.triple_points[bad], gamma)
+    edges, triples_by_id = cx.edges_by_id, cx.triples_by_id
+    touched = {end.triple_id for c in gamma for eid in cx.curves_by_id[c].edges
+               if type(arc := edges[eid]) is Arc
+               for end in arc.ends if type(end) is TripleSlot}
+    triples = [triples_by_id[tid] for tid in sorted(touched)]
+    bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1), triples))
+    return None if bad is None else _flip_set(cx, triples[bad], gamma)
 
 
 def is_exchangeable(cx: SingularityComplex, gamma: Iterable[str]) -> bool:

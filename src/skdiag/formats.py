@@ -21,25 +21,14 @@ the README for the per-kind vocabulary. Scripts naming R2+/R3+/R5+ are
 rejected at parse time.
 """
 
+from __future__ import annotations
+
+import gc
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .moves import (
-    FORBIDDEN_KINDS,
-    DiskDeclaration,
-    MoveInstance,
-    MoveKind,
-    R1Minus,
-    R1Plus,
-    R2Minus,
-    R3Minus,
-    R4Minus,
-    R4Plus,
-    R5Minus,
-    R6,
-    normalize_kind_token,
-)
 from .singularity import (
     Arc,
     BranchPoint,
@@ -56,12 +45,41 @@ from .singularity import (
     validate,
 )
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+if TYPE_CHECKING:
+    from .moves import MoveInstance, MoveKind
+
+_ID = r"[A-Za-z0-9_.+-]+"
+_ID_RE = re.compile(_ID + r"\Z")
 
 # a SHA-256 digest has 64 lowercase hex digits; shorter tokens stay accepted
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{1,64}\Z")
 
 ORACLE_VERDICTS = ("trivial", "nontrivial")
+
+# One full-line pattern per `.skd` record kind, matched against a line
+# without its comment and trailing whitespace: it decides whether the line
+# is well formed and yields its fields. ``\s`` is the whitespace str.split
+# splits on; ``(?ai:...)`` ignores ASCII case only, as ``str.lower`` does
+# for these words. A triple id in an endpoint may contain dots: the line
+# and slot are the last two dot-separated fields.
+_END = rf"(?:B:({_ID})|T:({_ID})\.([012])\.([ab]))"
+_LINE_TYPE = r"(?ai:(bm|bt|mt))"
+_LEVEL = r"(?ai:(upper|lower))(?!\S)"
+_SKD_RECORDS = {kind: re.compile(rf"\s*{kind}{body}\Z") for kind, body in {
+    "triple": rf"\s+({_ID})\s+lines={_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE}",
+    "branch": rf"\s+({_ID})",
+    "edge": rf"\s+({_ID})\s+{_END}\s+{_END}",
+    "circle": rf"\s+({_ID})",
+    # five key=value tokens in any order, each key present: so each once
+    "disk": rf"\s+({_ID})(?=.*\se1=(\S*))(?=.*\se2=(\S*))"
+            rf"(?=.*\spair=(?ai:(cross|parallel))(?!\S))"
+            rf"(?=.*\slevel1={_LEVEL})(?=.*\slevel2={_LEVEL})"
+            r"(?:\s+(?:e1|e2|pair|level1|level2)=\S*){5}",
+    "oracle": r"\s+([0-9a-f]{1,64})\s+(trivial|nontrivial)",
+}.items()}
+
+_LINE_TYPES = {lt.value: lt for lt in LineType}
+_LINE_INDEX = {"0": 0, "1": 1, "2": 2}
 
 
 @dataclass(frozen=True)
@@ -87,9 +105,8 @@ class _Collector:
 def _records(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        yield lineno, line
+        if line:
+            yield lineno, line
 
 
 def _column_of(line_text: str, token: str) -> int:
@@ -97,27 +114,24 @@ def _column_of(line_text: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
-def _parse_endpoint(token: str):
-    """Endpoint ref or an error string."""
+def _endpoint_error(token: str) -> str | None:
     if token.startswith("B:"):
-        bid = token[2:]
-        if not _ID_RE.match(bid):
-            return None, f"bad branch id in endpoint {token!r}"
-        return BranchRef(bid), None
+        if not _ID_RE.match(token[2:]):
+            return f"bad branch id in endpoint {token!r}"
+        return None
     if token.startswith("T:"):
-        body = token[2:]
-        parts = body.rsplit(".", 2)
+        parts = token[2:].rsplit(".", 2)
         if len(parts) != 3:
-            return None, f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>"
+            return f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>"
         tid, line_s, slot = parts
         if not _ID_RE.match(tid):
-            return None, f"bad triple point id in endpoint {token!r}"
+            return f"bad triple point id in endpoint {token!r}"
         if line_s not in ("0", "1", "2"):
-            return None, f"endpoint {token!r}: line index must be 0, 1 or 2"
+            return f"endpoint {token!r}: line index must be 0, 1 or 2"
         if slot not in ("a", "b"):
-            return None, f"endpoint {token!r}: slot must be a or b"
-        return TripleSlot(tid, int(line_s), slot), None
-    return None, f"endpoint {token!r} must start with B: or T:"
+            return f"endpoint {token!r}: slot must be a or b"
+        return None
+    return f"endpoint {token!r} must start with B: or T:"
 
 
 def _parse_kv(tokens: list[str]):
@@ -133,6 +147,78 @@ def _parse_kv(tokens: list[str]):
     return out, None
 
 
+def _rejections(line: str):
+    """Why a `.skd` line fails its record pattern: (column, message) for
+    each problem the token checks find, in the order they meet them."""
+    record, *args = line.split()
+    if record == "triple":
+        if len(args) != 2 or not args[1].startswith("lines="):
+            yield 1, "triple record needs: triple <id> lines=<t>,<t>,<t>"
+            return
+        type_tokens = args[1][len("lines="):].split(",")
+        bad = [tok for tok in type_tokens if tok.lower() not in _LINE_TYPES]
+        for tok in bad:
+            yield (_column_of(line, tok),
+                   f"unknown line type {tok!r} (expected bm, bt or mt)")
+        if len(type_tokens) - len(bad) != 3:
+            yield 1, "a triple point has exactly three lines"
+        elif not bad:
+            yield from _id_rejection(args[0], line)
+    elif record in ("branch", "circle"):
+        if len(args) != 1:
+            yield 1, f"{record} record needs: {record} <id>"
+        else:
+            yield from _id_rejection(args[0], line)
+    elif record == "edge":
+        if len(args) != 3:
+            yield 1, "edge record needs: edge <id> <endpoint> <endpoint>"
+            return
+        errors = [(_column_of(line, tok), err) for tok in args[1:]
+                  if (err := _endpoint_error(tok))]
+        yield from errors or _id_rejection(args[0], line)
+    elif record == "disk":
+        if not args:
+            yield 1, "disk record needs an id"
+            return
+        kv, bad = _parse_kv(args[1:])
+        if bad is not None:
+            yield (_column_of(line, bad),
+                   f"bad or repeated key=value token {bad!r}")
+            return
+        required = {"e1", "e2", "pair", "level1", "level2"}
+        missing = sorted(required - set(kv))
+        extra = sorted(set(kv) - required)
+        if missing or extra:
+            parts = []
+            if missing:
+                parts.append("missing " + ", ".join(missing))
+            if extra:
+                parts.append("unknown " + ", ".join(extra))
+            yield 1, "disk record: " + "; ".join(parts)
+            return
+        try:
+            Pairing(kv["pair"].lower())
+            Level(kv["level1"].lower())
+            Level(kv["level2"].lower())
+        except ValueError as exc:
+            yield 1, f"disk record: {exc}"
+            return
+        yield from _id_rejection(args[0], line)
+    elif record == "oracle":
+        if len(args) != 2 or args[1] not in ORACLE_VERDICTS:
+            yield 1, "oracle record needs: oracle <fingerprint> trivial|nontrivial"
+        else:
+            yield (_column_of(line, args[0]),
+                   f"oracle fingerprint {args[0]!r} is not lowercase hex digits")
+    else:
+        yield 1, f"unknown record kind {record!r}"
+
+
+def _id_rejection(rid: str, line: str):
+    if not _ID_RE.match(rid):
+        yield _column_of(line, rid), f"bad id {rid!r}"
+
+
 def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     """Parse a full `.skd` document (complex records plus oracle lines).
 
@@ -140,6 +226,10 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     a well-formed complex. With ``check=False`` only syntax and duplicate
     ids are diagnosed and the (possibly invalid) complex is returned, so a
     caller can run and report validation itself.
+
+    A record is accepted only by its kind's pattern, and built from the
+    pattern's groups; the token checks of ``_rejections`` only word the
+    diagnostics of a line the pattern rejects.
     """
     col = _Collector()
     triples: list[TriplePoint] = []
@@ -150,9 +240,6 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     lines_of: dict[tuple[str, str], int] = {}
 
     def claim(kind: str, rid: str, lineno: int, line: str) -> bool:
-        if not _ID_RE.match(rid):
-            col.error(lineno, _column_of(line, rid), f"bad id {rid!r}")
-            return False
         if (kind, rid) in lines_of:
             col.error(lineno, _column_of(line, rid),
                       f"duplicate {kind} id {rid!r} "
@@ -161,103 +248,53 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
         lines_of[(kind, rid)] = lineno
         return True
 
-    for lineno, line in _records(text):
-        tokens = line.split()
-        record, args = tokens[0], tokens[1:]
-        if record == "triple":
-            if len(args) != 2 or not args[1].startswith("lines="):
-                col.error(lineno, 1, "triple record needs: triple <id> lines=<t>,<t>,<t>")
-                continue
-            rid = args[0]
-            type_tokens = args[1][len("lines="):].split(",")
-            types = []
-            ok = True
-            for tok in type_tokens:
-                try:
-                    types.append(LineType(tok.lower()))
-                except ValueError:
-                    col.error(lineno, _column_of(line, tok),
-                              f"unknown line type {tok!r} (expected bm, bt or mt)")
-                    ok = False
-            if len(types) != 3:
-                col.error(lineno, 1, "a triple point has exactly three lines")
-                ok = False
-            if ok and claim("triple", rid, lineno, line):
-                triples.append(TriplePoint(rid, tuple(types)))
-        elif record == "branch":
-            if len(args) != 1:
-                col.error(lineno, 1, "branch record needs: branch <id>")
-                continue
-            if claim("branch", args[0], lineno, line):
-                branches.append(BranchPoint(args[0]))
-        elif record == "edge":
-            if len(args) != 3:
-                col.error(lineno, 1, "edge record needs: edge <id> <endpoint> <endpoint>")
-                continue
-            rid = args[0]
-            ends = []
-            ok = True
-            for tok in args[1:]:
-                ref, err = _parse_endpoint(tok)
-                if err:
-                    col.error(lineno, _column_of(line, tok), err)
-                    ok = False
-                else:
-                    ends.append(ref)
-            if ok and claim("edge", rid, lineno, line):
-                edges.append(Arc(rid, ends[0], ends[1]))
-        elif record == "circle":
-            if len(args) != 1:
-                col.error(lineno, 1, "circle record needs: circle <id>")
-                continue
-            if claim("edge", args[0], lineno, line):
-                edges.append(Circle(args[0]))
-        elif record == "disk":
-            if not args:
-                col.error(lineno, 1, "disk record needs an id")
-                continue
-            rid = args[0]
-            kv, bad = _parse_kv(args[1:])
-            if bad is not None:
-                col.error(lineno, _column_of(line, bad),
-                          f"bad or repeated key=value token {bad!r}")
-                continue
-            required = {"e1", "e2", "pair", "level1", "level2"}
-            missing = sorted(required - set(kv))
-            extra = sorted(set(kv) - required)
-            if missing or extra:
-                parts = []
-                if missing:
-                    parts.append("missing " + ", ".join(missing))
-                if extra:
-                    parts.append("unknown " + ", ".join(extra))
-                col.error(lineno, 1, "disk record: " + "; ".join(parts))
-                continue
-            try:
-                pair = Pairing(kv["pair"].lower())
-                level1 = Level(kv["level1"].lower())
-                level2 = Level(kv["level2"].lower())
-            except ValueError as exc:
-                col.error(lineno, 1, f"disk record: {exc}")
-                continue
-            if claim("disk", rid, lineno, line):
-                disks.append(DescendentDisk(rid, kv["e1"], kv["e2"],
-                                            pair, level1, level2))
-        elif record == "oracle":
-            if len(args) != 2 or args[1] not in ORACLE_VERDICTS:
-                col.error(lineno, 1,
-                          "oracle record needs: oracle <fingerprint> trivial|nontrivial")
-                continue
-            fp, verdict = args
-            if not _FINGERPRINT_RE.match(fp):
-                col.error(lineno, _column_of(line, fp),
-                          f"oracle fingerprint {fp!r} is not lowercase hex digits")
-            elif oracle.setdefault(fp, verdict) != verdict:
-                col.error(lineno, 1, f"oracle {fp} is {verdict} here but "
-                          f"{oracle[fp]} on line {lines_of['oracle', fp]}")
-            lines_of.setdefault(("oracle", fp), lineno)
-        else:
-            col.error(lineno, 1, f"unknown record kind {record!r}")
+    # the records all stay alive, so a cyclic collection during the loop
+    # frees nothing: on a 20k-arc file the collections cost a sixth of it
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, line in _records(text):
+            record = line.split(None, 1)[0]
+            pattern = _SKD_RECORDS.get(record)
+            m = pattern.match(line) if pattern else None
+            if m is None:
+                # the token checks explain every rejection; a line they pass
+                # would be a gap in the patterns, and is still rejected
+                for column, message in (list(_rejections(line))
+                                        or [(1, f"malformed {record} record")]):
+                    col.error(lineno, column, message)
+            elif record == "edge":
+                rid, b1, t1, l1, s1, b2, t2, l2, s2 = m.groups()
+                if claim("edge", rid, lineno, line):
+                    end1 = BranchRef(b1) if b1 else TripleSlot(t1, _LINE_INDEX[l1], s1)
+                    end2 = BranchRef(b2) if b2 else TripleSlot(t2, _LINE_INDEX[l2], s2)
+                    edges.append(Arc(rid, end1, end2))
+            elif record == "triple":
+                rid, *types = m.groups()
+                if claim("triple", rid, lineno, line):
+                    triples.append(TriplePoint(
+                        rid, tuple([_LINE_TYPES[t.lower()] for t in types])))
+            elif record == "branch":
+                if claim("branch", m[1], lineno, line):
+                    branches.append(BranchPoint(m[1]))
+            elif record == "circle":
+                if claim("edge", m[1], lineno, line):
+                    edges.append(Circle(m[1]))
+            elif record == "disk":
+                rid, e1, e2, pair, level1, level2 = m.groups()
+                if claim("disk", rid, lineno, line):
+                    disks.append(DescendentDisk(rid, e1, e2, Pairing(pair.lower()),
+                                                Level(level1.lower()),
+                                                Level(level2.lower())))
+            else:
+                fp, verdict = m.groups()
+                if oracle.setdefault(fp, verdict) != verdict:
+                    col.error(lineno, 1, f"oracle {fp} is {verdict} here but "
+                              f"{oracle[fp]} on line {lines_of['oracle', fp]}")
+                lines_of.setdefault(("oracle", fp), lineno)
+    finally:
+        if gc_enabled:
+            gc.enable()
 
     col.raise_if_any()
     cx = SingularityComplex.build(triples, branches, edges, disks)
@@ -313,19 +350,22 @@ def _parse_list(value: str) -> tuple[str, ...]:
 
 _DISK_KEYS = ("disk", "partner", "pair", "level1", "level2")
 
-_MOVE_KEYS: dict[MoveKind, tuple[set[str], set[str]]] = {
-    MoveKind.R1_PLUS: ({"circle"}, set(_DISK_KEYS)),
-    MoveKind.R1_MINUS: ({"circle"}, {"drop_disks"}),
-    MoveKind.R2_MINUS: ({"t1", "t2", "curves", "splice"}, {"drop_disks"}),
-    MoveKind.R3_MINUS: ({"triples", "curves", "center", "splice"}, {"drop_disks"}),
-    MoveKind.R4_PLUS: ({"edge", "branch1", "branch2"}, set(_DISK_KEYS)),
-    MoveKind.R4_MINUS: ({"edge"}, {"drop_disks"}),
-    MoveKind.R5_MINUS: ({"t", "edge", "splice"}, {"drop_disks"}),
-    MoveKind.R6: ({"disk"}, set()),
+# keyed by kind name, which a MoveKind (a str enum) also looks up
+_MOVE_KEYS: dict[str, tuple[set[str], set[str]]] = {
+    "R1_PLUS": ({"circle"}, set(_DISK_KEYS)),
+    "R1_MINUS": ({"circle"}, {"drop_disks"}),
+    "R2_MINUS": ({"t1", "t2", "curves", "splice"}, {"drop_disks"}),
+    "R3_MINUS": ({"triples", "curves", "center", "splice"}, {"drop_disks"}),
+    "R4_PLUS": ({"edge", "branch1", "branch2"}, set(_DISK_KEYS)),
+    "R4_MINUS": ({"edge"}, {"drop_disks"}),
+    "R5_MINUS": ({"t", "edge", "splice"}, {"drop_disks"}),
+    "R6": ({"disk"}, set()),
 }
 
 
 def _parse_disk_declaration(kv: dict[str, str]):
+    from .moves import DiskDeclaration
+
     given = [k for k in _DISK_KEYS if k in kv]
     if not given:
         return None, None
@@ -343,6 +383,9 @@ def _parse_disk_declaration(kv: dict[str, str]):
 
 def _build_move(kind: MoveKind, kv: dict[str, str]):
     """MoveInstance from key=value pairs, or an error message."""
+    from .moves import (R1Minus, R1Plus, R2Minus, R3Minus, R4Minus, R4Plus,
+                        R5Minus, R6, MoveKind)
+
     required, optional = _MOVE_KEYS[kind]
     missing = sorted(required - set(kv))
     extra = sorted(set(kv) - required - optional)
@@ -393,6 +436,10 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
     move is rejected before any locus is interpreted), then the per-kind
     key=value vocabulary is checked strictly.
     """
+    # the move engine is imported by the `.skm` parser only, so that
+    # reading a `.skd` file never loads it
+    from .moves import FORBIDDEN_KINDS, MoveKind, normalize_kind_token
+
     col = _Collector()
     staged: list[tuple[int, str, MoveKind, list[str]]] = []
     for lineno, line in _records(text):

@@ -253,3 +253,23 @@ def test_conflicting_oracle_lines_name_both_lines():
 def test_oracle_fingerprint_must_be_lowercase_hex(token):
     with pytest.raises(ParseError, match="lowercase hex"):
         parse_skd_document(f"oracle {token} trivial\n")
+
+
+DISK_TEXT = ("edge E1 B:b1 B:b2\nedge E2 B:b3 B:b4\nbranch b1\nbranch b2\n"
+             "branch b3\nbranch b4\n")
+
+
+def test_unicode_whitespace_ascii_case_and_any_disk_key_order():
+    canonical = parse_skd(DISK_TEXT + "disk D e1=E1 e2=E2 pair=cross "
+                          "level1=upper level2=lower\n")
+    varied = parse_skd(DISK_TEXT + "　disk D\tlevel2=LOWER pair=Cross "
+                       "e2=E2 level1=uPPER e1=E1#note\n")
+    assert fingerprint(varied) == fingerprint(canonical)
+
+
+@pytest.mark.parametrize("value", ["croſſ", "CROſſ"])
+def test_case_folding_is_ascii_only(value):
+    # "ſ" (long s) folds to "s" under Unicode rules, but not under str.lower
+    with pytest.raises(ParseError, match="not a valid Pairing"):
+        parse_skd(DISK_TEXT + f"disk D e1=E1 e2=E2 pair={value} "
+                  "level1=upper level2=upper\n")

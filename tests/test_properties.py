@@ -12,6 +12,7 @@ from skdiag import (
     Level,
     MoveRejected,
     Pairing,
+    ParseError,
     R1Minus,
     R1Plus,
     R4Minus,
@@ -23,13 +24,21 @@ from skdiag import (
     census,
     crossing_change,
     fingerprint,
+    flip_sets,
     is_exchangeable,
+    is_valid_flip,
     parse_skd,
+    parse_skd_document,
     satisfies_dd_condition,
     serialize_canonical,
     validate,
 )
-from skdiag.crossing import changed_fingerprinter, curve_bits, role_permutation
+from skdiag.crossing import (
+    changed_fingerprinter,
+    curve_bits,
+    first_invalid_flip,
+    role_permutation,
+)
 from skdiag.explorer import (
     SizeBudget,
     TrivialityOracle,
@@ -135,6 +144,21 @@ def test_changed_fingerprints_match_crossing_change(seed, budget, disks):
                 fingerprint(crossing_change(cx, gamma))
 
 
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       budget=st.builds(SizeBudget, triples=st.integers(min_value=0, max_value=12),
+                        branches=st.integers(min_value=0, max_value=8),
+                        circles=st.integers(min_value=0, max_value=2)),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_invalid_flip_is_the_first_invalid_flip_set(seed, budget, data):
+    cx = generate_random_complex(seed, budget)
+    ids = sorted(cx.curves_by_id)
+    gamma = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
+    expected = next((fs for fs in flip_sets(cx, gamma)
+                     if not is_valid_flip(fs.flipped_types)), None)
+    assert first_invalid_flip(cx, gamma) == expected
+
+
 # -- complexes a move derives from their parent -----------------------------
 
 
@@ -214,3 +238,90 @@ def test_cancellations_derive_like_fresh_builds(name, move, births):
         cx = apply_derived(cx, R4Plus(f"w{i}", f"wa{i}", f"wb{i}") if i % 2
                            else R1Plus(f"n{i}"))
     apply_derived(cx, move)
+
+
+# -- the `.skd` grammar -------------------------------------------------------
+
+# the whitespace str.split splits on, less the characters that end a line
+INLINE_SPACE = "".join(c for c in map(chr, range(0x10000))
+                       if c.isspace() and len(f"a{c}b".splitlines()) == 1)
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+CASE_FREE_KEYS = ("lines", "pair", "level1", "level2")
+
+
+def perturbed_line(line: str, data) -> str:
+    """``line`` respaced, its line types and disk enums recased, its disk
+    keys reordered, and a comment maybe appended."""
+    space = st.text(st.sampled_from(INLINE_SPACE), min_size=1, max_size=3)
+    kind, *tokens = line.split()
+    if kind == "disk":
+        tokens = [tokens[0], *data.draw(st.permutations(tokens[1:]))]
+    out = data.draw(st.just("") | space) + kind
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if key in CASE_FREE_KEYS:
+            value = data.draw(st.sampled_from((str.upper, str.title, str.swapcase,
+                                               str.lower)))(value)
+        out += data.draw(space) + key + eq + value
+    out += data.draw(st.just("") | space)
+    return out + data.draw(st.sampled_from(("", "#", "# note", " # lines=XX")))
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_perturbed_text_keeps_its_fingerprint(seed, budget, disks, data):
+    cx = generate_random_complex(seed, budget, disks=disks)
+    blank = st.sampled_from(("", " ", "\t", "# a comment", "  #"))
+    lines = []
+    for line in serialize_canonical(cx).splitlines():
+        lines.append(perturbed_line(line, data))
+        if data.draw(st.booleans()):
+            lines.append(data.draw(blank))
+    text = "".join(line + data.draw(st.sampled_from(LINE_BREAKS))
+                   for line in data.draw(st.permutations(lines)))
+    assert fingerprint(parse_skd(text)) == fingerprint(cx)
+
+
+MUTATION_ALPHABET = ("abelrtxyzBEMT019_.+-:,=# \t\n\u00a0\u2028"
+                     "\u017f\u212a")
+MUTATION_WORDS = ("triple", "edge", "disk", "oracle", "lines=", "BM", "T:", "B:",
+                  ".1.a", "e1=", "pair=", "Cross", "level2=", "trivial", "abc")
+
+
+def mutated(text: str, data) -> str:
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        pos = data.draw(st.integers(min_value=0, max_value=len(text)))
+        op = data.draw(st.integers(min_value=0, max_value=4))
+        if op == 0:
+            text = text[:pos] + text[pos + 1:]
+        elif op in (1, 2):
+            insert = data.draw(st.sampled_from(MUTATION_ALPHABET) if op == 1
+                               else st.sampled_from(MUTATION_WORDS))
+            text = text[:pos] + insert + text[pos:]
+        elif op == 3:
+            text = text[:pos] + data.draw(st.sampled_from(MUTATION_ALPHABET)) \
+                + text[pos + 1:]
+        else:
+            lines = text.splitlines(keepends=True)
+            if lines:
+                lines.insert(data.draw(st.integers(0, len(lines))),
+                             lines[pos % len(lines)])
+                text = "".join(lines)
+    return text
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
+    text = serialize_canonical(generate_random_complex(seed, budget, disks=1))
+    text = mutated(text + "oracle abc123 trivial\n", data)
+    last = max(1, len(text.splitlines()))
+    for check in (True, False):
+        try:
+            parse_skd_document(text, check=check)
+        except ParseError as exc:
+            assert exc.diagnostics
+            for line, col, message in exc.diagnostics:
+                assert 1 <= line <= last and col >= 1 and message
