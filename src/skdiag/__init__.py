@@ -19,11 +19,12 @@ _EXPORTS = {
     "errors": "DiagramError EnumerationCapExceeded MoveRejected "
               "NotExchangeableError OracleConflict ParseError SequenceAborted "
               "StructuralError UnknownIdError",
-    "explorer": "ENUMERATION_CAP DuReport DuStatus DuVerdict DuWitness SizeBudget "
+    "explorer": "ENUMERATION_CAP DuReport DuStatus DuVerdict DuWitness "
                 "TrivialityOracle Verdict du_index_upper_bound "
-                "enumerate_exchangeable generate_random_complex is_du_exchangeable",
+                "enumerate_exchangeable is_du_exchangeable",
     "formats": "SkdDocument curve_summary export_schematic parse_skd "
                "parse_skd_document parse_skm",
+    "generator": "SizeBudget generate_random_complex",
     "moves": "FORBIDDEN_KINDS DiskDeclaration MoveInstance MoveKind R1Minus R1Plus "
              "R2Minus R3Minus R4Minus R4Plus R5Minus R6 SequenceResult TrailEntry "
              "apply_move apply_sequence apply_with_transport normalize_kind_token "

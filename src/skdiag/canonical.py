@@ -8,7 +8,6 @@ Oracle annotations are not part of the complex and never enter the
 fingerprint.
 """
 
-import hashlib
 from itertools import chain
 
 from .singularity import DescendentDisk, SingularityComplex, TriplePoint
@@ -66,6 +65,8 @@ def serialize_canonical(cx: SingularityComplex) -> str:
 
 def digest(text: str) -> str:
     """SHA-256 hex digest of a canonical text."""
+    import hashlib  # here, so that a command that never hashes never loads it
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

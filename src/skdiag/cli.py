@@ -9,7 +9,6 @@ machine-readable report with a top-level ``format_version`` field.
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -143,7 +142,7 @@ def _cmd_census(args) -> int:
     from .singularity import census
 
     cx = _load_document(args.skd).complex
-    counts = asdict(census(cx))
+    counts = census(cx)._asdict()
     _emit(args, {"command": "census", "counts": counts},
           lambda: [f"{k}: {v}" for k, v in counts.items()])
     return OK

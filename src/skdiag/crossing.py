@@ -20,8 +20,7 @@ descendent-disk arcs that ride on flipped curves. The incidence structure
 (points, edges, traced curves) is untouched.
 """
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .canonical import digest, disk_line, middle_block, triple_line
 from .errors import NotExchangeableError, UnknownIdError
@@ -43,8 +42,7 @@ PATTERN_TYPES = (LineType.BM, LineType.BT, LineType.MT)
 _BIT_OF = {lt: i for i, lt in enumerate(PATTERN_TYPES)}
 
 
-@dataclass(frozen=True)
-class FlipSet:
+class FlipSet(NamedTuple):
     """The lines flipped at one triple point by a crossing change."""
 
     triple_id: str
@@ -183,8 +181,8 @@ def relabelled_triple(t: TriplePoint, pattern: int) -> TriplePoint:
 
 def flipped_disk(d: DescendentDisk, flips: int) -> DescendentDisk:
     """``d`` with level1 / level2 swapped where bit 0 / bit 1 of flips is set."""
-    return replace(d, level1=d.level1.flipped() if flips & 1 else d.level1,
-                   level2=d.level2.flipped() if flips & 2 else d.level2)
+    return d._replace(level1=d.level1.flipped() if flips & 1 else d.level1,
+                      level2=d.level2.flipped() if flips & 2 else d.level2)
 
 
 def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> SingularityComplex:

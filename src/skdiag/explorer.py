@@ -9,12 +9,10 @@ minimum over all diagrams of the surface-knot, which no finite run can
 reach. Every report says so.
 """
 
-import logging
-import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .crossing import (
     changed_fingerprinter,
@@ -25,20 +23,7 @@ from .crossing import (
     triple_masks,
 )
 from .errors import EnumerationCapExceeded, OracleConflict
-from .singularity import (
-    Arc,
-    BranchPoint,
-    Circle,
-    DescendentDisk,
-    Level,
-    LineType,
-    Pairing,
-    SingularityComplex,
-    TriplePoint,
-    endpoints,
-)
-
-logger = logging.getLogger(__name__)
+from .singularity import SingularityComplex
 
 #: Enumerating more candidate subsets than this requires an explicit
 #: max_size bound.
@@ -55,11 +40,17 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TrivialityOracle:
-    """Declared triviality annotations keyed by canonical fingerprint."""
-
+class _OracleEntries(NamedTuple):
     entries: tuple[tuple[str, Verdict], ...] = ()
+
+
+class TrivialityOracle(_OracleEntries):
+    """Declared triviality annotations keyed by canonical fingerprint. It
+    declares no ``__slots__``, so its cached index gets an instance dict;
+    assigning any attribute raises."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: an oracle is immutable")
 
     @classmethod
     def from_mapping(cls, mapping) -> "TrivialityOracle":
@@ -87,8 +78,7 @@ class TrivialityOracle:
 EMPTY_ORACLE = TrivialityOracle()
 
 
-@dataclass(frozen=True)
-class DuWitness:
+class DuWitness(NamedTuple):
     gamma: tuple[str, ...]
     size: int
     exchangeable: bool
@@ -96,8 +86,7 @@ class DuWitness:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class DuReport:
+class DuReport(NamedTuple):
     witnesses: tuple[DuWitness, ...]
     best_size: int | None
     note: str = DIAGRAM_BOUND_NOTE
@@ -113,8 +102,7 @@ class DuStatus(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class DuVerdict:
+class DuVerdict(NamedTuple):
     status: DuStatus
     witness: tuple[str, ...] | None = None
 
@@ -182,48 +170,10 @@ def is_du_exchangeable(cx: SingularityComplex, oracle: TrivialityOracle,
     return DuVerdict(DuStatus.UNKNOWN)
 
 
-# -- random complexes (property-test fuel) ----------------------------------
-
-
-@dataclass(frozen=True)
-class SizeBudget:
-    triples: int = 2
-    branches: int = 2
-    circles: int = 1
-
-
-def generate_random_complex(seed: int, budget: SizeBudget = SizeBudget(),
-                            disks: int = 0) -> SingularityComplex:
-    """A uniformly wired well-formed complex, deterministic per seed.
-
-    All triple slots and branch points are paired into arcs at random; when
-    the endpoint count is odd one extra branch point is added (logged).
-    Optionally declares consistent descendent disks on random edge pairs.
-    """
-    rng = random.Random(seed)
-    n_branches = budget.branches
-    if (6 * budget.triples + n_branches) % 2:
-        logger.info("seed %d: odd endpoint count, adding one branch point", seed)
-        n_branches += 1
-    triples = []
-    for i in range(budget.triples):
-        types = [LineType.BM, LineType.BT, LineType.MT]
-        rng.shuffle(types)
-        triples.append(TriplePoint(f"T{i + 1}", tuple(types)))
-    branches = [BranchPoint(f"B{i + 1}") for i in range(n_branches)]
-    refs = list(endpoints(triples, branches))
-    rng.shuffle(refs)
-    edges: list[Arc | Circle] = []
-    for i in range(0, len(refs), 2):
-        edges.append(Arc(f"E{i // 2 + 1}", refs[i], refs[i + 1]))
-    edges.extend(Circle(f"C{i + 1}") for i in range(budget.circles))
-    registry = []
-    if disks and len(edges) >= 2:
-        ids = [e.id for e in edges]
-        for i in range(disks):
-            e1, e2 = rng.sample(ids, 2)
-            level = rng.choice((Level.UPPER, Level.LOWER))
-            registry.append(DescendentDisk(
-                f"D{i + 1}", e1, e2,
-                rng.choice((Pairing.CROSS, Pairing.PARALLEL)), level, level))
-    return SingularityComplex.build(triples, branches, edges, registry)
+def __getattr__(name: str):
+    # the generator is imported on first use (PEP 562), so that a scan
+    # never loads ``random`` or ``logging``
+    if name in ("SizeBudget", "generate_random_complex"):
+        from . import generator
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import ParseError
 from .singularity import (
@@ -82,12 +82,12 @@ _LINE_TYPES = {lt.value: lt for lt in LineType}
 _LINE_INDEX = {"0": 0, "1": 1, "2": 2}
 
 
-@dataclass(frozen=True)
-class SkdDocument:
-    """A parsed `.skd` file: the complex plus any oracle annotations."""
+class SkdDocument(NamedTuple):
+    """A parsed `.skd` file: the complex plus any oracle annotations. The
+    default is read-only, because every instance shares it."""
 
     complex: SingularityComplex
-    oracle: dict[str, str] = field(default_factory=dict)
+    oracle: Mapping[str, str] = MappingProxyType({})
 
 
 class _Collector:

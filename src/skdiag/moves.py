@@ -357,7 +357,7 @@ def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
         # swaps the corner naming, which toggles the pairing
         if (d.edge1 in reversed_edges) != (d.edge2 in reversed_edges):
             pair = pair.flipped()
-        new_disks.append(replace(d, edge1=m1, edge2=m2, pair=pair))
+        new_disks.append(d._replace(edge1=m1, edge2=m2, pair=pair))
     return new_disks
 
 

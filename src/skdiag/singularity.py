@@ -11,7 +11,6 @@ opposite slots of the same line. Tracing yields a partition of the edge set;
 all higher operations (crossing changes, moves) are defined on top of it.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, is_
@@ -95,8 +94,7 @@ class BranchRef(NamedTuple):
 EndpointRef = TripleSlot | BranchRef
 
 
-@dataclass(frozen=True)
-class TriplePoint:
+class TriplePoint(NamedTuple):
     """A triple point; line_types[i] is the type of line i. The three types
     must be a bijection onto {bm, bt, mt} (checked by validate)."""
 
@@ -104,13 +102,11 @@ class TriplePoint:
     line_types: tuple[LineType, LineType, LineType]
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     id: str
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     id: str
     end1: EndpointRef
     end2: EndpointRef
@@ -120,8 +116,7 @@ class Arc:
         return (self.end1, self.end2)
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     """A double-point circle: a closed curve on its own, no endpoints."""
 
     id: str
@@ -130,8 +125,7 @@ class Circle:
 DoubleEdge = Arc | Circle
 
 
-@dataclass(frozen=True)
-class DescendentDisk:
+class DescendentDisk(NamedTuple):
     """Declared descendent disk annotation.
 
     The disk meets edge1 and edge2 at one interior point each; ``pair``
@@ -154,8 +148,7 @@ class DescendentDisk:
         return self.level1 == self.level2
 
 
-@dataclass(frozen=True)
-class DoubleCurve:
+class DoubleCurve(NamedTuple):
     """A traced double curve: ordered edge ids in canonical form.
 
     Open curves are listed from the lexicographically smaller branch point;
@@ -170,8 +163,7 @@ class DoubleCurve:
     kind: CurveKind
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated invariant; subjects name the records involved as
     (record kind, id) pairs so reports can point at their definitions."""
 
@@ -180,8 +172,7 @@ class Violation:
     subjects: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -189,8 +180,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     triple_points: int
     branch_points: int
     arc_edges: int
@@ -199,15 +189,21 @@ class CensusRecord:
     closed_curves: int
 
 
-@dataclass(frozen=True)
-class SingularityComplex:
-    """Immutable singularity complex. Use :meth:`build` so records are kept
-    sorted by id; all operations are pure functions of the value."""
-
+class _ComplexRecords(NamedTuple):
     triple_points: tuple[TriplePoint, ...]
     branch_points: tuple[BranchPoint, ...]
     edges: tuple[DoubleEdge, ...]
     disks: tuple[DescendentDisk, ...]
+
+
+class SingularityComplex(_ComplexRecords):
+    """Immutable singularity complex. Use :meth:`build` so records are kept
+    sorted by id; all operations are pure functions of the value. It
+    declares no ``__slots__``, so its cached views get an instance dict;
+    they are written to it directly, and assigning any attribute raises."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a complex is immutable")
 
     @classmethod
     def build(cls, triples=(), branches=(), edges=(), disks=()) -> "SingularityComplex":

@@ -21,6 +21,7 @@ from skdiag import (
     SingularityComplex,
     all_curves,
     apply_move,
+    apply_with_transport,
     census,
     crossing_change,
     fingerprint,
@@ -29,6 +30,7 @@ from skdiag import (
     is_valid_flip,
     parse_skd,
     parse_skd_document,
+    relabel_locus_for_change,
     satisfies_dd_condition,
     serialize_canonical,
     validate,
@@ -325,3 +327,27 @@ def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
             assert exc.diagnostics
             for line, col, message in exc.diagnostics:
                 assert 1 <= line <= last and col >= 1 and message
+
+
+# -- the commutation square on random complexes -------------------------------
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2), kind=st.integers(0, 4),
+       pick=st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_commutation_square_on_random_complexes(seed, budget, disks, kind, pick):
+    """Changing then moving (with the locus relabelled for the change) gives
+    the diagram that moving then changing along the transported union gives,
+    for R1+, R4+, R1-, R4- and R6 and an exchangeable, dd-satisfying union."""
+    cx = generate_random_complex(seed, budget, disks=disks)
+    unions = [g for g in enumerate_exchangeable(cx) if satisfies_dd_condition(cx, g)]
+    gamma = unions[pick % len(unions)]
+    move = random_move(cx, kind, pick, 0)
+    assume(move is not None)
+    try:
+        moved, moved_gamma = apply_with_transport(cx, gamma, move)
+    except MoveRejected:
+        return
+    lhs = apply_move(crossing_change(cx, gamma), relabel_locus_for_change(cx, gamma, move))
+    assert fingerprint(lhs) == fingerprint(crossing_change(moved, moved_gamma))
