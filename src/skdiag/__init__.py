@@ -32,7 +32,7 @@ _EXPORTS = {
     "singularity": "Arc BranchPoint BranchRef CensusRecord Circle CurveKind "
                    "DescendentDisk DoubleCurve DoubleEdge EndpointRef Level LineType "
                    "Pairing SingularityComplex TriplePoint TripleSlot "
-                   "ValidationReport Violation census curve_of trace_curves validate",
+                   "ValidationReport Violation census trace_curves validate",
 }
 
 #: the module defining each public name

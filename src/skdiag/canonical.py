@@ -8,7 +8,9 @@ Oracle annotations are not part of the complex and never enter the
 fingerprint.
 """
 
+from bisect import bisect_left
 from itertools import chain
+from operator import attrgetter
 
 from .singularity import DescendentDisk, SingularityComplex, TriplePoint
 
@@ -28,12 +30,15 @@ LINE_FORMATS = (triple_line, lambda b: f"branch {b.id}\n",
                 lambda e: f"edge {e.id} {e.end1} {e.end2}\n",
                 lambda e: f"circle {e.id}\n", disk_line)
 
+BY_ID = attrgetter("id")
+
 
 def canonical_lines(cx: SingularityComplex) -> list:
     """The canonical lines of each record kind, in text order. A complex
-    built by ``rebuilt`` keeps them, taking its parent's line for every
-    record the two share (by identity); any other complex formats every
-    record on each call and keeps nothing."""
+    built by ``rebuilt`` keeps them, patching its parent's lines by the
+    edit that made it: a removed record's line goes, an added one's is
+    placed by its id. Any other complex formats every record on each call
+    and keeps nothing."""
     lines = vars(cx).get("canonical_lines")
     if lines is not None:
         return lines
@@ -41,13 +46,17 @@ def canonical_lines(cx: SingularityComplex) -> list:
     parent = lineage.views.pop("canonical_lines", None) if lineage else None
     lines = []
     for kind, (records, fmt) in enumerate(zip(cx.kinds, LINE_FORMATS)):
-        if parent is None or not any(lineage.deltas[kind]):
-            lines.append(parent[kind] if parent else tuple(map(fmt, records)))
+        if parent is None:
+            lines.append(tuple(map(fmt, records)))
             continue
-        added = lineage.deltas[kind][1]
-        known = dict(zip(map(id, lineage.records[kind]), parent[kind]))
-        known.update(zip(map(id, added), map(fmt, added)))
-        lines.append(tuple(map(known.__getitem__, map(id, records))))
+        removed, added = lineage.edits[kind]
+        patched = list(parent[kind])
+        for pos in sorted((bisect_left(lineage.records[kind], r.id, key=BY_ID)
+                           for r in removed), reverse=True):
+            del patched[pos]
+        for r in sorted(added, key=BY_ID):
+            patched.insert(bisect_left(records, r.id, key=BY_ID), fmt(r))
+        lines.append(tuple(patched))
     if lineage is not None:
         vars(cx)["canonical_lines"] = lines
     return lines

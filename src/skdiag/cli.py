@@ -44,16 +44,6 @@ def _load_document(path: str):
         raise SystemExit(ERROR) from exc
 
 
-def _load_oracle(doc, oracle_path: str | None):
-    from .explorer import TrivialityOracle
-
-    oracle = TrivialityOracle.from_mapping(doc.oracle)
-    if oracle_path:
-        sidecar = _load_document(oracle_path)
-        oracle = oracle.merged_with(TrivialityOracle.from_mapping(sidecar.oracle))
-    return oracle
-
-
 def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
     """Curve selection: comma-separated curve ids; an edge id selects the
     curve containing it. The empty string is the empty union."""
@@ -236,25 +226,26 @@ def _union_rows(report, verdicts: bool) -> list[dict]:
 
 
 def _cmd_enumerate(args) -> int:
-    from .explorer import du_index_upper_bound
+    from .explorer import EMPTY_ORACLE, du_index_upper_bound
 
-    doc = _load_document(args.skd)
-    with_verdicts = args.oracle is not None or bool(doc.oracle)
-    report = du_index_upper_bound(doc.complex, _load_oracle(doc, args.oracle),
+    # no oracle: verdicts are du-bound's, so the scan never fingerprints
+    report = du_index_upper_bound(_load_document(args.skd).complex, EMPTY_ORACLE,
                                   max_size=args.max_size)
-    rows = _union_rows(report, with_verdicts)
+    rows = _union_rows(report, verdicts=False)
     _emit(args, {"command": "enumerate", "unions": rows}, lambda: [
         f"size={r['size']} gamma={','.join(r['gamma']) or '(empty)'} "
-        f"dd={'yes' if r['dd'] else 'no'}"
-        + (f" verdict={r['verdict']}" if with_verdicts else "") for r in rows])
+        f"dd={'yes' if r['dd'] else 'no'}" for r in rows])
     return OK
 
 
 def _cmd_du_bound(args) -> int:
-    from .explorer import Verdict, du_index_upper_bound
+    from .explorer import TrivialityOracle, Verdict, du_index_upper_bound
 
     doc = _load_document(args.skd)
-    oracle = _load_oracle(doc, args.oracle)
+    oracle = TrivialityOracle.from_mapping(doc.oracle)
+    if args.oracle:
+        sidecar = _load_document(args.oracle)
+        oracle = oracle.merged_with(TrivialityOracle.from_mapping(sidecar.oracle))
     report = du_index_upper_bound(doc.complex, oracle, max_size=args.max_size)
     rows = _union_rows(report, verdicts=True)
 
@@ -335,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", _cmd_enumerate, help="list exchangeable unions")
     p.add_argument("--max-size", type=_size, default=None)
-    p.add_argument("--oracle", default=None, help="triviality annotation file")
 
     p = add("du-bound", _cmd_du_bound,
             help="du-exchange-index upper bound against an oracle")

@@ -51,9 +51,6 @@ if TYPE_CHECKING:
 _ID = r"[A-Za-z0-9_.+-]+"
 _ID_RE = re.compile(_ID + r"\Z")
 
-# a SHA-256 digest has 64 lowercase hex digits; shorter tokens stay accepted
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{1,64}\Z")
-
 ORACLE_VERDICTS = ("trivial", "nontrivial")
 
 # One full-line pattern per `.skd` record kind, matched against a line
@@ -75,7 +72,8 @@ _SKD_RECORDS = {kind: re.compile(rf"\s*{kind}{body}\Z") for kind, body in {
             rf"(?=.*\spair=(?ai:(cross|parallel))(?!\S))"
             rf"(?=.*\slevel1={_LEVEL})(?=.*\slevel2={_LEVEL})"
             r"(?:\s+(?:e1|e2|pair|level1|level2)=\S*){5}",
-    "oracle": r"\s+([0-9a-f]{1,64})\s+(trivial|nontrivial)",
+    # a fingerprint is a SHA-256 digest: 64 lowercase hex digits
+    "oracle": r"\s+([0-9a-f]{64})\s+(trivial|nontrivial)",
 }.items()}
 
 _LINE_TYPES = {lt.value: lt for lt in LineType}
@@ -209,7 +207,7 @@ def _rejections(line: str):
             yield 1, "oracle record needs: oracle <fingerprint> trivial|nontrivial"
         else:
             yield (_column_of(line, args[0]),
-                   f"oracle fingerprint {args[0]!r} is not lowercase hex digits")
+                   f"oracle fingerprint {args[0]!r} is not 64 lowercase hex digits")
     else:
         yield 1, f"unknown record kind {record!r}"
 

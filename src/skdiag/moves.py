@@ -19,9 +19,8 @@ deleted curves, following merged edges, and handling the descendent-disk
 bookkeeping of the R1+/R4+ and R6 cases).
 """
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .canonical import fingerprint
 from .crossing import (
@@ -98,8 +97,7 @@ def validate_t_descendent(tokens: Iterable[str]) -> bool:
 SplicePair = tuple[TripleSlot, TripleSlot]
 
 
-@dataclass(frozen=True)
-class DiskDeclaration:
+class DiskDeclaration(NamedTuple):
     """Descendent disk declared together with an R1+/R4+ birth; edge1 of
     the disk is the newborn edge, edge2 the named partner edge."""
 
@@ -110,24 +108,21 @@ class DiskDeclaration:
     level2: Level
 
 
-@dataclass(frozen=True)
-class R1Plus:
+class R1Plus(NamedTuple):
     circle_id: str
     disk: DiskDeclaration | None = None
 
     kind = MoveKind.R1_PLUS
 
 
-@dataclass(frozen=True)
-class R1Minus:
+class R1Minus(NamedTuple):
     circle_id: str
     drop_disks: tuple[str, ...] = ()
 
     kind = MoveKind.R1_MINUS
 
 
-@dataclass(frozen=True)
-class R4Plus:
+class R4Plus(NamedTuple):
     edge_id: str
     branch1: str
     branch2: str
@@ -136,16 +131,14 @@ class R4Plus:
     kind = MoveKind.R4_PLUS
 
 
-@dataclass(frozen=True)
-class R4Minus:
+class R4Minus(NamedTuple):
     edge_id: str
     drop_disks: tuple[str, ...] = ()
 
     kind = MoveKind.R4_MINUS
 
 
-@dataclass(frozen=True)
-class R2Minus:
+class R2Minus(NamedTuple):
     t1: str
     t2: str
     curves: tuple[str, str]  # the two closed curves to delete
@@ -155,8 +148,7 @@ class R2Minus:
     kind = MoveKind.R2_MINUS
 
 
-@dataclass(frozen=True)
-class R3Minus:
+class R3Minus(NamedTuple):
     triples: tuple[str, ...]  # the six triple points to delete
     curves: tuple[str, str, str]  # the three closed curves to delete
     center: str  # surviving triple point naming gamma_s/w/k by line type
@@ -166,8 +158,7 @@ class R3Minus:
     kind = MoveKind.R3_MINUS
 
 
-@dataclass(frozen=True)
-class R5Minus:
+class R5Minus(NamedTuple):
     triple: str
     edge_id: str  # branch-point-terminated edge absorbed by the move
     splice: tuple[SplicePair, ...]
@@ -176,8 +167,7 @@ class R5Minus:
     kind = MoveKind.R5_MINUS
 
 
-@dataclass(frozen=True)
-class R6:
+class R6(NamedTuple):
     disk_id: str
 
     kind = MoveKind.R6
@@ -189,10 +179,9 @@ MoveInstance = Union[R1Plus, R1Minus, R2Minus, R3Minus, R4Plus, R4Minus, R5Minus
 # -- application ---------------------------------------------------------
 
 
-@dataclass
-class _Outcome:
+class _Outcome(NamedTuple):
     complex: SingularityComplex
-    descent: dict[str, str | None] = field(default_factory=dict)
+    descent: dict[str, str | None]
     new_curve_ids: tuple[str, ...] = ()  # curves of newborn/respliced edges
 
 
@@ -331,11 +320,12 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
 
 def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
                  reversed_edges: set[str], dead_edges: set[str],
-                 drop_disks: tuple[str, ...]):
+                 drop_disks: tuple[str, ...]) -> tuple[list, list]:
+    """The disks a move drops or changes, and what the changed ones become."""
     drop = set(drop_disks)
     unknown = sorted(drop - set(cx.disks_by_id))
     _require(not unknown, "drop-disks", "unknown disk id(s): " + ", ".join(unknown))
-    new_disks = []
+    removed, added = [], []
     for d in cx.disks:
         m1 = descent.get(d.edge1, d.edge1)
         m2 = descent.get(d.edge2, d.edge2)
@@ -344,6 +334,7 @@ def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
             collapses = m1 is not None and m1 == m2
             _require(touches_dead or collapses, "drop-disks",
                      f"disk {d.id} does not reference a destroyed edge")
+            removed.append(d)
             continue
         for eid in (d.edge1, d.edge2):
             _require(eid not in dead_edges, "disk-destroyed",
@@ -357,8 +348,10 @@ def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
         # swaps the corner naming, which toggles the pairing
         if (d.edge1 in reversed_edges) != (d.edge2 in reversed_edges):
             pair = pair.flipped()
-        new_disks.append(d._replace(edge1=m1, edge2=m2, pair=pair))
-    return new_disks
+        if (m1, m2, pair) != (d.edge1, d.edge2, d.pair):
+            removed.append(d)
+            added.append(d._replace(edge1=m1, edge2=m2, pair=pair))
+    return removed, added
 
 
 def _closed_count(cx: SingularityComplex) -> int:
@@ -395,25 +388,21 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     new_edges, descent, rev = _merge_chains(cx, dead_triples, dead_edges, splice, taken)
     for eid in dead_edges:
         descent[eid] = None
-    disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
-    survivors = [e for e in cx.edges
-                 if e.id not in dead_edges and e.id not in descent]
-    triples = [t for t in cx.triple_points if t.id not in dead_triples]
+    old_disks, new_disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
     new_cx = cx.rebuilt(
-        triples, cx.branch_points, survivors + new_edges, disks)
+        [*(cx.triples_by_id[t] for t in sorted(dead_triples)),
+         *(cx.edges_by_id[e] for e in descent), *old_disks],
+        new_edges + new_disks)
     return _Outcome(new_cx, descent, tuple(e.id for e in new_edges))
 
 
 def _apply_r1_plus(cx: SingularityComplex, m: R1Plus) -> _Outcome:
     _require(m.circle_id not in cx.edges_by_id, "fresh-id",
              f"edge id {m.circle_id!r} already exists")
-    disks = list(cx.disks)
+    added = [Circle(m.circle_id)]
     if m.disk is not None:
-        disks.append(_validate_disk_declaration(cx, m.disk, m.circle_id))
-    new_cx = cx.rebuilt(
-        cx.triple_points, cx.branch_points,
-        list(cx.edges) + [Circle(m.circle_id)], disks)
-    return _Outcome(new_cx, {}, (m.circle_id,))
+        added.append(_validate_disk_declaration(cx, m.disk, m.circle_id))
+    return _Outcome(cx.rebuilt((), added), {}, (m.circle_id,))
 
 
 def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
@@ -422,11 +411,8 @@ def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
     _require(isinstance(edge, Circle), "locus",
              f"edge {m.circle_id!r} is not a free circle")
     descent: dict[str, str | None] = {m.circle_id: None}
-    disks = _remap_disks(cx, descent, set(), {m.circle_id}, m.drop_disks)
-    new_cx = cx.rebuilt(
-        cx.triple_points, cx.branch_points,
-        [e for e in cx.edges if e.id != m.circle_id], disks)
-    return _Outcome(new_cx, descent)
+    old_disks, new_disks = _remap_disks(cx, descent, set(), {m.circle_id}, m.drop_disks)
+    return _Outcome(cx.rebuilt([edge, *old_disks], new_disks), descent)
 
 
 def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
@@ -437,15 +423,11 @@ def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
                  f"branch point id {bid!r} already exists")
     _require(m.branch1 != m.branch2, "locus",
              "the two new branch points must be distinct")
-    disks = list(cx.disks)
+    added = [BranchPoint(m.branch1), BranchPoint(m.branch2),
+             Arc(m.edge_id, BranchRef(m.branch1), BranchRef(m.branch2))]
     if m.disk is not None:
-        disks.append(_validate_disk_declaration(cx, m.disk, m.edge_id))
-    arc = Arc(m.edge_id, BranchRef(m.branch1), BranchRef(m.branch2))
-    new_cx = cx.rebuilt(
-        cx.triple_points,
-        list(cx.branch_points) + [BranchPoint(m.branch1), BranchPoint(m.branch2)],
-        list(cx.edges) + [arc], disks)
-    return _Outcome(new_cx, {}, (m.edge_id,))
+        added.append(_validate_disk_declaration(cx, m.disk, m.edge_id))
+    return _Outcome(cx.rebuilt((), added), {}, (m.edge_id,))
 
 
 def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
@@ -455,13 +437,11 @@ def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
              and isinstance(edge.end1, BranchRef)
              and isinstance(edge.end2, BranchRef), "locus",
              f"edge {m.edge_id!r} is not an arc bounded by two branch points")
-    dead_branches = {edge.end1.branch_id, edge.end2.branch_id}
+    dead_branches = sorted({edge.end1.branch_id, edge.end2.branch_id})
     descent: dict[str, str | None] = {m.edge_id: None}
-    disks = _remap_disks(cx, descent, set(), {m.edge_id}, m.drop_disks)
+    old_disks, new_disks = _remap_disks(cx, descent, set(), {m.edge_id}, m.drop_disks)
     new_cx = cx.rebuilt(
-        cx.triple_points,
-        [b for b in cx.branch_points if b.id not in dead_branches],
-        [e for e in cx.edges if e.id != m.edge_id], disks)
+        [edge, *(cx.branches_by_id[b] for b in dead_branches), *old_disks], new_disks)
     return _Outcome(new_cx, descent)
 
 
@@ -589,8 +569,6 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
                      f"disk {other.id} also references an operated edge; "
                      "the exchanged halves cannot be attributed")
     taken = set(cx.edges_by_id)
-    keep = [e for e in cx.edges if e.id not in (disk.edge1, disk.edge2)]
-    other_disks = [d for d in cx.disks if d.id != disk.id]
     if isinstance(e1, Arc) and isinstance(e2, Arc):
         cross = disk.pair is Pairing.CROSS
         n1 = Arc(_fresh_id(e1.id, taken), e1.end1,
@@ -599,9 +577,7 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
                  e2.end1 if cross else e2.end2)
         dual = DescendentDisk(disk.id, n1.id, n2.id, Pairing.PARALLEL,
                               disk.level1, disk.level2)
-        new_cx = cx.rebuilt(
-            cx.triple_points, cx.branch_points, keep + [n1, n2],
-            other_disks + [dual])
+        added = [n1, n2, dual]
         new_ids = (n1.id, n2.id)
     else:
         # a free circle involved: the exchange absorbs it and the two edges
@@ -614,9 +590,9 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
             fused: Arc | Circle = Arc(new_id, arc.end1, arc.end2)
         else:
             fused = Circle(new_id)
-        new_cx = cx.rebuilt(
-            cx.triple_points, cx.branch_points, keep + [fused], other_disks)
+        added = [fused]
         new_ids = (new_id, new_id)
+    new_cx = cx.rebuilt([e1, e2, disk], added)
     _require(len(new_cx.curves) - len(cx.curves) in (-1, 0, 1), "postcondition",
              "double curve count changed by more than one")
     return _Outcome(new_cx, {}, new_ids)
@@ -655,14 +631,7 @@ def _r3_roles(cx: SingularityComplex, center: str) -> dict[LineType, str]:
 
 def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
                     move: MoveInstance, out: _Outcome) -> ExchangeSet:
-    def descend_all(ids: Iterable[str]) -> set[str]:
-        new = set()
-        for cid in ids:
-            mapped = _descend_curve(cx, out, cid)
-            if mapped is not None:
-                new.add(mapped)
-        return new
-
+    replaced, born = frozenset(), False
     if move.kind is MoveKind.R3_MINUS:
         roles = _r3_roles(cx, move.center)
         g_s, g_w, g_k = roles[LineType.BM], roles[LineType.MT], roles[LineType.BT]
@@ -675,21 +644,20 @@ def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
                 f"membership pattern {{{', '.join(included)}}} at {move.center} "
                 "is outside the six transportable cases (its flip set at the "
                 "central triple point is invalid)")
-        return frozenset(descend_all(gamma))
-    if move.kind is MoveKind.R6:
+    elif move.kind is MoveKind.R6:
         disk = cx.disks_by_id[move.disk_id]
-        g_s, g_w = cx.curve_of(disk.edge1), cx.curve_of(disk.edge2)
-        if not gamma & {g_s, g_w}:
-            return frozenset(descend_all(gamma))
-        new = descend_all(gamma - {g_s, g_w})
+        replaced = gamma & {cx.curve_of(disk.edge1), cx.curve_of(disk.edge2)}
+        born = bool(replaced)
+    elif move.kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS) and move.disk is not None:
+        born = cx.curve_of(move.disk.partner_edge) in gamma
+    new = set()
+    for cid in gamma - replaced:
+        mapped = _descend_curve(cx, out, cid)
+        if mapped is not None:
+            new.add(mapped)
+    if born:
         new.update(out.complex.curve_of(eid) for eid in out.new_curve_ids)
-        return frozenset(new)
-    if move.kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS) and move.disk is not None:
-        new = descend_all(gamma)
-        if cx.curve_of(move.disk.partner_edge) in gamma:
-            new.update(out.complex.curve_of(eid) for eid in out.new_curve_ids)
-        return frozenset(new)
-    return frozenset(descend_all(gamma))
+    return frozenset(new)
 
 
 def transport(cx: SingularityComplex, gamma: Iterable[str],
@@ -703,8 +671,7 @@ def transport(cx: SingularityComplex, gamma: Iterable[str],
     edges. The R3- membership patterns outside the six-case table are
     rejected.
     """
-    gamma = exchange_set(cx, gamma)
-    return _transport_with(cx, gamma, move, _apply(cx, move))
+    return apply_with_transport(cx, gamma, move)[1]
 
 
 def apply_with_transport(cx: SingularityComplex, gamma: Iterable[str],
@@ -735,15 +702,14 @@ def relabel_locus_for_change(cx: SingularityComplex, gamma: Iterable[str],
         decl = move.disk
         flipped = DiskDeclaration(decl.disk_id, decl.partner_edge, decl.pair,
                                   decl.level1.flipped(), decl.level2.flipped())
-        return replace(move, disk=flipped)
+        return move._replace(disk=flipped)
     return move
 
 
 # -- sequences ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrailEntry:
+class TrailEntry(NamedTuple):
     index: int
     kind: str
     fingerprint: str
@@ -752,8 +718,7 @@ class TrailEntry:
     dd: bool
 
 
-@dataclass(frozen=True)
-class SequenceResult:
+class SequenceResult(NamedTuple):
     complex: SingularityComplex
     gamma: ExchangeSet
     trail: tuple[TrailEntry, ...]
@@ -780,11 +745,9 @@ def apply_sequence(cx: SingularityComplex, gamma: Iterable[str],
     cur = cx
     for i, move in enumerate(seq):
         try:
-            out = _apply(cur, move)
-            gamma = _transport_with(cur, gamma, move, out)
+            cur, gamma = apply_with_transport(cur, gamma, move)
         except DiagramError as exc:
             raise SequenceAborted(i, str(exc)) from exc
-        cur = out.complex
         trail.append(TrailEntry(
             index=i,
             kind=move.kind.name,

@@ -13,7 +13,7 @@ all higher operations (crossing changes, moves) are defined on top of it.
 
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import StructuralError, UnknownIdError
@@ -223,14 +223,28 @@ class SingularityComplex(_ComplexRecords):
     def empty(cls) -> "SingularityComplex":
         return cls.build()
 
-    def rebuilt(self, triples=(), branches=(), edges=(), disks=()) -> "SingularityComplex":
-        """The complex with these records, built from this one: it inherits
-        the slot index, curves and canonical lines this one has computed,
-        patched by the records the two do not share (by identity)."""
-        child = self.build(triples, branches, edges, disks)
+    def rebuilt(self, removed=(), added=()) -> "SingularityComplex":
+        """The complex an edit makes of this one: its records less the
+        ``removed`` ones, plus the ``added`` ones. It inherits the slot
+        index, curves and canonical lines this one has computed, patched by
+        the edit. Raises StructuralError when the edit removes a record this
+        complex does not hold, or one record twice."""
+        edits = tuple(([], []) for _ in KIND_OF)
+        for record in removed:
+            kind = KIND_OF[type(record)]
+            if getattr(self, HELD_IN[kind]).get(record.id) != record:
+                raise StructuralError(f"the edit removes {type(record).__name__} "
+                                      f"{record.id!r}, which the complex does not hold")
+            edits[kind][0].append(record)
+        for record in added:
+            edits[KIND_OF[type(record)]][1].append(record)
+        triples, branches, arcs, circles, disks = edits
+        child = self.build(_edited(self.triple_points, triples),
+                           _edited(self.branch_points, branches),
+                           _edited(self.edges, arcs, circles), _edited(self.disks, disks))
         child.__dict__["lineage"] = Lineage(
             self.kinds, {k: v for k, v in self.__dict__.items() if k in Lineage.VIEWS},
-            [_delta(old, new) for old, new in zip(self.kinds, child.kinds)])
+            edits)
         return child
 
     # -- indexed views -------------------------------------------------
@@ -278,12 +292,12 @@ class SingularityComplex(_ComplexRecords):
         index, added, dead = {}, self.arcs, ()
         if parent is not None and parent[1] is None:
             index = dict(parent[0])
-            removed, added = lineage.deltas[ARCS]
+            removed, added = lineage.edits[ARCS]
             for arc in removed:
                 del index[arc.end1], index[arc.end2]
             dead = endpoints(
-                [t for t in lineage.deltas[TRIPLES][0] if t.id not in self.triples_by_id],
-                [b for b in lineage.deltas[BRANCHES][0] if b.id not in self.branches_by_id])
+                [t for t in lineage.edits[TRIPLES][0] if t.id not in self.triples_by_id],
+                [b for b in lineage.edits[BRANCHES][0] if b.id not in self.branches_by_id])
         problem = _claim(self, added, index) or next(
             (f"endpoint {ref} of a deleted point is still claimed by edge "
              f"{index[ref][0]}" for ref in dead if ref in index), None)
@@ -342,28 +356,32 @@ class SingularityComplex(_ComplexRecords):
 #: indices of the record kinds in SingularityComplex.kinds
 TRIPLES, BRANCHES, ARCS, CIRCLES, DISKS = range(5)
 
+#: the kind of each record type, and the view holding its records by id
+KIND_OF = {TriplePoint: TRIPLES, BranchPoint: BRANCHES, Arc: ARCS, Circle: CIRCLES,
+           DescendentDisk: DISKS}
+HELD_IN = ("triples_by_id", "branches_by_id", "edges_by_id", "edges_by_id", "disks_by_id")
+
 
 class Lineage(NamedTuple):
     """What a complex built by ``rebuilt`` inherits: its parent's records
-    per kind (which keep identity comparisons sound), the parent's VIEWS,
-    each popped by its first use, and per kind the records (removed,
-    added) relative to the parent."""
+    per kind, the parent's VIEWS, each popped by its first use, and per
+    kind the records (removed, added) by the edit that made it."""
 
     records: tuple[tuple, ...]
     views: dict
-    deltas: list[tuple[list, list]]
+    edits: tuple[tuple[list, list], ...]
 
     VIEWS = ("_claims", "curves", "curve_by_edge", "canonical_lines")
 
 
-def _delta(old: tuple, new: tuple) -> tuple[list, list]:
-    """The records only ``old`` has and those only ``new`` has, compared by
-    identity, in no particular order."""
-    if len(old) == len(new) and all(map(is_, old, new)):
-        return [], []
-    old_by, new_by = dict(zip(map(id, old), old)), dict(zip(map(id, new), new))
-    return ([old_by[i] for i in old_by.keys() - new_by.keys()],
-            [new_by[i] for i in new_by.keys() - old_by.keys()])
+def _edited(records: tuple, *edits: tuple[list, list]) -> list:
+    """``records`` less those the edits remove, plus those they add; every
+    removed record is one of ``records``."""
+    gone = {r.id for removed, _ in edits for r in removed}
+    kept = [r for r in records if r.id not in gone] if gone else [*records]
+    if len(kept) + sum(len(removed) for removed, _ in edits) != len(records):
+        raise StructuralError("the edit removes a record twice")
+    return kept + [r for _, added in edits for r in added]
 
 
 def endpoints(triples, branches):
@@ -542,7 +560,7 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
         by_edge, seeds = {}, cx.edges
     else:
         (removed_arcs, added_arcs), (removed_circles, added_circles) = \
-            lineage.deltas[ARCS], lineage.deltas[CIRCLES]
+            lineage.edits[ARCS], lineage.edits[CIRCLES]
         by_edge = dict(by_edge)
         dirty = {by_edge[e.id] for e in [*removed_arcs, *removed_circles]}
         seeds = [*added_arcs, *added_circles]
@@ -562,11 +580,6 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
             new.append(curve)
     cx.__dict__["curve_by_edge"] = by_edge
     return tuple(sorted(kept + new, key=attrgetter("id")))
-
-
-def curve_of(cx: SingularityComplex, edge_id: str) -> str:
-    """Id of the unique traced curve containing ``edge_id``."""
-    return cx.curve_of(edge_id)
 
 
 def census(cx: SingularityComplex) -> CensusRecord:

@@ -23,18 +23,19 @@ def smooth(*triples: str):
     return tuple((TripleSlot(t, 0, "a"), TripleSlot(t, 0, "b")) for t in triples)
 
 
-def r2_move() -> R2Minus:
-    return R2Minus("T1", "T2", ("u1", "v1"), smooth("T1", "T2"))
+def r2_move(p: str = "") -> R2Minus:
+    """The cancellation of the r2 site, whose ids carry the prefix ``p``."""
+    return R2Minus(p + "T1", p + "T2", (p + "u1", p + "v1"), smooth(p + "T1", p + "T2"))
 
 
-def r3_move() -> R3Minus:
-    return R3Minus(("Ta", "Tb", "Tc", "Td", "Te", "Tf"), ("f1", "g1", "h1"),
-                   "T0", smooth("Ta", "Tb", "Tc", "Td", "Te", "Tf"))
+def r3_move(p: str = "") -> R3Minus:
+    triples = tuple(p + t for t in ("Ta", "Tb", "Tc", "Td", "Te", "Tf"))
+    return R3Minus(triples, (p + "f1", p + "g1", p + "h1"), p + "T0", smooth(*triples))
 
 
-def r5_move() -> R5Minus:
-    return R5Minus("T1", "e0", tuple(
-        (TripleSlot("T1", line, "a"), TripleSlot("T1", line, "b"))
+def r5_move(p: str = "") -> R5Minus:
+    return R5Minus(p + "T1", p + "e0", tuple(
+        (TripleSlot(p + "T1", line, "a"), TripleSlot(p + "T1", line, "b"))
         for line in range(3)))
 
 

@@ -176,13 +176,21 @@ def test_enumerate(capsys, trefoil_path):
     assert any(u["gamma"] == ["closed"] for u in unions)
 
 
-def test_enumerate_with_oracle(capsys, trefoil_path, oracle_path):
-    code, out, _ = run(capsys, "enumerate", trefoil_path,
-                       "--oracle", oracle_path, "--json")
-    assert code == 0
+def test_enumerate_takes_no_oracle(capsys, trefoil_path, oracle_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", trefoil_path, "--oracle", oracle_path])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_enumerate_gives_no_verdicts_for_inline_oracle_lines(capsys, tmp_path):
+    p = tmp_path / "annotated.skd"
+    p.write_text(bundled_text("trefoil.skd") + bundled_text("trefoil.oracle.skd"))
+    for argv in ([], ["--json"]):
+        code, out, _ = run(capsys, "enumerate", str(p), *argv)
+        assert code == 0 and "verdict" not in out
     unions = json.loads(out)["unions"]
-    assert any(u["gamma"] == ["closed"] and u["verdict"] == "trivial"
-               for u in unions)
+    assert {"gamma": ["closed"], "size": 1, "dd": True} in unions
 
 
 @pytest.mark.parametrize("command", ["enumerate", "du-bound"])

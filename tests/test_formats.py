@@ -123,10 +123,11 @@ def test_unchecked_parse_returns_invalid_complex():
 
 
 def test_oracle_section():
-    doc = parse_skd_document("circle C1\noracle abc123 trivial\n")
-    assert doc.oracle == {"abc123": "trivial"}
+    fp = "abc123".ljust(64, "0")
+    doc = parse_skd_document(f"circle C1\noracle {fp} trivial\n")
+    assert doc.oracle == {fp: "trivial"}
     with pytest.raises(ParseError):
-        parse_skd_document("oracle abc123 maybe\n")
+        parse_skd_document(f"oracle {fp} maybe\n")
 
 
 def test_triple_ids_may_contain_dots():
@@ -249,9 +250,10 @@ def test_conflicting_oracle_lines_name_both_lines():
     assert doc.oracle == {fp: "trivial"}
 
 
-@pytest.mark.parametrize("token", ["not-a-fingerprint", "AB12", "ab" * 33])
+@pytest.mark.parametrize("token", ["not-a-fingerprint", "AB12", "ab" * 33,
+                                   "a" * 63, "a" * 65])
 def test_oracle_fingerprint_must_be_lowercase_hex(token):
-    with pytest.raises(ParseError, match="lowercase hex"):
+    with pytest.raises(ParseError, match="is not 64 lowercase hex digits"):
         parse_skd_document(f"oracle {token} trivial\n")
 
 

@@ -68,13 +68,12 @@ def test_read_path_commands_skip_the_move_engine_and_the_scan(command, trefoil_p
 
 # start-up cost: ``dataclasses`` loads ``inspect`` (and ``ast``, ``dis``,
 # ``tokenize``) for about 10 ms, ``logging`` about 4 ms, ``hashlib`` 3.7 ms
-SCAN_AND_READ = ("du-bound", "enumerate", "validate", "census", "trace",
-                 "fingerprint", "schematic")
 NO_HASHING = ("validate", "census", "trace", "schematic")
 
 
 @pytest.mark.parametrize("command", [
-    *SCAN_AND_READ, "check-exchangeable", "check-dd", "crossing-change", "apply"])
+    "du-bound", "enumerate", "validate", "census", "trace", "fingerprint",
+    "schematic", "check-exchangeable", "check-dd", "crossing-change", "apply"])
 def test_start_up_loads_only_what_the_command_needs(command, trefoil_path):
     argv = [command, trefoil_path]
     if command == "du-bound":
@@ -82,9 +81,7 @@ def test_start_up_loads_only_what_the_command_needs(command, trefoil_path):
     elif command == "apply":
         argv.append(str(SRC.parent / "tests" / "fixtures" / "trefoil_seq.skm"))
     loaded = newly_loaded_by(*argv)
-    assert "logging" not in loaded
-    if command in SCAN_AND_READ:
-        assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "logging"}
     if command in NO_HASHING:
         assert "hashlib" not in loaded
 

@@ -317,8 +317,7 @@ def test_disk_on_deleted_curve_must_be_listed():
     cx = parse_skd(text)
     with pytest.raises(MoveRejected, match="drop_disks"):
         apply_move(cx, r2_move())
-    from dataclasses import replace
-    new = apply_move(cx, replace(r2_move(), drop_disks=("K",)))
+    new = apply_move(cx, r2_move()._replace(drop_disks=("K",)))
     assert not new.disks
 
 
@@ -356,25 +355,22 @@ def test_r4_minus_requires_branch_bounded_arc(r2):
 
 
 def test_r2_wrong_curves(r2):
-    from dataclasses import replace
     with pytest.raises(MoveRejected, match="not closed"):
-        apply_move(r2, replace(r2_move(), curves=("s1", "u1")))
+        apply_move(r2, r2_move()._replace(curves=("s1", "u1")))
 
 
 def test_r2_splice_must_cover_all_orphans(r2):
-    from dataclasses import replace
     with pytest.raises(MoveRejected, match="not reconnected"):
-        apply_move(r2, replace(r2_move(), splice=smooth("T1")))
+        apply_move(r2, r2_move()._replace(splice=smooth("T1")))
 
 
 def test_r2_splice_slot_reuse_rejected(r2):
-    from dataclasses import replace
     bad = (
         (TripleSlot("T1", 0, "a"), TripleSlot("T1", 0, "b")),
         (TripleSlot("T1", 0, "a"), TripleSlot("T2", 0, "b")),
     )
     with pytest.raises(MoveRejected, match="used twice"):
-        apply_move(r2, replace(r2_move(), splice=bad))
+        apply_move(r2, r2_move()._replace(splice=bad))
 
 
 def test_r2_postcondition_shortening():
@@ -397,17 +393,15 @@ edge v2 T:T2.2.b T:T1.2.b
 
 
 def test_r3_center_mismatch(r3):
-    from dataclasses import replace
     with pytest.raises(MoveRejected):
-        apply_move(r3, replace(r3_move(), center="Ta",
-                               triples=("T0", "Tb", "Tc", "Td", "Te", "Tf"),
-                               splice=smooth("T0", "Tb", "Tc", "Td", "Te", "Tf")))
+        apply_move(r3, r3_move()._replace(
+            center="Ta", triples=("T0", "Tb", "Tc", "Td", "Te", "Tf"),
+            splice=smooth("T0", "Tb", "Tc", "Td", "Te", "Tf")))
 
 
 def test_r5_edge_must_join_branch_to_triple(r5):
-    from dataclasses import replace
     with pytest.raises(MoveRejected, match="does not join"):
-        apply_move(r5, replace(r5_move(), edge_id="g1"))
+        apply_move(r5, r5_move()._replace(edge_id="g1"))
 
 
 def test_r6_broken_disk_rejected(r6):
@@ -425,9 +419,8 @@ def test_r6_entangled_disk_rejected(r6):
 
 
 def test_rejection_leaves_input_usable(r2):
-    from dataclasses import replace
     try:
-        apply_move(r2, replace(r2_move(), splice=smooth("T1")))
+        apply_move(r2, r2_move()._replace(splice=smooth("T1")))
     except MoveRejected:
         pass
     assert validate(r2).ok

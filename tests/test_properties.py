@@ -50,7 +50,7 @@ from skdiag.explorer import (
     generate_random_complex,
 )
 
-from tests.conftest import load_fixture, r2_move, r3_move, r5_move, r6_move
+from tests.conftest import fixture_text, load_fixture, r2_move, r3_move, r5_move, r6_move
 from tests.test_singularity import traced_partition, unionfind_partition
 
 budgets = st.builds(SizeBudget,
@@ -166,8 +166,10 @@ def test_first_invalid_flip_is_the_first_invalid_flip_set(seed, budget, data):
 
 def assert_matches_fresh_build(cx):
     """The slot index, curves, curve map and fingerprint a derived complex
-    inherited equal those of the same records built and traced afresh."""
+    inherited equal those of the same records built and traced afresh,
+    and the complex is well formed."""
     assert "lineage" in vars(cx)
+    assert validate(cx).ok
     fresh = SingularityComplex.build(cx.triple_points, cx.branch_points,
                                      cx.edges, cx.disks)
     assert cx.slot_index == fresh.slot_index
@@ -178,16 +180,68 @@ def assert_matches_fresh_build(cx):
 
 def apply_derived(cx, move):
     """apply_move on a parent whose index, curves and lines exist, so the
-    child inherits all three; the child is checked against a fresh build."""
+    child inherits all three; the child is checked against a fresh build,
+    and keeps every disk the move neither drops nor operates on."""
     fingerprint(cx)
     child = apply_move(cx, move)
     assert_matches_fresh_build(child)
+    spent = {*getattr(move, "drop_disks", ()), getattr(move, "disk_id", None)}
+    assert set(cx.disks_by_id) - spent <= set(child.disks_by_id)
     return child
+
+
+#: each cancellation site of tests/fixtures by name: its move, and the site
+#: edges carrying the disks it declares. The move keeps a disk on a merged
+#: edge the copy reverses (so its pairing toggles) and one on a merged edge
+#: it does not; it must drop a disk on two edges it merges into one, and
+#: one on an edge it deletes.
+SITES = {"r2": (r2_move, "s2", "s3", ("s1", "s3"), "u1"),
+         "r3": (r3_move, "es2", "ew1", ("es3", "es4"), "f1"),
+         "r5": (r5_move, "e1", "e0", ("g1", "g2"), None)}
+SITE_NAMES = tuple(SITES)
+
+
+def site_text(name: str, partner: str) -> str:
+    """The `.skd` lines of site ``name`` with every id prefixed by
+    ``name_``, plus a circle ``name_o`` and the site's disks, whose other
+    edge (but for the disk on two site edges) is ``partner``."""
+    p = f"{name}_"
+    _, turn, keep, fold, dead = SITES[name]
+    lines = [f"circle {p}o"]
+    for raw in fixture_text(f"{name}.skd").splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        rest = [t[:2] + p + t[2:] if t[:2] in ("B:", "T:") else t for t in tokens[2:]]
+        if tokens[1] == turn:
+            rest.reverse()
+        lines.append(" ".join([tokens[0], p + tokens[1], *rest]))
+    disks = [("turn", p + turn, partner), ("keep", p + keep, partner),
+             ("fold", p + fold[0], p + fold[1])]
+    if dead:
+        disks.append(("dead", p + dead, partner))
+    lines += [f"disk {p}{role} e1={e1} e2={e2} pair=cross level1=upper level2=upper"
+              for role, e1, e2 in disks]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def with_sites(cx, names, pick: int):
+    """``cx`` with a copy of each named cancellation site spliced in, its
+    disks paired with an edge of ``cx`` or the site's own circle."""
+    partners = [e.id for e in cx.edges]
+    return parse_skd(serialize_canonical(cx) + "".join(
+        site_text(name, [*partners, f"{name}_o"][pick % (len(partners) + 1)])
+        for name in names))
 
 
 def random_move(cx, kind: int, pick: int, step: int):
     """A move of the given kind on cx, with its locus chosen by ``pick``,
-    or None when cx has no locus for it."""
+    or None when cx has no locus for it. Kinds 5-7 cancel the spliced
+    r2, r3 and r5 sites, dropping the site disks they must."""
+    if kind >= 5:
+        name = SITE_NAMES[kind - 5]
+        drop = tuple(d for d in (f"{name}_fold", f"{name}_dead") if d in cx.disks_by_id)
+        return SITES[name][0](f"{name}_")._replace(drop_disks=drop)
     edges = [e.id for e in cx.edges]
     decl = None
     if edges and pick % 3:
@@ -215,11 +269,11 @@ def random_move(cx, kind: int, pick: int, step: int):
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
        disks=st.integers(min_value=0, max_value=2),
-       steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 10 ** 6)),
+       steps=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 10 ** 6)),
                       max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_derived_complexes_match_fresh_builds(seed, budget, disks, steps):
-    cx = generate_random_complex(seed, budget, disks=disks)
+    cx = with_sites(generate_random_complex(seed, budget, disks=disks), SITE_NAMES, seed)
     for step, (kind, pick) in enumerate(steps):
         move = random_move(cx, kind, pick, step)
         if move is None:
@@ -318,7 +372,7 @@ def mutated(text: str, data) -> str:
 @settings(max_examples=200, deadline=None)
 def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
     text = serialize_canonical(generate_random_complex(seed, budget, disks=1))
-    text = mutated(text + "oracle abc123 trivial\n", data)
+    text = mutated(text + f"oracle {'abc123'.ljust(64, '0')} trivial\n", data)
     last = max(1, len(text.splitlines()))
     for check in (True, False):
         try:
@@ -333,14 +387,16 @@ def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
-       disks=st.integers(min_value=0, max_value=2), kind=st.integers(0, 4),
+       disks=st.integers(min_value=0, max_value=2), kind=st.integers(0, 7),
        pick=st.integers(0, 10 ** 6))
 @settings(max_examples=100, deadline=None)
 def test_commutation_square_on_random_complexes(seed, budget, disks, kind, pick):
     """Changing then moving (with the locus relabelled for the change) gives
     the diagram that moving then changing along the transported union gives,
-    for R1+, R4+, R1-, R4- and R6 and an exchangeable, dd-satisfying union."""
-    cx = generate_random_complex(seed, budget, disks=disks)
+    for every move kind and an exchangeable, dd-satisfying union, on a
+    complex with one cancellation site spliced in."""
+    site = SITE_NAMES[kind - 5 if kind >= 5 else pick % len(SITE_NAMES)]
+    cx = with_sites(generate_random_complex(seed, budget, disks=disks), [site], pick)
     unions = [g for g in enumerate_exchangeable(cx) if satisfies_dd_condition(cx, g)]
     gamma = unions[pick % len(unions)]
     move = random_move(cx, kind, pick, 0)

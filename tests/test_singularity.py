@@ -15,7 +15,6 @@ from skdiag import (
     TripleSlot,
     UnknownIdError,
     census,
-    curve_of,
     trace_curves,
     validate,
 )
@@ -64,7 +63,7 @@ def test_single_circle():
     (curve,) = cx.curves
     assert curve.kind is CurveKind.CLOSED
     assert curve.edges == ("C1",)
-    assert curve_of(cx, "C1") == "C1"
+    assert cx.curve_of("C1") == "C1"
 
 
 def test_duplicate_ids_rejected():
@@ -129,12 +128,12 @@ def test_trefoil_counts(trefoil):
 def test_trefoil_curve_of(trefoil):
     closed = trefoil.curves_by_id["closed"]
     for eid in closed.edges:
-        assert curve_of(trefoil, eid) == "closed"
+        assert trefoil.curve_of(eid) == "closed"
     # an edge adjacent to a branch point lies on an open curve
-    assert curve_of(trefoil, "open1.3") == "open1"
+    assert trefoil.curve_of("open1.3") == "open1"
     assert trefoil.curves_by_id["open1"].kind is CurveKind.OPEN
     with pytest.raises(UnknownIdError):
-        curve_of(trefoil, "missing")
+        trefoil.curve_of("missing")
 
 
 def test_opposition_along_traced_curves(trefoil):
@@ -211,8 +210,7 @@ def test_generator_circles_only():
 def test_rebuilt_rejects_a_double_claimed_slot(r2):
     r2.curves
     extra = Arc("X", TripleSlot("T1", 0, "a"), BranchRef("Bx"))
-    child = r2.rebuilt(r2.triple_points, [*r2.branch_points, BranchPoint("Bx")],
-                       [*r2.edges, extra], r2.disks)
+    child = r2.rebuilt((), [BranchPoint("Bx"), extra])
     with pytest.raises(StructuralError, match=r"T:T1\.0\.a is claimed by multiple"):
         child.curves
     assert "slot-conflict" in {v.code for v in validate(child).violations}
@@ -220,8 +218,7 @@ def test_rebuilt_rejects_a_double_claimed_slot(r2):
 
 def test_rebuilt_rejects_a_deleted_triples_claimed_slot(r2):
     r2.curves
-    child = r2.rebuilt([t for t in r2.triple_points if t.id != "T1"],
-                       r2.branch_points, r2.edges, r2.disks)
+    child = r2.rebuilt([r2.triples_by_id["T1"]], ())
     with pytest.raises(StructuralError, match=r"T:T1\.0\.a of a deleted point"):
         child.slot_index
     assert "dangling-ref" in {v.code for v in validate(child).violations}
@@ -231,6 +228,19 @@ def test_rebuilt_from_a_malformed_parent_indexes_afresh(r2):
     broken = SingularityComplex.build(r2.triple_points, r2.branch_points,
                                       [e for e in r2.edges if e.id != "s1"])
     assert not validate(broken).ok
-    fixed = broken.rebuilt(r2.triple_points, r2.branch_points, r2.edges)
+    fixed = broken.rebuilt((), [r2.edges_by_id["s1"]])
     assert fixed.slot_index == r2.slot_index
     assert fixed.curves == r2.curves
+
+
+def test_rebuilt_rejects_an_edit_removing_what_the_complex_lacks(r2):
+    s1 = r2.edges_by_id["s1"]
+    for removed in ([Circle("s1")], [s1._replace(end2=TripleSlot("T2", 0, "a"))],
+                    [BranchPoint("Bx")], [s1, s1]):
+        with pytest.raises(StructuralError, match=r"the edit removes"):
+            r2.rebuilt(removed, ())
+
+
+def test_rebuilt_rejects_an_added_id_that_survives(r2):
+    with pytest.raises(StructuralError, match=r"duplicate edge id 's1'"):
+        r2.rebuilt((), [Circle("s1")])

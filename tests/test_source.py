@@ -16,10 +16,10 @@ def test_no_assert_statements_in_the_package():
     assert SOURCES and not found, found
 
 
-# modules every scan or read command loads: each of these imports at module
-# level costs every command its start-up time
+# modules the scan, read and apply commands load: each of these imports at
+# module level costs those commands their start-up time
 START_UP_MODULES = ("cli", "errors", "formats", "singularity", "canonical",
-                    "crossing", "explorer")
+                    "crossing", "explorer", "moves")
 HEAVY_IMPORTS = {"dataclasses", "logging", "random"}
 
 
