@@ -33,15 +33,21 @@ def _read(path: str) -> str:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_document(path: str):
-    from .formats import parse_skd_document
-
+def _parsed(path: str, parse, **kw):
+    """``parse`` of the file's text; its diagnostics print as
+    ``path:line:col: message``, and the command exits 2."""
     try:
-        return parse_skd_document(_read(path))
+        return parse(_read(path), **kw)
     except ParseError as exc:
         for line, col, message in exc.diagnostics:
             print(f"{path}:{line}:{col}: {message}", file=sys.stderr)
         raise SystemExit(ERROR) from exc
+
+
+def _load_document(path: str):
+    from .formats import parse_skd_document
+
+    return _parsed(path, parse_skd_document)
 
 
 def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
@@ -102,13 +108,7 @@ def _cmd_validate(args) -> int:
 
     # syntax problems are input errors (exit 2); a parseable complex that
     # violates invariants is a false verdict (exit 1)
-    try:
-        doc = parse_skd_document(_read(args.skd), check=False)
-    except ParseError as exc:
-        for line, col, message in exc.diagnostics:
-            print(f"{args.skd}:{line}:{col}: {message}", file=sys.stderr)
-        return ERROR
-    report = validate(doc.complex)
+    report = validate(_parsed(args.skd, parse_skd_document, check=False).complex)
     _emit(args,
           {"command": "validate", "ok": report.ok,
            "diagnostics": [{"code": v.code, "message": v.message}
@@ -197,7 +197,7 @@ def _cmd_apply(args) -> int:
     from .moves import apply_sequence
 
     cx = _load_document(args.skd).complex
-    moves = parse_skm(_read(args.skm))
+    moves = _parsed(args.skm, parse_skm)
     gamma = _resolve_gamma(cx, args.gamma)
     result = apply_sequence(cx, gamma, moves)
     trail = [{"index": t.index, "kind": t.kind, "fingerprint": t.fingerprint,
@@ -346,10 +346,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else ERROR
-    except ParseError as exc:
-        for line, col, message in exc.diagnostics:
-            print(f"{line}:{col}: {message}", file=sys.stderr)
-        return ERROR
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -28,7 +28,7 @@ import re
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, UnknownIdError
 from .singularity import (
     Arc,
     BranchPoint,
@@ -52,29 +52,6 @@ _ID = r"[A-Za-z0-9_.+-]+"
 _ID_RE = re.compile(_ID + r"\Z")
 
 ORACLE_VERDICTS = ("trivial", "nontrivial")
-
-# One full-line pattern per `.skd` record kind, matched against a line
-# without its comment and trailing whitespace: it decides whether the line
-# is well formed and yields its fields. ``\s`` is the whitespace str.split
-# splits on; ``(?ai:...)`` ignores ASCII case only, as ``str.lower`` does
-# for these words. A triple id in an endpoint may contain dots: the line
-# and slot are the last two dot-separated fields.
-_END = rf"(?:B:({_ID})|T:({_ID})\.([012])\.([ab]))"
-_LINE_TYPE = r"(?ai:(bm|bt|mt))"
-_LEVEL = r"(?ai:(upper|lower))(?!\S)"
-_SKD_RECORDS = {kind: re.compile(rf"\s*{kind}{body}\Z") for kind, body in {
-    "triple": rf"\s+({_ID})\s+lines={_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE}",
-    "branch": rf"\s+({_ID})",
-    "edge": rf"\s+({_ID})\s+{_END}\s+{_END}",
-    "circle": rf"\s+({_ID})",
-    # five key=value tokens in any order, each key present: so each once
-    "disk": rf"\s+({_ID})(?=.*\se1=(\S*))(?=.*\se2=(\S*))"
-            rf"(?=.*\spair=(?ai:(cross|parallel))(?!\S))"
-            rf"(?=.*\slevel1={_LEVEL})(?=.*\slevel2={_LEVEL})"
-            r"(?:\s+(?:e1|e2|pair|level1|level2)=\S*){5}",
-    # a fingerprint is a SHA-256 digest: 64 lowercase hex digits
-    "oracle": r"\s+([0-9a-f]{64})\s+(trivial|nontrivial)",
-}.items()}
 
 _LINE_TYPES = {lt.value: lt for lt in LineType}
 _LINE_INDEX = {"0": 0, "1": 1, "2": 2}
@@ -114,22 +91,20 @@ def _column_of(line_text: str, token: str) -> int:
 
 def _endpoint_error(token: str) -> str | None:
     if token.startswith("B:"):
-        if not _ID_RE.match(token[2:]):
-            return f"bad branch id in endpoint {token!r}"
-        return None
-    if token.startswith("T:"):
-        parts = token[2:].rsplit(".", 2)
-        if len(parts) != 3:
-            return f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>"
-        tid, line_s, slot = parts
-        if not _ID_RE.match(tid):
-            return f"bad triple point id in endpoint {token!r}"
-        if line_s not in ("0", "1", "2"):
-            return f"endpoint {token!r}: line index must be 0, 1 or 2"
-        if slot not in ("a", "b"):
-            return f"endpoint {token!r}: slot must be a or b"
-        return None
-    return f"endpoint {token!r} must start with B: or T:"
+        return None if _ID_RE.match(token[2:]) else f"bad branch id in endpoint {token!r}"
+    if not token.startswith("T:"):
+        return f"endpoint {token!r} must start with B: or T:"
+    parts = token[2:].rsplit(".", 2)
+    if len(parts) != 3:
+        return f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>"
+    tid, line_s, slot = parts
+    if not _ID_RE.match(tid):
+        return f"bad triple point id in endpoint {token!r}"
+    if line_s not in ("0", "1", "2"):
+        return f"endpoint {token!r}: line index must be 0, 1 or 2"
+    if slot not in ("a", "b"):
+        return f"endpoint {token!r}: slot must be a or b"
+    return None
 
 
 def _parse_kv(tokens: list[str]):
@@ -145,76 +120,90 @@ def _parse_kv(tokens: list[str]):
     return out, None
 
 
+def _triple_fields(line: str, args: list[str]):
+    type_tokens = args[1][len("lines="):].split(",")
+    bad = [tok for tok in type_tokens if tok.lower() not in _LINE_TYPES]
+    for tok in bad:
+        yield _column_of(line, tok), f"unknown line type {tok!r} (expected bm, bt or mt)"
+    if len(type_tokens) - len(bad) != 3:
+        yield 1, "a triple point has exactly three lines"
+
+
+def _edge_fields(line: str, args: list[str]):
+    for tok in args[1:]:
+        if err := _endpoint_error(tok):
+            yield _column_of(line, tok), err
+
+
+def _disk_fields(line: str, args: list[str]):
+    kv, bad = _parse_kv(args[1:])
+    if bad is not None:
+        yield _column_of(line, bad), f"bad or repeated key=value token {bad!r}"
+        return
+    required = {"e1", "e2", "pair", "level1", "level2"}
+    parts = [f"{word} {', '.join(sorted(keys))}" for word, keys in
+             (("missing", required - set(kv)), ("unknown", set(kv) - required)) if keys]
+    if parts:
+        yield 1, "disk record: " + "; ".join(parts)
+        return
+    try:
+        Pairing(kv["pair"].lower())
+        Level(kv["level1"].lower())
+        Level(kv["level2"].lower())
+    except ValueError as exc:
+        yield 1, f"disk record: {exc}"
+
+
+# The grammar of each `.skd` record kind, written once. Its full-line
+# pattern (after the keyword; the line without its comment and trailing
+# whitespace) alone accepts a line and yields its fields. To word why a
+# line is rejected: a test of the token count and shape, the usage message
+# when it fails, and the field checks. ``\s`` is the whitespace str.split
+# splits on; ``(?ai:...)`` ignores ASCII case only, as ``str.lower`` does.
+# In an endpoint, the line and slot are the last two dot-separated fields.
+_END = rf"(?:B:({_ID})|T:({_ID})\.([012])\.([ab]))"
+_LINE_TYPE = r"(?ai:(bm|bt|mt))"
+_LEVEL = r"(?ai:(upper|lower))(?!\S)"
+_RULES = {
+    "triple": (rf"\s+({_ID})\s+lines={_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE}",
+               lambda args: len(args) == 2 and args[1].startswith("lines="),
+               "triple record needs: triple <id> lines=<t>,<t>,<t>", _triple_fields),
+    "branch": (rf"\s+({_ID})", lambda args: len(args) == 1,
+               "branch record needs: branch <id>", lambda line, args: ()),
+    "edge": (rf"\s+({_ID})\s+{_END}\s+{_END}", lambda args: len(args) == 3,
+             "edge record needs: edge <id> <endpoint> <endpoint>", _edge_fields),
+    "circle": (rf"\s+({_ID})", lambda args: len(args) == 1,
+               "circle record needs: circle <id>", lambda line, args: ()),
+    # five key=value tokens in any order, each key present: so each once
+    "disk": (rf"\s+({_ID})(?=.*\se1=(\S*))(?=.*\se2=(\S*))"
+             rf"(?=.*\spair=(?ai:(cross|parallel))(?!\S))"
+             rf"(?=.*\slevel1={_LEVEL})(?=.*\slevel2={_LEVEL})"
+             r"(?:\s+(?:e1|e2|pair|level1|level2)=\S*){5}",
+             lambda args: len(args) >= 1, "disk record needs an id", _disk_fields),
+    # a fingerprint is a SHA-256 digest: 64 lowercase hex digits
+    "oracle": (r"\s+([0-9a-f]{64})\s+(trivial|nontrivial)",
+               lambda args: len(args) == 2 and args[1] in ORACLE_VERDICTS,
+               "oracle record needs: oracle <fingerprint> trivial|nontrivial",
+               lambda line, args: [(_column_of(line, args[0]), f"oracle fingerprint "
+                                    f"{args[0]!r} is not 64 lowercase hex digits")]),
+}
+_SKD_RECORDS = {kind: re.compile(rf"\s*{kind}{rule[0]}\Z") for kind, rule in _RULES.items()}
+
+
 def _rejections(line: str):
-    """Why a `.skd` line fails its record pattern: (column, message) for
-    each problem the token checks find, in the order they meet them."""
+    """Why a `.skd` line fails its record pattern, as (column, message)
+    pairs: its usage when its tokens have the wrong count or shape, else
+    the problems its field checks find, in order, else a bad id."""
     record, *args = line.split()
-    if record == "triple":
-        if len(args) != 2 or not args[1].startswith("lines="):
-            yield 1, "triple record needs: triple <id> lines=<t>,<t>,<t>"
-            return
-        type_tokens = args[1][len("lines="):].split(",")
-        bad = [tok for tok in type_tokens if tok.lower() not in _LINE_TYPES]
-        for tok in bad:
-            yield (_column_of(line, tok),
-                   f"unknown line type {tok!r} (expected bm, bt or mt)")
-        if len(type_tokens) - len(bad) != 3:
-            yield 1, "a triple point has exactly three lines"
-        elif not bad:
-            yield from _id_rejection(args[0], line)
-    elif record in ("branch", "circle"):
-        if len(args) != 1:
-            yield 1, f"{record} record needs: {record} <id>"
-        else:
-            yield from _id_rejection(args[0], line)
-    elif record == "edge":
-        if len(args) != 3:
-            yield 1, "edge record needs: edge <id> <endpoint> <endpoint>"
-            return
-        errors = [(_column_of(line, tok), err) for tok in args[1:]
-                  if (err := _endpoint_error(tok))]
-        yield from errors or _id_rejection(args[0], line)
-    elif record == "disk":
-        if not args:
-            yield 1, "disk record needs an id"
-            return
-        kv, bad = _parse_kv(args[1:])
-        if bad is not None:
-            yield (_column_of(line, bad),
-                   f"bad or repeated key=value token {bad!r}")
-            return
-        required = {"e1", "e2", "pair", "level1", "level2"}
-        missing = sorted(required - set(kv))
-        extra = sorted(set(kv) - required)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append("missing " + ", ".join(missing))
-            if extra:
-                parts.append("unknown " + ", ".join(extra))
-            yield 1, "disk record: " + "; ".join(parts)
-            return
-        try:
-            Pairing(kv["pair"].lower())
-            Level(kv["level1"].lower())
-            Level(kv["level2"].lower())
-        except ValueError as exc:
-            yield 1, f"disk record: {exc}"
-            return
-        yield from _id_rejection(args[0], line)
-    elif record == "oracle":
-        if len(args) != 2 or args[1] not in ORACLE_VERDICTS:
-            yield 1, "oracle record needs: oracle <fingerprint> trivial|nontrivial"
-        else:
-            yield (_column_of(line, args[0]),
-                   f"oracle fingerprint {args[0]!r} is not 64 lowercase hex digits")
-    else:
-        yield 1, f"unknown record kind {record!r}"
-
-
-def _id_rejection(rid: str, line: str):
-    if not _ID_RE.match(rid):
-        yield _column_of(line, rid), f"bad id {rid!r}"
+    if record not in _RULES:
+        return [(1, f"unknown record kind {record!r}")]
+    _, shape, usage, fields = _RULES[record]
+    if not shape(args):
+        return [(1, usage)]
+    problems = list(fields(line, args))
+    if not problems and not _ID_RE.match(args[0]):
+        problems.append((_column_of(line, args[0]), f"bad id {args[0]!r}"))
+    return problems
 
 
 def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
@@ -223,11 +212,8 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     Raises ParseError with all diagnostics when the text does not describe
     a well-formed complex. With ``check=False`` only syntax and duplicate
     ids are diagnosed and the (possibly invalid) complex is returned, so a
-    caller can run and report validation itself.
-
-    A record is accepted only by its kind's pattern, and built from the
-    pattern's groups; the token checks of ``_rejections`` only word the
-    diagnostics of a line the pattern rejects.
+    caller can run and report validation itself. A record is built from
+    the groups of its kind's pattern (see ``_RULES``).
     """
     col = _Collector()
     triples: list[TriplePoint] = []
@@ -258,7 +244,7 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
             if m is None:
                 # the token checks explain every rejection; a line they pass
                 # would be a gap in the patterns, and is still rejected
-                for column, message in (list(_rejections(line))
+                for column, message in (_rejections(line)
                                         or [(1, f"malformed {record} record")]):
                     col.error(lineno, column, message)
             elif record == "edge":
@@ -444,7 +430,7 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
         tokens = line.split()
         try:
             name = normalize_kind_token(tokens[0])
-        except Exception:
+        except UnknownIdError:
             col.error(lineno, 1, f"unknown move kind token {tokens[0]!r}")
             continue
         if name in FORBIDDEN_KINDS:

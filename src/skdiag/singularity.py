@@ -280,17 +280,18 @@ class SingularityComplex(_ComplexRecords):
                 self.disks)
 
     @cached_property
-    def _claims(self) -> tuple[dict, str | None]:
+    def _claims(self) -> tuple[dict, tuple[Violation, ...]]:
         """The endpoint index, mapping each endpoint to the (edge id, end
         index) attached there (a contested one to the list of all its
-        claims), and the first structural problem met building it. A
-        complex built by ``rebuilt`` from a well-formed parent patches the
-        parent's index by the arcs removed and added; any other complex
-        claims every arc end afresh."""
+        claims), and the structural violations met building it, in
+        validate's order. A complex built by ``rebuilt`` from a well-formed
+        parent patches the parent's index by the arcs removed and added,
+        and claims every arc end afresh only when the patched index breaks
+        a rule, so that its report is complete."""
         lineage = self.__dict__.get("lineage")
         parent = lineage.views.pop("_claims", None) if lineage else None
-        index, added, dead = {}, self.arcs, ()
-        if parent is not None and parent[1] is None:
+        every = 6 * len(self.triple_points) + len(self.branch_points)
+        if parent is not None and not parent[1]:
             index = dict(parent[0])
             removed, added = lineage.edits[ARCS]
             for arc in removed:
@@ -298,24 +299,26 @@ class SingularityComplex(_ComplexRecords):
             dead = endpoints(
                 [t for t in lineage.edits[TRIPLES][0] if t.id not in self.triples_by_id],
                 [b for b in lineage.edits[BRANCHES][0] if b.id not in self.branches_by_id])
-        problem = _claim(self, added, index) or next(
-            (f"endpoint {ref} of a deleted point is still claimed by edge "
-             f"{index[ref][0]}" for ref in dead if ref in index), None)
-        every = 6 * len(self.triple_points) + len(self.branch_points)
-        if problem is None and len(index) != every:
-            problem = next(f"endpoint {ref} is unused" for ref in
-                           endpoints(self.triple_points, self.branch_points)
-                           if ref not in index)
-        return index, problem
+            # with every key a real endpoint, a full index of one claim per
+            # arc end is one with each endpoint claimed once
+            if (not _claim(self, added, index) and len(index) == every == 2 * len(self.arcs)
+                    and not any(ref in index for ref in dead)):
+                return index, ()
+        index = {}
+        violations = _claim(self, self.arcs, index)
+        if violations or not len(index) == every == 2 * len(self.arcs):
+            violations.extend(_coverage_violations(self, index))
+        return index, tuple(violations)
 
     @property
     def slot_index(self) -> dict[EndpointRef, tuple[str, int]]:
         """The (edge id, end index) attached at each endpoint. Raises
-        StructuralError naming the first broken reference, contested
-        endpoint or unused endpoint of a malformed complex."""
-        index, problem = self._claims
-        if problem is not None:
-            raise StructuralError(problem)
+        StructuralError with the message of validate's first broken
+        reference, self-slot, unused or contested endpoint of a malformed
+        complex."""
+        index, violations = self._claims
+        if violations:
+            raise StructuralError(violations[0].message)
         return index
 
     def edge_end_at(self, ref: EndpointRef) -> tuple[str, int]:
@@ -394,24 +397,30 @@ def endpoints(triples, branches):
     yield from (BranchRef(b.id) for b in branches)
 
 
-def _claim(cx: SingularityComplex, arcs, index: dict) -> str | None:
-    """Claim both ends of each arc in ``index``. Returns the first broken
-    reference or contested endpoint met, or None; a contested endpoint
-    keeps the list of all its claims."""
+def _claim(cx: SingularityComplex, arcs, index: dict) -> list[Violation]:
+    """Claim both ends of each arc in ``index``, a contested endpoint
+    keeping the list of all its claims. Returns the broken references and
+    self-slots met, in arc order."""
     triples, branches = cx.triples_by_id, cx.branches_by_id
-    problem = None
+    violations = []
     for arc in arcs:
         for claim, ref in (((arc.id, 0), arc.end1), ((arc.id, 1), arc.end2)):
-            if problem is None and not (
-                    ref.branch_id in branches if type(ref) is BranchRef
+            if not (ref.branch_id in branches if type(ref) is BranchRef
                     else ref.triple_id in triples and ref.line in (0, 1, 2)
                     and ref.slot in ("a", "b")):
-                problem = f"edge {arc.id} references broken endpoint {ref}"
+                what = (f"unknown branch point {ref.branch_id!r}" if type(ref) is BranchRef
+                        else f"unknown triple point {ref.triple_id!r}"
+                        if ref.triple_id not in triples else f"bad slot {ref}")
+                violations.append(Violation("dangling-ref", f"edge {arc.id}: {what}",
+                                            (("edge", arc.id),)))
             prev = index.setdefault(ref, claim)
             if prev is not claim:
                 index[ref] = [*prev, claim] if type(prev) is list else [prev, claim]
-                problem = problem or f"endpoint {ref} is claimed by multiple edges"
-    return problem
+                if claim[1] and arc.end1 == ref:
+                    violations.append(Violation(
+                        "self-slot", f"edge {arc.id} uses endpoint {ref} twice",
+                        (("edge", arc.id),)))
+    return violations
 
 
 def _line_type_violations(cx: SingularityComplex):
@@ -425,30 +434,7 @@ def _line_type_violations(cx: SingularityComplex):
             )
 
 
-def _reference_violations(cx: SingularityComplex):
-    for arc in cx.arcs:
-        subject = (("edge", arc.id),)
-        for ref in arc.ends:
-            if isinstance(ref, BranchRef):
-                if ref.branch_id not in cx.branches_by_id:
-                    yield Violation("dangling-ref",
-                                    f"edge {arc.id}: unknown branch point "
-                                    f"{ref.branch_id!r}", subject)
-            else:
-                if ref.triple_id not in cx.triples_by_id:
-                    yield Violation("dangling-ref",
-                                    f"edge {arc.id}: unknown triple point "
-                                    f"{ref.triple_id!r}", subject)
-                elif not (0 <= ref.line <= 2 and ref.slot in ("a", "b")):
-                    yield Violation("dangling-ref",
-                                    f"edge {arc.id}: bad slot {ref}", subject)
-        if arc.end1 == arc.end2:
-            yield Violation("self-slot",
-                            f"edge {arc.id} uses endpoint {arc.end1} twice", subject)
-
-
-def _coverage_violations(cx: SingularityComplex):
-    index = cx._claims[0]
+def _coverage_violations(cx: SingularityComplex, index: dict):
     for ref in endpoints(cx.triple_points, cx.branch_points):
         claim = index.get(ref)
         users = ([] if claim is None else [e for e, _ in claim]
@@ -481,22 +467,17 @@ def _disk_violations(cx: SingularityComplex):
 def validate(cx: SingularityComplex) -> ValidationReport:
     """Report every violated structural invariant; empty report iff well-formed.
 
-    Checks slot and branch-point coverage, line-type bijections, dangling
-    references, the counting identity 2|arcs| = 6|T| + |B|, and disk edge
-    references. Violations are report entries, never exceptions. The
-    reference, coverage and counting checks read the slot index, and hold
-    without further work when building it met no problem.
+    Checks line-type bijections, then the slot index's broken references,
+    self-slots and slot and branch-point coverage, then disk edge
+    references, then the counting identity 2|arcs| = 6|T| + |B|, which
+    holds without further work when the slot index met no problem.
+    Violations are report entries, never exceptions.
     """
-    malformed = cx._claims[1] is not None
-    violations = []
-    violations.extend(_line_type_violations(cx))
-    if malformed:
-        violations.extend(_reference_violations(cx))
-        violations.extend(_coverage_violations(cx))
-    violations.extend(_disk_violations(cx))
+    broken = cx._claims[1]
+    violations = [*_line_type_violations(cx), *broken, *_disk_violations(cx)]
     n_arcs = len(cx.arcs)
     expected = 6 * len(cx.triple_points) + len(cx.branch_points)
-    if malformed and 2 * n_arcs != expected:
+    if broken and 2 * n_arcs != expected:
         violations.append(Violation(
             "counting-identity",
             f"2*|arcs| = {2 * n_arcs} but 6*|triples| + |branches| = {expected}"))
@@ -545,8 +526,8 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
 
     Traversal continues through a triple point on the opposite slot of the
     same line; a curve is open iff both of its ends are branch points.
-    Raises StructuralError (naming the first broken reference, contested or
-    unused endpoint) when the complex is malformed. Under ``rebuilt`` each
+    Raises StructuralError (with validate's first structural violation)
+    when the complex is malformed. Under ``rebuilt`` each
     parent curve that lost no edge is kept, and the walks start only from
     added edges and from the survivors of curves that lost one. Stores the
     edge-to-curve map as ``cx.curve_by_edge``.

@@ -160,6 +160,14 @@ def test_apply_forbidden_script_exits_2(capsys, trefoil_path, tmp_path):
     assert "t-descendent" in err
 
 
+def test_apply_names_the_skm_file_in_its_diagnostics(capsys, trefoil_path, tmp_path):
+    skm = tmp_path / "bad.skm"
+    skm.write_text("R2+ t1=T1 t2=T2\nR1- circle=c nope\n")
+    code, out, err = run(capsys, "apply", trefoil_path, str(skm))
+    assert code == 2 and not out
+    assert err.startswith(f"{skm}:1:1: move R2_PLUS violates the t-descendent condition")
+
+
 def test_apply_failing_step_exits_2(capsys, trefoil_path, tmp_path):
     skm = tmp_path / "bad.skm"
     skm.write_text("R1- circle=missing\n")

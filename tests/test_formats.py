@@ -275,3 +275,64 @@ def test_case_folding_is_ascii_only(value):
     with pytest.raises(ParseError, match="not a valid Pairing"):
         parse_skd(DISK_TEXT + f"disk D e1=E1 e2=E2 pair={value} "
                   "level1=upper level2=upper\n")
+
+
+# one malformed line per `.skd` diagnostic, with the exact (line, column,
+# message) of each diagnostic it gives, in order; the text starts with a
+# comment line, so the first record is on line 2
+ORACLE_FP = "0123456789abcdef" * 4
+GOLDEN_DIAGNOSTICS = [
+    ("triple T1", [(2, 1, "triple record needs: triple <id> lines=<t>,<t>,<t>")]),
+    ("triple T1 lines=bm,bt", [(2, 1, "a triple point has exactly three lines")]),
+    ("triple T1 lines=bm,xx,mt",
+     [(2, 20, "unknown line type 'xx' (expected bm, bt or mt)"),
+      (2, 1, "a triple point has exactly three lines")]),
+    ("triple T1 lines=xx,yy",
+     [(2, 17, "unknown line type 'xx' (expected bm, bt or mt)"),
+      (2, 20, "unknown line type 'yy' (expected bm, bt or mt)"),
+      (2, 1, "a triple point has exactly three lines")]),
+    ("triple T! lines=bm,bt,mt", [(2, 8, "bad id 'T!'")]),
+    ("branch", [(2, 1, "branch record needs: branch <id>")]),
+    ("branch B!", [(2, 8, "bad id 'B!'")]),
+    ("circle C1 C2", [(2, 1, "circle record needs: circle <id>")]),
+    ("circle C!", [(2, 8, "bad id 'C!'")]),
+    ("edge E1 B:B1", [(2, 1, "edge record needs: edge <id> <endpoint> <endpoint>")]),
+    ("  edge E1 B:b! B:B2", [(2, 11, "bad branch id in endpoint 'B:b!'")]),
+    ("edge E1 T:T1 B:B2",
+     [(2, 9, "endpoint 'T:T1' is not of the form T:<id>.<line>.<a|b>")]),
+    ("edge E1 T:T!.0.a B:B2", [(2, 9, "bad triple point id in endpoint 'T:T!.0.a'")]),
+    ("edge E1 T:T1.3.a B:B2",
+     [(2, 9, "endpoint 'T:T1.3.a': line index must be 0, 1 or 2")]),
+    ("edge E1 T:T1.0.c B:B2", [(2, 9, "endpoint 'T:T1.0.c': slot must be a or b")]),
+    ("edge E1 X:T1 B:B2", [(2, 9, "endpoint 'X:T1' must start with B: or T:")]),
+    ("edge E! B:B1 B:B2", [(2, 6, "bad id 'E!'")]),
+    ("disk", [(2, 1, "disk record needs an id")]),
+    ("disk D1 e1=E1 e1=E2", [(2, 15, "bad or repeated key=value token 'e1=E2'")]),
+    ("disk D1 e1=E1 e2=E2 pair=cross level1=upper",
+     [(2, 1, "disk record: missing level2")]),
+    ("disk D1 e1=E1 e2=E2 pair=cross level1=upper level2=upper x=y",
+     [(2, 1, "disk record: unknown x")]),
+    ("disk D1 e1=E1 pair=cross level1=upper level2=upper x=y",
+     [(2, 1, "disk record: missing e2; unknown x")]),
+    ("disk D1 e1=E1 e2=E2 pair=bogus level1=upper level2=upper",
+     [(2, 1, "disk record: 'bogus' is not a valid Pairing")]),
+    ("disk D1 e1=E1 e2=E2 pair=cross level1=up level2=upper",
+     [(2, 1, "disk record: 'up' is not a valid Level")]),
+    ("disk D! e1=E1 e2=E2 pair=cross level1=upper level2=upper", [(2, 6, "bad id 'D!'")]),
+    ("oracle abc trivial",
+     [(2, 8, "oracle fingerprint 'abc' is not 64 lowercase hex digits")]),
+    (f"oracle {ORACLE_FP} maybe",
+     [(2, 1, "oracle record needs: oracle <fingerprint> trivial|nontrivial")]),
+    (f"oracle {ORACLE_FP} trivial\noracle {ORACLE_FP} nontrivial",
+     [(3, 1, f"oracle {ORACLE_FP} is nontrivial here but trivial on line 2")]),
+    ("circle C1\ncircle C1", [(3, 8, "duplicate edge id 'C1' (first defined on line 2)")]),
+    ("frob X", [(2, 1, "unknown record kind 'frob'")]),
+]
+
+
+@pytest.mark.parametrize("text, diagnostics", GOLDEN_DIAGNOSTICS)
+def test_diagnostics_keep_their_wording_columns_and_order(text, diagnostics):
+    for check in (False, True):
+        with pytest.raises(ParseError) as info:
+            parse_skd_document(f"# golden\n{text}\n", check=check)
+        assert info.value.diagnostics == tuple(diagnostics)

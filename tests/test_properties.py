@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skdiag import (
+    Arc,
+    BranchPoint,
     BranchRef,
     DiskDeclaration,
     Level,
@@ -19,6 +21,8 @@ from skdiag import (
     R4Plus,
     R6,
     SingularityComplex,
+    StructuralError,
+    TripleSlot,
     all_curves,
     apply_move,
     apply_with_transport,
@@ -41,6 +45,7 @@ from skdiag.crossing import (
     first_invalid_flip,
     role_permutation,
 )
+from skdiag.singularity import endpoints
 from skdiag.explorer import (
     SizeBudget,
     TrivialityOracle,
@@ -159,6 +164,99 @@ def test_first_invalid_flip_is_the_first_invalid_flip_set(seed, budget, data):
     expected = next((fs for fs in flip_sets(cx, gamma)
                      if not is_valid_flip(fs.flipped_types)), None)
     assert first_invalid_flip(cx, gamma) == expected
+
+
+# -- the structural check ----------------------------------------------------
+
+STRUCTURAL_CODES = {"dangling-ref", "self-slot", "slot-unused", "branch-unused",
+                    "slot-conflict", "branch-conflict"}
+
+
+def damage(cx, data):
+    """An edit (removed, added) that damages ``cx`` one to three times: a
+    dropped arc or point, a point renamed (so the index keeps its size), a
+    new arc from a held endpoint to a new branch point, or an arc end moved
+    to a missing point or slot, to an endpoint another arc end holds, or to
+    the arc's other end."""
+    removed, added = [], []
+    for n in range(data.draw(st.integers(1, 3))):
+        arcs = [a for a in cx.arcs if a not in removed]
+        kind = data.draw(st.sampled_from(["drop", "rename", "extra", "dangle", "share",
+                                          "self"]))
+        if kind == "extra":
+            end = data.draw(st.sampled_from([e for a in cx.arcs for e in a.ends]))
+            added += [BranchPoint(f"new{n}"), Arc(f"new{n}", end, BranchRef(f"new{n}"))]
+            continue
+        if kind in ("drop", "rename") or not arcs:
+            points = [*cx.triple_points, *cx.branch_points]
+            pool = [r for r in (points if kind == "rename" else [*cx.arcs, *points])
+                    if r not in removed]
+            if pool:
+                record = data.draw(st.sampled_from(pool))
+                removed.append(record)
+                if kind == "rename":
+                    added.append(record._replace(id=f"new{n}"))
+            continue
+        arc = data.draw(st.sampled_from(arcs))
+        ends, i = list(arc.ends), data.draw(st.integers(0, 1))
+        if kind == "dangle":
+            some = cx.triple_points[0].id if cx.triple_points else "T"
+            ends[i] = data.draw(st.sampled_from([
+                BranchRef("gone"), TripleSlot("gone", 0, "a"), TripleSlot(some, 3, "a"),
+                TripleSlot(some, 0, "c")]))
+        elif kind == "share":
+            ends[i] = data.draw(st.sampled_from([e for a in cx.arcs for e in a.ends]))
+        else:
+            ends[i] = ends[1 - i]
+        removed.append(arc)
+        added.append(Arc(arc.id, *ends))
+    return removed, added
+
+
+def structural_reference(cx):
+    """The structural violations of ``cx`` as sorted (code, subjects), by
+    brute force: every arc end is one of the complex's endpoints, no arc
+    uses one endpoint twice, and each endpoint is claimed exactly once."""
+    real = list(endpoints(cx.triple_points, cx.branch_points))
+    found = []
+    for arc in cx.arcs:
+        found += [("dangling-ref", (("edge", arc.id),)) for end in arc.ends
+                  if end not in real]
+        if arc.end1 == arc.end2:
+            found.append(("self-slot", (("edge", arc.id),)))
+    for ref in real:
+        users = [arc.id for arc in cx.arcs for end in arc.ends if end == ref]
+        kind, point = (("slot", ("triple", ref.triple_id)) if type(ref) is TripleSlot
+                       else ("branch", ("branch", ref.branch_id)))
+        if not users:
+            found.append((f"{kind}-unused", (point,)))
+        elif len(users) > 1:
+            found.append((f"{kind}-conflict", tuple(("edge", u) for u in users)))
+    return sorted(found)
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_slot_index_raises_exactly_on_the_structural_violations(seed, budget, data):
+    cx = generate_random_complex(seed, budget, disks=1)
+    assume(cx.arcs)
+    removed, added = damage(cx, data)
+    cx.slot_index  # so that the child patches the parent's index
+    child = cx.rebuilt(removed, added)
+    fresh = SingularityComplex.build(child.triple_points, child.branch_points,
+                                     child.edges, child.disks)
+    for damaged in (child, fresh):
+        try:
+            damaged.slot_index
+        except StructuralError:
+            raised = True
+        else:
+            raised = False
+        found = sorted((v.code, v.subjects) for v in validate(damaged).violations
+                       if v.code in STRUCTURAL_CODES)
+        assert found == structural_reference(damaged)
+        assert raised == bool(found)
 
 
 # -- complexes a move derives from their parent -----------------------------

@@ -111,7 +111,7 @@ def test_trace_raises_on_malformed():
     cx = SingularityComplex.build(
         triples=[t], edges=[Arc("E1", TripleSlot("T1", 0, "a"),
                                  TripleSlot("T1", 0, "b"))])
-    with pytest.raises(StructuralError, match="unused"):
+    with pytest.raises(StructuralError, match=r"slot T:T1\.1\.a is not used by any edge"):
         trace_curves(cx)
 
 
@@ -211,7 +211,7 @@ def test_rebuilt_rejects_a_double_claimed_slot(r2):
     r2.curves
     extra = Arc("X", TripleSlot("T1", 0, "a"), BranchRef("Bx"))
     child = r2.rebuilt((), [BranchPoint("Bx"), extra])
-    with pytest.raises(StructuralError, match=r"T:T1\.0\.a is claimed by multiple"):
+    with pytest.raises(StructuralError, match=r"slot T:T1\.0\.a claimed by edges X, s1"):
         child.curves
     assert "slot-conflict" in {v.code for v in validate(child).violations}
 
@@ -219,7 +219,7 @@ def test_rebuilt_rejects_a_double_claimed_slot(r2):
 def test_rebuilt_rejects_a_deleted_triples_claimed_slot(r2):
     r2.curves
     child = r2.rebuilt([r2.triples_by_id["T1"]], ())
-    with pytest.raises(StructuralError, match=r"T:T1\.0\.a of a deleted point"):
+    with pytest.raises(StructuralError, match="edge s1: unknown triple point 'T1'"):
         child.slot_index
     assert "dangling-ref" in {v.code for v in validate(child).violations}
 

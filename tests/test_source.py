@@ -44,3 +44,15 @@ def test_start_up_modules_import_nothing_heavy_at_module_level():
                  ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))))
              for name in START_UP_MODULES}
     assert not any(heavy.values()), heavy
+
+
+def test_no_handler_catches_every_exception():
+    # a bare except, Exception or BaseException would also swallow the
+    # package's own bugs; each handler names the errors it expects
+    broad = {"Exception", "BaseException"}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ExceptHandler)
+             and (node.type is None or any(
+                 isinstance(n, ast.Name) and n.id in broad for n in ast.walk(node.type)))]
+    assert SOURCES and not found, found
