@@ -8,11 +8,9 @@ Oracle annotations are not part of the complex and never enter the
 fingerprint.
 """
 
-from bisect import bisect_left
 from itertools import chain
-from operator import attrgetter
 
-from .singularity import DescendentDisk, SingularityComplex, TriplePoint
+from .singularity import DescendentDisk, SingularityComplex, TriplePoint, patched
 
 
 def triple_line(t: TriplePoint) -> str:
@@ -30,33 +28,23 @@ LINE_FORMATS = (triple_line, lambda b: f"branch {b.id}\n",
                 lambda e: f"edge {e.id} {e.end1} {e.end2}\n",
                 lambda e: f"circle {e.id}\n", disk_line)
 
-BY_ID = attrgetter("id")
-
 
 def canonical_lines(cx: SingularityComplex) -> list:
     """The canonical lines of each record kind, in text order. A complex
     built by ``rebuilt`` keeps them, patching its parent's lines by the
-    edit that made it: a removed record's line goes, an added one's is
-    placed by its id. Any other complex formats every record on each call
-    and keeps nothing."""
+    edit that made it (a kind the edit leaves alone keeps its parent's
+    tuple). Any other complex formats every record on each call."""
     lines = vars(cx).get("canonical_lines")
     if lines is not None:
         return lines
     lineage = vars(cx).get("lineage")
     parent = lineage.views.pop("canonical_lines", None) if lineage else None
-    lines = []
-    for kind, (records, fmt) in enumerate(zip(cx.kinds, LINE_FORMATS)):
-        if parent is None:
-            lines.append(tuple(map(fmt, records)))
-            continue
-        removed, added = lineage.edits[kind]
-        patched = list(parent[kind])
-        for pos in sorted((bisect_left(lineage.records[kind], r.id, key=BY_ID)
-                           for r in removed), reverse=True):
-            del patched[pos]
-        for r in sorted(added, key=BY_ID):
-            patched.insert(bisect_left(records, r.id, key=BY_ID), fmt(r))
-        lines.append(tuple(patched))
+    if parent is None:
+        lines = [tuple(map(fmt, records)) for records, fmt in zip(cx.kinds, LINE_FORMATS)]
+    else:
+        lines = [patched(own, removed, added, fmt, records)
+                 for own, records, (removed, added), fmt
+                 in zip(parent, lineage.records, lineage.edits, LINE_FORMATS)]
     if lineage is not None:
         vars(cx)["canonical_lines"] = lines
     return lines

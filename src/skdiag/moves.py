@@ -185,12 +185,13 @@ class _Outcome(NamedTuple):
     new_curve_ids: tuple[str, ...] = ()  # curves of newborn/respliced edges
 
 
-def _fresh_id(base: str, taken: set[str]) -> str:
+def _fresh_id(cx: SingularityComplex, base: str, minted: set[str]) -> str:
+    """The first ``base.n`` neither an edge of ``cx`` nor in ``minted``, added to it."""
     n = 1
-    while f"{base}.{n}" in taken:
+    while f"{base}.{n}" in cx.edges_by_id or f"{base}.{n}" in minted:
         n += 1
     fid = f"{base}.{n}"
-    taken.add(fid)
+    minted.add(fid)
     return fid
 
 
@@ -230,7 +231,7 @@ def _validate_disk_declaration(cx: SingularityComplex, decl: DiskDeclaration,
 
 def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
                   dead_edges: set[str], splice: tuple[SplicePair, ...],
-                  taken: set[str]):
+                  minted: set[str]):
     """Reconnect surviving edge stubs at deleted triple points.
 
     Returns (new edges, descent map, reversed-orientation edge set). Every
@@ -294,7 +295,7 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
         visited.update(ids)
         base = min(ids)
         if closed:
-            new_id = _fresh_id(base, taken)
+            new_id = _fresh_id(cx, base, minted)
             new_edges.append(Circle(new_id))
             for eid in ids:
                 descent[eid] = new_id
@@ -309,7 +310,7 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
                      "splice", f"chain {base} ends on an edge that is not an arc")
             start = first_edge.end1 if chain[0][1] else first_edge.end2
             stop = last_edge.end2 if chain[-1][1] else last_edge.end1
-            new_id = _fresh_id(base, taken)
+            new_id = _fresh_id(cx, base, minted)
             new_edges.append(Arc(new_id, start, stop))
             for eid, f in chain:
                 descent[eid] = new_id
@@ -384,8 +385,7 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     dead_edges: set[str] = set()
     for cid in dead_curves:
         dead_edges.update(cx.curves_by_id[cid].edges)
-    taken = set(cx.edges_by_id)
-    new_edges, descent, rev = _merge_chains(cx, dead_triples, dead_edges, splice, taken)
+    new_edges, descent, rev = _merge_chains(cx, dead_triples, dead_edges, splice, set())
     for eid in dead_edges:
         descent[eid] = None
     old_disks, new_disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
@@ -568,12 +568,12 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
                      "disk-entangled",
                      f"disk {other.id} also references an operated edge; "
                      "the exchanged halves cannot be attributed")
-    taken = set(cx.edges_by_id)
+    minted: set[str] = set()
     if isinstance(e1, Arc) and isinstance(e2, Arc):
         cross = disk.pair is Pairing.CROSS
-        n1 = Arc(_fresh_id(e1.id, taken), e1.end1,
+        n1 = Arc(_fresh_id(cx, e1.id, minted), e1.end1,
                  e2.end2 if cross else e2.end1)
-        n2 = Arc(_fresh_id(e2.id, taken), e1.end2,
+        n2 = Arc(_fresh_id(cx, e2.id, minted), e1.end2,
                  e2.end1 if cross else e2.end2)
         dual = DescendentDisk(disk.id, n1.id, n2.id, Pairing.PARALLEL,
                               disk.level1, disk.level2)
@@ -584,7 +584,7 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
         # fuse into one; the dual disk would touch that edge twice and is
         # not representable, so it is dropped
         base = min(e1.id, e2.id)
-        new_id = _fresh_id(base, taken)
+        new_id = _fresh_id(cx, base, minted)
         if isinstance(e1, Arc) or isinstance(e2, Arc):
             arc = e1 if isinstance(e1, Arc) else e2
             fused: Arc | Circle = Arc(new_id, arc.end1, arc.end2)

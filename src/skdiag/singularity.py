@@ -11,6 +11,7 @@ opposite slots of the same line. Tracing yields a partition of the edge set;
 all higher operations (crossing changes, moves) are defined on top of it.
 """
 
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -207,14 +208,13 @@ class SingularityComplex(_ComplexRecords):
 
     @classmethod
     def build(cls, triples=(), branches=(), edges=(), disks=()) -> "SingularityComplex":
-        by_id = attrgetter("id")
-        triples = tuple(sorted(triples, key=by_id))
-        branches = tuple(sorted(branches, key=by_id))
-        edges = tuple(sorted(edges, key=by_id))
-        disks = tuple(sorted(disks, key=by_id))
+        triples = tuple(sorted(triples, key=BY_ID))
+        branches = tuple(sorted(branches, key=BY_ID))
+        edges = tuple(sorted(edges, key=BY_ID))
+        disks = tuple(sorted(disks, key=BY_ID))
         for kind, items in (("triple point", triples), ("branch point", branches),
                             ("edge", edges), ("disk", disks)):
-            if len(set(map(by_id, items))) != len(items):
+            if len(set(map(BY_ID, items))) != len(items):
                 dup = next(a.id for a, b in zip(items, items[1:]) if a.id == b.id)
                 raise StructuralError(f"duplicate {kind} id {dup!r}")
         return cls(triples, branches, edges, disks)
@@ -224,27 +224,40 @@ class SingularityComplex(_ComplexRecords):
         return cls.build()
 
     def rebuilt(self, removed=(), added=()) -> "SingularityComplex":
-        """The complex an edit makes of this one: its records less the
-        ``removed`` ones, plus the ``added`` ones. It inherits the slot
-        index, curves and canonical lines this one has computed, patched by
-        the edit. Raises StructuralError when the edit removes a record this
-        complex does not hold, or one record twice."""
-        edits = tuple(([], []) for _ in KIND_OF)
+        """This complex's records less the ``removed`` ones, plus the ``added``
+        ones, at the edit's cost: every view this one has computed is handed
+        on, patched by the edit if it covers an edited kind (the slot index,
+        curves, curve maps and lines on first use). Raises StructuralError when
+        the edit removes a record this complex lacks or one record twice, or
+        adds an id a survivor or another added record has."""
+        edits, gone = tuple(([], []) for _ in KIND_OF), set()
         for record in removed:
             kind = KIND_OF[type(record)]
             if getattr(self, HELD_IN[kind]).get(record.id) != record:
                 raise StructuralError(f"the edit removes {type(record).__name__} "
                                       f"{record.id!r}, which the complex does not hold")
             edits[kind][0].append(record)
+            gone.add((HELD_IN[kind], record.id))
         for record in added:
             edits[KIND_OF[type(record)]][1].append(record)
-        triples, branches, arcs, circles, disks = edits
-        child = self.build(_edited(self.triple_points, triples),
-                           _edited(self.branch_points, branches),
-                           _edited(self.edges, arcs, circles), _edited(self.disks, disks))
-        child.__dict__["lineage"] = Lineage(
-            self.kinds, {k: v for k, v in self.__dict__.items() if k in Lineage.VIEWS},
-            edits)
+        if len(gone) != sum(len(out) for out, _ in edits):
+            raise StructuralError("the edit removes a record twice")
+        kinds, records = self.kinds, []
+        views = {name: patched(kinds[k], *edits[k])
+                 for name, k in (("arcs", ARCS), ("circles", CIRCLES))}
+        for name, by_id, held_kinds, noun in TABLES:
+            out, into = ([r for k in held_kinds for r in edits[k][side]] for side in (0, 1))
+            new = sorted(r.id for r in into)
+            dups = [a for a, b in zip(new, new[1:]) if a == b] + [
+                i for i in new if i in getattr(self, by_id) and (by_id, i) not in gone]
+            if dups:
+                raise StructuralError(f"duplicate {noun} id {min(dups)!r}")
+            records.append(patched(getattr(self, name), out, into))
+            if by_id in vars(self):
+                views[by_id] = patched(vars(self)[by_id], out, into)
+        child = type(self)(*records)
+        vars(child).update(views, lineage=Lineage(
+            kinds, {k: v for k, v in vars(self).items() if k in Lineage.VIEWS}, edits))
         return child
 
     # -- indexed views -------------------------------------------------
@@ -325,6 +338,8 @@ class SingularityComplex(_ComplexRecords):
         """The unique (edge id, end index) attached at ``ref``."""
         claim = self.slot_index.get(ref)
         if claim is None:
+            if type(ref) is TripleSlot and ref.triple_id not in self.triples_by_id:
+                raise UnknownIdError(f"unknown triple point {ref.triple_id!r}")
             raise StructuralError(f"endpoint {ref} is unused")
         return claim
 
@@ -336,7 +351,8 @@ class SingularityComplex(_ComplexRecords):
 
     @cached_property
     def curves_by_id(self) -> dict[str, DoubleCurve]:
-        return {c.id: c for c in self.curves}
+        self.curves  # trace_curves stores the map it patches, if any
+        return vars(self).get("curves_by_id") or {c.id: c for c in self.curves}
 
     @cached_property
     def curve_by_edge(self) -> dict[str, str]:
@@ -359,32 +375,52 @@ class SingularityComplex(_ComplexRecords):
 #: indices of the record kinds in SingularityComplex.kinds
 TRIPLES, BRANCHES, ARCS, CIRCLES, DISKS = range(5)
 
+#: each record tuple of a complex: its by-id view, its kinds, and its noun
+TABLES = (("triple_points", "triples_by_id", (TRIPLES,), "triple point"),
+          ("branch_points", "branches_by_id", (BRANCHES,), "branch point"),
+          ("edges", "edges_by_id", (ARCS, CIRCLES), "edge"),
+          ("disks", "disks_by_id", (DISKS,), "disk"))
 #: the kind of each record type, and the view holding its records by id
 KIND_OF = {TriplePoint: TRIPLES, BranchPoint: BRANCHES, Arc: ARCS, Circle: CIRCLES,
            DescendentDisk: DISKS}
-HELD_IN = ("triples_by_id", "branches_by_id", "edges_by_id", "edges_by_id", "disks_by_id")
+HELD_IN = {kind: by_id for _, by_id, kinds, _ in TABLES for kind in kinds}
+BY_ID = attrgetter("id")
 
 
 class Lineage(NamedTuple):
-    """What a complex built by ``rebuilt`` inherits: its parent's records
-    per kind, the parent's VIEWS, each popped by its first use, and per
-    kind the records (removed, added) by the edit that made it."""
+    """What a complex built by ``rebuilt`` patches on first use: its
+    parent's records per kind and VIEWS (each popped by its first use), and
+    per kind the records (removed, added) by the edit that made it."""
 
     records: tuple[tuple, ...]
     views: dict
     edits: tuple[tuple[list, list], ...]
 
-    VIEWS = ("_claims", "curves", "curve_by_edge", "canonical_lines")
+    VIEWS = ("_claims", "curves", "curve_by_edge", "curves_by_id", "canonical_lines")
 
 
-def _edited(records: tuple, *edits: tuple[list, list]) -> list:
-    """``records`` less those the edits remove, plus those they add; every
-    removed record is one of ``records``."""
-    gone = {r.id for removed, _ in edits for r in removed}
-    kept = [r for r in records if r.id not in gone] if gone else [*records]
-    if len(kept) + sum(len(removed) for removed, _ in edits) != len(records):
-        raise StructuralError("the edit removes a record twice")
-    return kept + [r for _, added in edits for r in added]
+def patched(items, removed, added, entry=None, old=None):
+    """``items`` less the entries of the ``removed`` records, plus an entry
+    for each ``added`` record (itself, or ``entry(record)``): a copy of a
+    by-id map, or a tuple (sorted by id, or one for one with the id-sorted
+    records ``old``) with each entry at its place; ``items`` for no edit."""
+    if not removed and not added:
+        return items
+    if type(items) is dict:
+        items = dict(items)
+        for r in removed:
+            del items[r.id]
+        items.update((r.id, r) for r in added)
+        return items
+    old = items if old is None else old
+    gone = sorted(bisect_left(old, r.id, key=BY_ID) for r in removed)
+    out = list(items)
+    for pos in reversed(gone):
+        del out[pos]
+    for n, r in enumerate(sorted(added, key=BY_ID)):
+        at = bisect_left(old, r.id, key=BY_ID)
+        out.insert(at - bisect_left(gone, at) + n, r if entry is None else entry(r))
+    return tuple(out)
 
 
 def endpoints(triples, branches):
@@ -527,28 +563,25 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
     Traversal continues through a triple point on the opposite slot of the
     same line; a curve is open iff both of its ends are branch points.
     Raises StructuralError (with validate's first structural violation)
-    when the complex is malformed. Under ``rebuilt`` each
-    parent curve that lost no edge is kept, and the walks start only from
-    added edges and from the survivors of curves that lost one. Stores the
-    edge-to-curve map as ``cx.curve_by_edge``.
+    when the complex is malformed. Under ``rebuilt`` the parent's curves
+    that lost an edge are deleted, walks start only from added edges and
+    those curves' survivors, and the new curves are inserted by id. Stores
+    the edge-to-curve map as ``cx.curve_by_edge`` (and any parent's
+    ``curves_by_id``, patched, as ``cx.curves_by_id``).
     """
     index, edges = cx.slot_index, cx.edges_by_id
     lineage = cx.__dict__.get("lineage")
-    old = lineage.views.pop("curves", None) if lineage else None
-    by_edge = lineage.views.pop("curve_by_edge", None) if lineage else None
-    kept: list[DoubleCurve] = []
+    views = lineage.views if lineage else {}
+    old, by_edge = views.pop("curves", None), views.pop("curve_by_edge", None)
     if old is None or by_edge is None:
-        by_edge, seeds = {}, cx.edges
+        old, by_edge, seeds = None, {}, cx.edges
     else:
-        (removed_arcs, added_arcs), (removed_circles, added_circles) = \
-            lineage.edits[ARCS], lineage.edits[CIRCLES]
+        arcs, circles = lineage.edits[ARCS], lineage.edits[CIRCLES]
         by_edge = dict(by_edge)
-        dirty = {by_edge[e.id] for e in [*removed_arcs, *removed_circles]}
-        seeds = [*added_arcs, *added_circles]
-        for curve in old:
-            if curve.id not in dirty:
-                kept.append(curve)
-                continue
+        dirty = [old[bisect_left(old, cid, key=BY_ID)]
+                 for cid in sorted({by_edge[e.id] for e in arcs[0] + circles[0]})]
+        seeds = arcs[1] + circles[1]
+        for curve in dirty:
             for eid in curve.edges:
                 del by_edge[eid]
                 if eid in edges:
@@ -560,7 +593,11 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
             by_edge.update(dict.fromkeys(curve.edges, curve.id))
             new.append(curve)
     cx.__dict__["curve_by_edge"] = by_edge
-    return tuple(sorted(kept + new, key=attrgetter("id")))
+    if old is None:
+        return tuple(sorted(new, key=BY_ID))
+    if "curves_by_id" in views:
+        cx.__dict__["curves_by_id"] = patched(views.pop("curves_by_id"), dirty, new)
+    return patched(old, dirty, new)
 
 
 def census(cx: SingularityComplex) -> CensusRecord:

@@ -33,7 +33,17 @@ from skdiag import (
     validate_t_descendent,
 )
 from skdiag import fixtures as bundled
-from skdiag.singularity import TripleSlot
+from skdiag.canonical import canonical_lines
+from skdiag.singularity import (
+    ARCS,
+    BRANCHES,
+    CIRCLES,
+    DISKS,
+    TRIPLES,
+    Arc,
+    BranchRef,
+    TripleSlot,
+)
 
 from tests.conftest import (
     fixture_text,
@@ -497,3 +507,25 @@ def test_transport_composition_r1_pair(trefoil):
     down = R1Minus("bub", drop_disks=("P9",))
     _, g2 = apply_with_transport(mid, g1, down)
     assert g2 == {"closed"}
+
+
+def test_a_move_hands_on_the_kinds_it_does_not_edit(trefoil):
+    """An R1+ child reuses its parent's records, by-id maps and canonical
+    lines of every kind but circles; a move that edits arcs patches edges."""
+    parent = apply_move(trefoil, R1Plus("n0"))
+    views = ("triple_points", "branch_points", "disks", "arcs",
+             "triples_by_id", "branches_by_id", "disks_by_id")
+    fingerprint(parent)  # so that the parent keeps its lines and the child inherits them
+    kept = [getattr(parent, view) for view in views]  # a map only if the parent has it
+    child = apply_move(parent, R1Plus("n1"))
+    for view, own in zip(views, kept):
+        assert getattr(child, view) is own, view
+    lines, parent_lines = canonical_lines(child), canonical_lines(parent)
+    for kind in (TRIPLES, BRANCHES, ARCS, DISKS):
+        assert lines[kind] is parent_lines[kind]
+    assert lines[CIRCLES] == (*parent_lines[CIRCLES], "circle n1\n")
+    assert child.edges is not parent.edges and child.circles is not parent.circles
+    arc = apply_move(child, R4Plus("w", "wb1", "wb2"))
+    assert arc.edges is not child.edges and arc.arcs is not child.arcs
+    assert arc.edges_by_id["w"] == Arc("w", BranchRef("wb1"), BranchRef("wb2"))
+    assert "w" not in child.edges_by_id and len(child.edges) + 1 == len(arc.edges)

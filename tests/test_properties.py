@@ -263,13 +263,18 @@ def test_slot_index_raises_exactly_on_the_structural_violations(seed, budget, da
 
 
 def assert_matches_fresh_build(cx):
-    """The slot index, curves, curve map and fingerprint a derived complex
-    inherited equal those of the same records built and traced afresh,
-    and the complex is well formed."""
+    """The records (in id order), by-id maps, arcs, circles, slot index,
+    curves, curve maps and fingerprint a derived complex inherited equal
+    those of the same records built and traced afresh, and the complex is
+    well formed."""
     assert "lineage" in vars(cx)
     assert validate(cx).ok
     fresh = SingularityComplex.build(cx.triple_points, cx.branch_points,
                                      cx.edges, cx.disks)
+    assert tuple(cx) == tuple(fresh)
+    for view in ("triples_by_id", "branches_by_id", "edges_by_id", "disks_by_id",
+                 "arcs", "circles", "curves_by_id"):
+        assert getattr(cx, view) == getattr(fresh, view), view
     assert cx.slot_index == fresh.slot_index
     assert cx.curves == fresh.curves
     assert cx.curve_by_edge == fresh.curve_by_edge

@@ -8,6 +8,7 @@ from skdiag import (
     BranchRef,
     Circle,
     CurveKind,
+    DescendentDisk,
     LineType,
     SingularityComplex,
     StructuralError,
@@ -244,3 +245,59 @@ def test_rebuilt_rejects_an_edit_removing_what_the_complex_lacks(r2):
 def test_rebuilt_rejects_an_added_id_that_survives(r2):
     with pytest.raises(StructuralError, match=r"duplicate edge id 's1'"):
         r2.rebuilt((), [Circle("s1")])
+
+
+def test_rebuilt_rejects_a_record_removed_twice(r2):
+    s1 = r2.edges_by_id["s1"]
+    with pytest.raises(StructuralError, match=r"^the edit removes a record twice$"):
+        r2.rebuilt([s1, r2.edges_by_id["u1"], s1], [Circle("s1")])
+
+
+def build_error(records):
+    """The message a fresh build of ``records`` raises."""
+    with pytest.raises(StructuralError) as err:
+        SingularityComplex.build(*([r for r in records if type(r) in kinds] for kinds in (
+            (TriplePoint,), (BranchPoint,), (Arc, Circle), (DescendentDisk,))))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("added, message", [
+    ([Circle("X"), Circle("X")], "duplicate edge id 'X'"),
+    ([Arc("X", BranchRef("Bx"), BranchRef("By")), BranchPoint("Bx"), BranchPoint("By"),
+      Circle("X")], "duplicate edge id 'X'"),
+    ([Circle("v2"), Circle("Y"), Circle("Y"), Circle("u2")], "duplicate edge id 'Y'"),
+    ([BranchPoint("Bx"), BranchPoint("Bx"), Circle("X"), Circle("X")],
+     "duplicate branch point id 'Bx'"),
+])
+def test_rebuilt_rejects_two_added_records_with_one_id(r2, added, message):
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        r2.rebuilt((), added)
+    assert build_error([*r2.triple_points, *r2.branch_points, *r2.edges, *added]) == message
+
+
+@pytest.mark.parametrize("added, message", [
+    ([Circle("u2")], "duplicate edge id 'u2'"),
+    ([Circle("v2"), Circle("u2")], "duplicate edge id 'u2'"),
+])
+def test_rebuilt_rejects_an_added_circle_with_a_surviving_arcs_id(r2, added, message):
+    """u2 and v2 are arcs of r2; an arc removed by the same edit frees its id."""
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        r2.rebuilt((), added)
+    assert build_error([*r2.edges, *added]) == message
+    freed = r2.rebuilt([r2.edges_by_id["u2"], r2.edges_by_id["v2"]],
+                       [Circle("u2"), Circle("v2")])
+    assert freed.edges_by_id["u2"] == Circle("u2")
+
+
+def test_an_unknown_triple_point_is_an_unknown_id(trefoil):
+    with pytest.raises(UnknownIdError, match=r"^unknown triple point 'nope'$"):
+        trefoil.line_curve("nope", 0)
+    with pytest.raises(UnknownIdError, match=r"^unknown triple point 'nope'$"):
+        trefoil.edge_end_at(TripleSlot("nope", 1, "b"))
+
+
+def test_an_unused_slot_of_a_known_point_is_a_structural_error(trefoil):
+    with pytest.raises(StructuralError, match=r"^endpoint T:T1\.3\.a is unused$"):
+        trefoil.line_curve("T1", 3)
+    with pytest.raises(StructuralError, match=r"^endpoint T:T1\.0\.c is unused$"):
+        trefoil.edge_end_at(TripleSlot("T1", 0, "c"))
