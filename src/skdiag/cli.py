@@ -7,6 +7,7 @@ machine-readable report with a top-level ``format_version`` field.
 """
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -35,13 +36,20 @@ def _read(path: str) -> str:
 
 def _parsed(path: str, parse, **kw):
     """``parse`` of the file's text; its diagnostics print as
-    ``path:line:col: message``, and the command exits 2."""
+    ``path:line:col: message``, and the command exits 2. Inputs live until
+    it exits, so they are read with the collector paused, then frozen."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return parse(_read(path), **kw)
     except ParseError as exc:
         for line, col, message in exc.diagnostics:
             print(f"{path}:{line}:{col}: {message}", file=sys.stderr)
         raise SystemExit(ERROR) from exc
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 def _load_document(path: str):
@@ -342,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    frozen = gc.get_freeze_count()  # an in-process caller gets it back as it was
     try:
         return args.func(args)
     except SystemExit as exc:
@@ -349,6 +358,9 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    finally:
+        if not frozen:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

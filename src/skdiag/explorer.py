@@ -107,6 +107,23 @@ class DuVerdict(NamedTuple):
     witness: tuple[str, ...] | None = None
 
 
+def _exchangeable_layers(cx: SingularityComplex, bits: dict[str, int],
+                         max_size: int | None, cap: int):
+    """The exchangeable unions (curve-id tuples) of each size, smallest first,
+    each in lexicographic order: checked at the call, scanned when taken."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be non-negative, not {max_size}")
+    n = len(bits)
+    if max_size is None and 2 ** n > cap:
+        raise EnumerationCapExceeded(
+            cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
+            "pass max_size to bound the scan")
+    masks, bit = triple_masks(cx, bits), bits.__getitem__
+    return ([combo for combo in combinations(bits, k)
+             if first_invalid_triple(sum(map(bit, combo)), masks) is None]
+            for k in range((n if max_size is None else min(max_size, n)) + 1))
+
+
 def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
                            cap: int = ENUMERATION_CAP) -> list[frozenset[str]]:
     """All exchangeable unions of double curves, in size-then-lexicographic
@@ -115,20 +132,24 @@ def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
     Refuses with the cap value when the candidate-subset count would
     exceed ``cap`` and no max_size was supplied. Candidates are checked as
     curve masks against triple-point masks compiled once."""
-    if max_size is not None and max_size < 0:
-        raise ValueError(f"max_size must be non-negative, not {max_size}")
+    return [frozenset(combo) for layer in
+            _exchangeable_layers(cx, curve_bits(cx), max_size, cap) for combo in layer]
+
+
+def _du_layers(cx: SingularityComplex, oracle: TrivialityOracle,
+               max_size: int | None, cap: int):
+    """The witnesses of each size layer, as ``_exchangeable_layers``."""
     bits = curve_bits(cx)
-    n = len(bits)
-    if max_size is None and 2 ** n > cap:
-        raise EnumerationCapExceeded(
-            cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
-            "pass max_size to bound the scan")
-    limit = n if max_size is None else min(max_size, n)
-    masks = triple_masks(cx, bits)
-    bit = bits.__getitem__
-    return [frozenset(combo) for k in range(limit + 1)
-            for combo in combinations(bits, k)
-            if first_invalid_triple(sum(map(bit, combo)), masks) is None]
+    layers = _exchangeable_layers(cx, bits, max_size, cap)
+    dmasks = disk_masks(cx, bits)
+    changed = changed_fingerprinter(cx, bits) if oracle.entries else None
+
+    def witness(gamma: tuple[str, ...]) -> DuWitness:
+        g = sum(map(bits.__getitem__, gamma))
+        dd = dd_holds(g, dmasks)
+        verdict = oracle.lookup(changed(g)) if dd and changed else Verdict.UNKNOWN
+        return DuWitness(gamma, len(gamma), True, dd, verdict)
+    return (tuple(map(witness, layer)) for layer in layers)
 
 
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
@@ -143,30 +164,23 @@ def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
     Changed diagrams are fingerprinted without being built, and not at all
     when the oracle is empty (every verdict is then unknown).
     """
-    unions = enumerate_exchangeable(cx, max_size=max_size, cap=cap)
-    bits = curve_bits(cx)
-    dmasks = disk_masks(cx, bits)
-    changed = changed_fingerprinter(cx, bits) if oracle.entries else None
-    witnesses = []
-    for gamma in unions:
-        g = sum(map(bits.__getitem__, gamma))
-        dd = dd_holds(g, dmasks)
-        verdict = oracle.lookup(changed(g)) if dd and changed else Verdict.UNKNOWN
-        witnesses.append(DuWitness(tuple(sorted(gamma)), len(gamma), True, dd, verdict))
+    witnesses = tuple(w for layer in _du_layers(cx, oracle, max_size, cap)
+                      for w in layer)
     best = min((w.size for w in witnesses
                 if w.dd and w.verdict is Verdict.TRIVIAL), default=None)
-    return DuReport(tuple(witnesses), best)
+    return DuReport(witnesses, best)
 
 
 def is_du_exchangeable(cx: SingularityComplex, oracle: TrivialityOracle,
                        max_size: int | None = None) -> DuVerdict:
     """du-exchangeability relative to the oracle: yes with a witness union
     when some enumerated union (possibly the empty one) passes all three
-    conditions, unknown otherwise. Never 'no'."""
-    report = du_index_upper_bound(cx, oracle, max_size=max_size)
-    witness = report.best_witness()
-    if witness is not None:
-        return DuVerdict(DuStatus.DU_EXCHANGEABLE, witness.gamma)
+    conditions, unknown otherwise. Never 'no'. The scan stops at the first
+    size layer that holds a witness; the cap applies as to the full scan."""
+    for layer in _du_layers(cx, oracle, max_size, ENUMERATION_CAP):
+        witness = DuReport(layer, None).best_witness()
+        if witness is not None:
+            return DuVerdict(DuStatus.DU_EXCHANGEABLE, witness.gamma)
     return DuVerdict(DuStatus.UNKNOWN)
 
 

@@ -65,18 +65,6 @@ class SkdDocument(NamedTuple):
     oracle: Mapping[str, str] = MappingProxyType({})
 
 
-class _Collector:
-    def __init__(self):
-        self.diagnostics: list[tuple[int, int, str]] = []
-
-    def error(self, line: int, col: int, message: str) -> None:
-        self.diagnostics.append((line, col, message))
-
-    def raise_if_any(self) -> None:
-        if self.diagnostics:
-            raise ParseError(self.diagnostics)
-
-
 def _records(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -215,29 +203,27 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     caller can run and report validation itself. A record is built from
     the groups of its kind's pattern (see ``_RULES``).
     """
-    col = _Collector()
+    errors: list[tuple[int, int, str]] = []
     triples: list[TriplePoint] = []
     branches: list[BranchPoint] = []
     edges: list[Arc | Circle] = []
     disks: list[DescendentDisk] = []
     oracle: dict[str, str] = {}
     lines_of: dict[tuple[str, str], int] = {}
-
-    def claim(kind: str, rid: str, lineno: int, line: str) -> bool:
-        if (kind, rid) in lines_of:
-            col.error(lineno, _column_of(line, rid),
-                      f"duplicate {kind} id {rid!r} "
-                      f"(first defined on line {lines_of[(kind, rid)]})")
-            return False
-        lines_of[(kind, rid)] = lineno
-        return True
+    # builds a record as its NamedTuple's own __new__ does, without its frame
+    new, first_line = tuple.__new__, lines_of.setdefault
 
     # the records all stay alive, so a cyclic collection during the loop
-    # frees nothing: on a 20k-arc file the collections cost a sixth of it
+    # frees nothing. Pausing the collector makes fewer collections while
+    # it runs, but only defers the rest: the next ones scan all it made.
+    # The CLI, whose inputs live until it exits, freezes them (cli._parsed)
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        for lineno, line in _records(text):
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.partition("#")[0].rstrip()
+            if not line:
+                continue
             record = line.split(None, 1)[0]
             pattern = _SKD_RECORDS.get(record)
             m = pattern.match(line) if pattern else None
@@ -246,50 +232,57 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
                 # would be a gap in the patterns, and is still rejected
                 for column, message in (_rejections(line)
                                         or [(1, f"malformed {record} record")]):
-                    col.error(lineno, column, message)
-            elif record == "edge":
+                    errors.append((lineno, column, message))
+                continue
+            if record == "edge":
                 rid, b1, t1, l1, s1, b2, t2, l2, s2 = m.groups()
-                if claim("edge", rid, lineno, line):
-                    end1 = BranchRef(b1) if b1 else TripleSlot(t1, _LINE_INDEX[l1], s1)
-                    end2 = BranchRef(b2) if b2 else TripleSlot(t2, _LINE_INDEX[l2], s2)
-                    edges.append(Arc(rid, end1, end2))
+                kind, kept, rec = "edge", edges, new(Arc, (
+                    rid, new(BranchRef, (b1,)) if b1 else
+                    new(TripleSlot, (t1, _LINE_INDEX[l1], s1)),
+                    new(BranchRef, (b2,)) if b2 else
+                    new(TripleSlot, (t2, _LINE_INDEX[l2], s2))))
             elif record == "triple":
-                rid, *types = m.groups()
-                if claim("triple", rid, lineno, line):
-                    triples.append(TriplePoint(
-                        rid, tuple([_LINE_TYPES[t.lower()] for t in types])))
+                rid, a, b, c = m.groups()
+                kind, kept, rec = "triple", triples, new(TriplePoint, (rid, (
+                    _LINE_TYPES[a.lower()], _LINE_TYPES[b.lower()],
+                    _LINE_TYPES[c.lower()])))
             elif record == "branch":
-                if claim("branch", m[1], lineno, line):
-                    branches.append(BranchPoint(m[1]))
+                rid = m[1]
+                kind, kept, rec = "branch", branches, new(BranchPoint, (rid,))
             elif record == "circle":
-                if claim("edge", m[1], lineno, line):
-                    edges.append(Circle(m[1]))
+                rid = m[1]
+                kind, kept, rec = "edge", edges, new(Circle, (rid,))
             elif record == "disk":
                 rid, e1, e2, pair, level1, level2 = m.groups()
-                if claim("disk", rid, lineno, line):
-                    disks.append(DescendentDisk(rid, e1, e2, Pairing(pair.lower()),
-                                                Level(level1.lower()),
-                                                Level(level2.lower())))
+                kind, kept, rec = "disk", disks, new(DescendentDisk, (
+                    rid, e1, e2, Pairing(pair.lower()), Level(level1.lower()),
+                    Level(level2.lower())))
             else:
                 fp, verdict = m.groups()
                 if oracle.setdefault(fp, verdict) != verdict:
-                    col.error(lineno, 1, f"oracle {fp} is {verdict} here but "
-                              f"{oracle[fp]} on line {lines_of['oracle', fp]}")
-                lines_of.setdefault(("oracle", fp), lineno)
+                    errors.append((lineno, 1, f"oracle {fp} is {verdict} here but "
+                                   f"{oracle[fp]} on line {lines_of['oracle', fp]}"))
+                first_line(("oracle", fp), lineno)
+                continue
+            if (first := first_line((kind, rid), lineno)) == lineno:
+                kept.append(rec)
+            else:
+                errors.append((lineno, _column_of(line, rid), f"duplicate {kind} "
+                               f"id {rid!r} (first defined on line {first})"))
     finally:
         if gc_enabled:
             gc.enable()
 
-    col.raise_if_any()
+    if errors:
+        raise ParseError(errors)
     cx = SingularityComplex.build(triples, branches, edges, disks)
     if check:
         for violation in validate(cx).violations:
-            if violation.subjects:
-                for subject in violation.subjects:
-                    col.error(lines_of.get(subject, 1), 1, violation.message)
-            else:
-                col.error(1, 1, violation.message)
-        col.raise_if_any()
+            # at each subject's defining line; without one, at line 1
+            for subject in violation.subjects or [None]:
+                errors.append((lines_of.get(subject, 1), 1, violation.message))
+        if errors:
+            raise ParseError(errors)
     return SkdDocument(cx, oracle)
 
 
@@ -424,35 +417,36 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
     # reading a `.skd` file never loads it
     from .moves import FORBIDDEN_KINDS, MoveKind, normalize_kind_token
 
-    col = _Collector()
+    errors: list[tuple[int, int, str]] = []
     staged: list[tuple[int, str, MoveKind, list[str]]] = []
     for lineno, line in _records(text):
         tokens = line.split()
         try:
             name = normalize_kind_token(tokens[0])
         except UnknownIdError:
-            col.error(lineno, 1, f"unknown move kind token {tokens[0]!r}")
+            errors.append((lineno, 1, f"unknown move kind token {tokens[0]!r}"))
             continue
         if name in FORBIDDEN_KINDS:
-            col.error(lineno, 1,
-                      f"move {name} violates the t-descendent condition "
-                      "(R2+, R3+ and R5+ are excluded)")
+            errors.append((lineno, 1, f"move {name} violates the t-descendent "
+                           "condition (R2+, R3+ and R5+ are excluded)"))
             continue
         staged.append((lineno, line, MoveKind[name], tokens[1:]))
-    col.raise_if_any()
+    if errors:
+        raise ParseError(errors)
     moves: list[MoveInstance] = []
     for lineno, line, kind, args in staged:
         kv, bad = _parse_kv(args)
         if bad is not None:
-            col.error(lineno, _column_of(line, bad),
-                      f"bad or repeated key=value token {bad!r}")
+            errors.append((lineno, _column_of(line, bad),
+                           f"bad or repeated key=value token {bad!r}"))
             continue
         move, err = _build_move(kind, kv)
         if err:
-            col.error(lineno, 1, err)
+            errors.append((lineno, 1, err))
             continue
         moves.append(move)
-    col.raise_if_any()
+    if errors:
+        raise ParseError(errors)
     return tuple(moves)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, JSON output."""
 
+import gc
 import json
 
 import pytest
@@ -57,6 +58,23 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "census", "no/such/file.skd")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("text, code", [
+    (bundled_text("trefoil.skd"), 0),  # well formed
+    ("triple T1 lines=bm,bt,mt\n", 1),  # a false verdict
+    ("whatnot X\n", 2),  # a parse error
+    (None, 2)])  # a missing file
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, text, code):
+    # the CLI reads with the collector paused and freezes what it read; an
+    # in-process call must hand the collector back as it found it
+    path = tmp_path / "in.skd"
+    if text is not None:
+        path.write_text(text)
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "validate", str(path))[0] == code
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_census_json(capsys, trefoil_path):

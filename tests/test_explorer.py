@@ -13,6 +13,8 @@ from skdiag import (
     fingerprint,
     is_exchangeable,
 )
+from skdiag import explorer
+from skdiag.crossing import changed_fingerprinter, curve_bits
 from skdiag.explorer import (
     DuStatus,
     EMPTY_ORACLE,
@@ -141,6 +143,45 @@ def test_is_du_exchangeable_trivial_diagram(trefoil):
     verdict = is_du_exchangeable(trefoil, oracle)
     assert verdict.status is DuStatus.DU_EXCHANGEABLE
     assert verdict.witness == ()
+
+
+def test_is_du_exchangeable_stops_at_the_first_layer_with_a_witness(monkeypatch):
+    # 16 free circles: the empty union is a trivial witness, so the scan
+    # checks that one candidate, not all 2^16
+    cx = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(16)])
+    oracle = TrivialityOracle.from_mapping({fingerprint(cx): "trivial"})
+    checked = []
+    monkeypatch.setattr(explorer, "first_invalid_triple",
+                        lambda g, masks: checked.append(g))
+    assert is_du_exchangeable(cx, oracle).witness == ()
+    assert checked == [0]
+
+
+def test_is_du_exchangeable_names_the_smallest_witness_of_its_layer():
+    # every changed diagram but the unchanged one is trivial, so two unions
+    # of size 1 are witnesses; the verdict names the one du-bound names
+    cx = generate_random_complex(0, SizeBudget(4, 6, 1))
+    bits = curve_bits(cx)
+    changed = changed_fingerprinter(cx, bits)
+    fps = {changed(sum(map(bits.__getitem__, g)))
+           for g in enumerate_exchangeable(cx, max_size=1)} - {fingerprint(cx)}
+    oracle = TrivialityOracle.from_mapping(dict.fromkeys(fps, "trivial"))
+    report = du_index_upper_bound(cx, oracle)
+    first = [w.gamma for w in report.witnesses if w.size == 1
+             and w.dd and w.verdict is Verdict.TRIVIAL]
+    assert len(first) >= 2 and report.best_witness().gamma == first[0]
+    assert is_du_exchangeable(cx, oracle).witness == first[0]
+
+
+def test_is_du_exchangeable_keeps_the_cap_and_max_size():
+    # a witness in the first layer does not lift the cap, nor a bad max_size
+    cx = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(21)])
+    oracle = TrivialityOracle.from_mapping({fingerprint(cx): "trivial"})
+    with pytest.raises(EnumerationCapExceeded):
+        is_du_exchangeable(cx, oracle)
+    with pytest.raises(ValueError):
+        is_du_exchangeable(cx, oracle, max_size=-1)
+    assert is_du_exchangeable(cx, oracle, max_size=0).witness == ()
 
 
 def test_oracle_lookup_defaults_to_unknown():

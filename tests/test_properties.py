@@ -10,6 +10,8 @@ from skdiag import (
     Arc,
     BranchPoint,
     BranchRef,
+    Circle,
+    DescendentDisk,
     DiskDeclaration,
     Level,
     MoveRejected,
@@ -22,6 +24,7 @@ from skdiag import (
     R6,
     SingularityComplex,
     StructuralError,
+    TriplePoint,
     TripleSlot,
     all_curves,
     apply_move,
@@ -47,12 +50,14 @@ from skdiag.crossing import (
 )
 from skdiag.singularity import endpoints
 from skdiag.explorer import (
+    DuStatus,
     SizeBudget,
     TrivialityOracle,
     Verdict,
     du_index_upper_bound,
     enumerate_exchangeable,
     generate_random_complex,
+    is_du_exchangeable,
 )
 
 from tests.conftest import fixture_text, load_fixture, r2_move, r3_move, r5_move, r6_move
@@ -149,6 +154,35 @@ def test_changed_fingerprints_match_crossing_change(seed, budget, disks):
         if satisfies_dd_condition(cx, gamma):
             assert changed(sum(bits[c] for c in gamma)) == \
                 fingerprint(crossing_change(cx, gamma))
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       budget=st.builds(SizeBudget, triples=st.integers(min_value=0, max_value=6),
+                        branches=st.integers(min_value=0, max_value=8),
+                        circles=st.integers(min_value=0, max_value=3)),
+       disks=st.integers(min_value=0, max_value=3), max_size=st.none() | st.integers(0, 4),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_du_exchangeable_finds_the_best_witness(seed, budget, disks, max_size, data):
+    """The scan that stops at the first size layer holding a trivial witness
+    names the witness the full du-bound report does, under random oracles."""
+    cx = generate_random_complex(seed, budget, disks=disks)
+    assume(len(cx.curves) <= 10)
+    bits = curve_bits(cx)
+    changed = changed_fingerprinter(cx, bits)
+    # the changed diagrams of dd-passing unions, each annotated or not at random
+    fps = sorted({changed(sum(map(bits.__getitem__, g))) for g in enumerate_exchangeable(cx)
+                  if satisfies_dd_condition(cx, g)})
+    verdicts = st.sampled_from((None, "nontrivial", "trivial"))
+    oracle = TrivialityOracle.from_mapping(
+        {fp: verdict for fp in fps if (verdict := data.draw(verdicts))})
+    witness = du_index_upper_bound(cx, oracle, max_size=max_size).best_witness()
+    verdict = is_du_exchangeable(cx, oracle, max_size=max_size)
+    if witness is None:
+        assert verdict.status is DuStatus.UNKNOWN and verdict.witness is None
+    else:
+        assert verdict.status is DuStatus.DU_EXCHANGEABLE
+        assert verdict.witness == witness.gamma
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -484,6 +518,38 @@ def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
             assert exc.diagnostics
             for line, col, message in exc.diagnostics:
                 assert 1 <= line <= last and col >= 1 and message
+
+
+RECORD_TYPES = {"triple_points": TriplePoint, "branch_points": BranchPoint,
+                "disks": DescendentDisk}
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2), pick=st.integers(0, 10 ** 6),
+       check=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_parsed_records_have_their_record_types(seed, budget, disks, pick, check):
+    # a record equals a plain tuple of its fields, so the round-trip tests
+    # cannot tell a parser that builds plain tuples from one that does not
+    cx = with_sites(generate_random_complex(seed, budget, disks=disks), SITE_NAMES, pick)
+    oracle = f"oracle {fingerprint(cx)} trivial\n"
+    doc = parse_skd_document(oracle + serialize_canonical(cx), check=check)
+    assert doc.oracle == {fingerprint(cx): "trivial"}
+    parsed = doc.complex
+    for kind, record_type in RECORD_TYPES.items():
+        for record in getattr(parsed, kind):
+            assert type(record) is record_type
+            assert record._fields == record_type._fields
+            assert [getattr(record, f) for f in record._fields] == list(record)
+    for edge in parsed.edges:
+        assert type(edge) is (Circle if len(edge) == 1 else Arc)
+        assert edge.id == edge[0]
+        if type(edge) is Arc:
+            for end in edge.ends:
+                assert type(end) in (TripleSlot, BranchRef)
+                assert [getattr(end, f) for f in end._fields] == list(end)
+                assert str(end)[:2] == ("T:" if type(end) is TripleSlot else "B:")
+    assert parsed.disks and tuple(parsed) == tuple(cx)
 
 
 # -- the commutation square on random complexes -------------------------------

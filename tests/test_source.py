@@ -56,3 +56,17 @@ def test_no_handler_catches_every_exception():
              and (node.type is None or any(
                  isinstance(n, ast.Name) and n.id in broad for n in ast.walk(node.type)))]
     assert SOURCES and not found, found
+
+
+def test_only_the_cli_freezes_the_collector():
+    # gc.freeze moves the whole heap out of the collector's reach; a library
+    # call that froze would freeze its caller's objects too, so only the
+    # CLI, which owns its process, may do it (and its main undoes it)
+    names = {"freeze", "unfreeze"}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "gc"
+             or isinstance(node, ast.ImportFrom) and node.module == "gc"
+             and names & {alias.name for alias in node.names}]
+    assert SOURCES and not found, found
