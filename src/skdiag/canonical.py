@@ -8,8 +8,6 @@ Oracle annotations are not part of the complex and never enter the
 fingerprint.
 """
 
-from itertools import chain
-
 from .singularity import DescendentDisk, SingularityComplex, TriplePoint, patched
 
 
@@ -52,12 +50,13 @@ def canonical_lines(cx: SingularityComplex) -> list:
 
 def middle_block(cx: SingularityComplex) -> str:
     """The branch, edge and circle lines, which no crossing change alters."""
-    return "".join(chain.from_iterable(canonical_lines(cx)[1:4]))
+    return "".join(map("".join, canonical_lines(cx)[1:4]))
 
 
 def serialize_canonical(cx: SingularityComplex) -> str:
     """Deterministic `.skd` text for a complex (no comments, sorted ids)."""
-    return "".join(chain.from_iterable(canonical_lines(cx)))
+    # each kind's tuple joined in place, not one list of every line first
+    return "".join(map("".join, canonical_lines(cx)))
 
 
 def digest(text: str) -> str:

@@ -34,6 +34,13 @@ def _read(path: str) -> str:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DiagramError(f"cannot write {path}: {exc}") from exc
+
+
 def _parsed(path: str, parse, **kw):
     """``parse`` of the file's text; its diagnostics print as
     ``path:line:col: message``, and the command exits 2. Inputs live until
@@ -93,7 +100,7 @@ def _to_file(args) -> bool:
 def _write_out(args, text: str, payload: dict) -> None:
     """Write produced text to -o, or to stdout (embedded under --json)."""
     if _to_file(args):
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
     elif args.json:
         payload["text"] = text
     else:
@@ -212,9 +219,8 @@ def _cmd_apply(args) -> int:
               "gamma": list(t.gamma), "exchangeable": t.exchangeable,
               "dd": t.dd} for t in result.trail]
     if args.trail:
-        Path(args.trail).write_text(
-            json.dumps({"format_version": FORMAT_VERSION, "trail": trail}, **_JSON)
-            + "\n", encoding="utf-8")
+        _write(args.trail, json.dumps(
+            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n")
     text = serialize_canonical(result.complex)
     fp = digest(text)
     payload = {"command": "apply", "moves": len(moves),

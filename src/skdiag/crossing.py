@@ -8,11 +8,12 @@ flipping only the bottom/top line, or the bottom/middle and middle/top lines
 together, forces a cyclic height relation. In one line: a flip is valid iff
 bit(bt) == bit(bm) or bit(bt) == bit(mt).
 
-Checks run on integer masks: given a bit per curve, a triple point compiles
-to the masks (m_bm, m_bt, m_mt) of the curves on its lines of each type, a
-disk to the masks (m_e1, m_e2) of its edges' curves, and a union to the OR
-of its curves' bits. Scans give each curve its own bit in sorted-id order;
-single checks give bit 1 to the union's curves and test the mask 1.
+Scans run on integer masks: given each curve its own bit in sorted-id
+order, a triple point compiles to the masks (m_bm, m_bt, m_mt) of the
+curves on its lines of each type, a disk to the masks (m_e1, m_e2) of its
+edges' curves, and a union to the OR of its curves' bits. A single check
+reads the flipped lines from the ends of the union's own arcs instead: a
+line flips exactly when one of them ends on it.
 
 A valid change relabels the line types at each triple point by the sheet
 role permutation the new height order induces, and swaps the decker tags of
@@ -20,6 +21,7 @@ descendent-disk arcs that ride on flipped curves. The incidence structure
 (points, edges, traced curves) is untouched.
 """
 
+from itertools import product
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .canonical import digest, disk_line, middle_block, triple_line
@@ -53,7 +55,7 @@ class FlipSet(NamedTuple):
 def exchange_set(cx: SingularityComplex, curve_ids: Iterable[str]) -> ExchangeSet:
     """Normalize an iterable of curve ids, rejecting unknown ones."""
     gamma = frozenset(curve_ids)
-    unknown = gamma - cx.curves_by_id.keys()
+    unknown = gamma.difference(cx.curves_by_id)  # O(|gamma|), not O(#curves)
     if unknown:
         raise UnknownIdError(f"unknown curve id(s): {', '.join(sorted(unknown))}")
     return gamma
@@ -95,14 +97,12 @@ def curve_bits(cx: SingularityComplex) -> dict[str, int]:
     return {c.id: 1 << i for i, c in enumerate(cx.curves)}
 
 
-def triple_masks(cx: SingularityComplex, bits: Mapping[str, int],
-                 triples: Iterable[TriplePoint] | None = None) -> list[tuple]:
-    """(m_bm, m_bt, m_mt) per triple point (all of them, in id order, unless
-    ``triples`` are given): the OR of the bits of the curves on its lines of
-    each type (a curve without a bit counts 0)."""
+def triple_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
+    """(m_bm, m_bt, m_mt) per triple point, in id order: the OR of the bits of
+    the curves on its lines of each type (a curve without a bit counts 0)."""
     index, curve_of = cx.slot_index, cx.curve_by_edge
     out = []
-    for t in cx.triple_points if triples is None else triples:
+    for t in cx.triple_points:
         m = [0, 0, 0]
         for i, lt in enumerate(t.line_types):
             # line i's curve, as cx.line_curve(t.id, i) finds it
@@ -137,6 +137,14 @@ def first_invalid_triple(g: int, masks: Iterable[tuple]) -> int | None:
     return None
 
 
+#: per triple of line types (a permutation or not), bit ``lines`` set for each
+#: bitmask ``lines`` of lines whose types, OR-ed into PATTERN_TYPES bits as
+#: triple_masks does (a sum of distinct bits is their OR), are {bt} or {bm, mt}
+INVALID_LINES = {types: sum(1 << lines for lines in range(8) if sum({
+    1 << _BIT_OF[lt] for i, lt in enumerate(types) if lines >> i & 1}) in (0b010, 0b101))
+    for types in product(LineType, repeat=3)}
+
+
 def dd_holds(g: int, masks: Iterable[tuple]) -> bool:
     """Descendent disk condition for union mask ``g``."""
     return all((g & e1 != 0) == (g & e2 != 0) for e1, e2 in masks)
@@ -156,16 +164,20 @@ def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
 
 def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:
     """The invalid flip set at the first triple point, in id order, or None.
-    Only a triple point at an end of one of gamma's arcs flips a line, so
-    only those are checked."""
+    A line flips exactly when one of gamma's arcs ends on it, so the flipped
+    lines are read from those ends, and only their triple points checked."""
     gamma = exchange_set(cx, gamma)
-    edges, triples_by_id = cx.edges_by_id, cx.triples_by_id
-    touched = {end.triple_id for c in gamma for eid in cx.curves_by_id[c].edges
-               if type(arc := edges[eid]) is Arc
-               for end in arc.ends if type(end) is TripleSlot}
-    triples = [triples_by_id[tid] for tid in sorted(touched)]
-    bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1), triples))
-    return None if bad is None else _flip_set(cx, triples[bad], gamma)
+    edges, curves, triples = cx.edges_by_id, cx.curves_by_id, cx.triples_by_id
+    flipped: dict[str, int] = {}  # triple id -> bitmask of its flipped lines
+    for c in gamma:
+        for eid in curves[c].edges:
+            if type(arc := edges[eid]) is Arc:
+                for end in arc[1:]:
+                    if type(end) is TripleSlot:
+                        flipped[end[0]] = flipped.get(end[0], 0) | 1 << end[1]
+    bad = [tid for tid, lines in flipped.items()
+           if INVALID_LINES[triples[tid].line_types] >> lines & 1]
+    return _flip_set(cx, triples[min(bad)], gamma) if bad else None
 
 
 def is_exchangeable(cx: SingularityComplex, gamma: Iterable[str]) -> bool:

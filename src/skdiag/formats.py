@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import re
+from itertools import product
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -456,10 +457,10 @@ _PALETTE = ("crimson", "royalblue", "forestgreen", "darkorange", "purple",
             "teal", "goldenrod", "deeppink", "slategray", "saddlebrown")
 
 
-def _owner_node(ref) -> str:
-    if isinstance(ref, BranchRef):
-        return f"B_{ref.branch_id}"
-    return f"T_{ref.triple_id}"
+#: owner node name prefix per endpoint type (its id is end[0]); label per line types
+_NODE_PREFIX = {TripleSlot: "T_", BranchRef: "B_"}
+_TYPES_TEXT = {types: " ".join(f"{i}:{lt.value}" for i, lt in enumerate(types))
+               for types in product(LineType, repeat=3)}
 
 
 def export_schematic(cx: SingularityComplex) -> str:
@@ -473,6 +474,7 @@ def export_schematic(cx: SingularityComplex) -> str:
     """
     color_of = {c.id: _PALETTE[i % len(_PALETTE)]
                 for i, c in enumerate(cx.curves)}
+    curve_of = cx.curve_by_edge
     out = ["graph singularity {"]
     counts = census(cx)
     out.append(f"  // triples={counts.triple_points} branches={counts.branch_points}"
@@ -482,23 +484,19 @@ def export_schematic(cx: SingularityComplex) -> str:
         out.append(f"  // curve {c.id}: {c.kind.value}, {len(c.edges)} edge(s),"
                    f" color {color_of[c.id]}")
     out.append("  node [fontsize=10];")
-    for t in cx.triple_points:
-        types = " ".join(f"{i}:{lt.value}" for i, lt in enumerate(t.line_types))
-        out.append(f'  "T_{t.id}" [shape=triangle, label="{t.id}\\n{types}"];')
-    for b in cx.branch_points:
-        out.append(f'  "B_{b.id}" [shape=circle, width=0.15, label="{b.id}"];')
-    for e in cx.edges:
-        if not isinstance(e, Arc):
-            color = color_of[cx.curve_of(e.id)]
-            out.append(f'  "C_{e.id}" [shape=point, color={color}];')
-            out.append(f'  "C_{e.id}" -- "C_{e.id}"'
-                       f' [label="{e.id} ({cx.curve_of(e.id)})", color={color}];')
-    for e in cx.edges:
-        if isinstance(e, Arc):
-            curve = cx.curve_of(e.id)
-            color = color_of[curve]
-            out.append(f'  "{_owner_node(e.end1)}" -- "{_owner_node(e.end2)}"'
-                       f' [label="{e.id} ({curve})", color={color}];')
+    out += [f'  "T_{t.id}" [shape=triangle, label="{t.id}\\n{_TYPES_TEXT[t.line_types]}"];'
+            for t in cx.triple_points]
+    out += [f'  "B_{b.id}" [shape=circle, width=0.15, label="{b.id}"];'
+            for b in cx.branch_points]
+    for e in cx.circles:
+        curve = curve_of[e.id]
+        out.append(f'  "C_{e.id}" [shape=point, color={color_of[curve]}];')
+        out.append(f'  "C_{e.id}" -- "C_{e.id}"'
+                   f' [label="{e.id} ({curve})", color={color_of[curve]}];')
+    for eid, end1, end2 in cx.arcs:
+        curve = curve_of[eid]
+        out.append(f'  "{_NODE_PREFIX[type(end1)]}{end1[0]}" -- "{_NODE_PREFIX[type(end2)]}'
+                   f'{end2[0]}" [label="{eid} ({curve})", color={color_of[curve]}];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -305,7 +305,7 @@ class SingularityComplex(_ComplexRecords):
         parent = lineage.views.pop("_claims", None) if lineage else None
         every = 6 * len(self.triple_points) + len(self.branch_points)
         if parent is not None and not parent[1]:
-            index = dict(parent[0])
+            index = parent[0].copy()  # a clone, as in patched
             removed, added = lineage.edits[ARCS]
             for arc in removed:
                 del index[arc.end1], index[arc.end2]
@@ -407,7 +407,7 @@ def patched(items, removed, added, entry=None, old=None):
     if not removed and not added:
         return items
     if type(items) is dict:
-        items = dict(items)
+        items = items.copy()  # a clone: dict(items) re-inserts once a key was deleted
         for r in removed:
             del items[r.id]
         items.update((r.id, r) for r in added)
@@ -577,7 +577,7 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
         old, by_edge, seeds = None, {}, cx.edges
     else:
         arcs, circles = lineage.edits[ARCS], lineage.edits[CIRCLES]
-        by_edge = dict(by_edge)
+        by_edge = by_edge.copy()  # a clone, as in patched
         dirty = [old[bisect_left(old, cid, key=BY_ID)]
                  for cid in sorted({by_edge[e.id] for e in arcs[0] + circles[0]})]
         seeds = arcs[1] + circles[1]

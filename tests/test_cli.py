@@ -60,6 +60,22 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("crossing-change", "-o"), ("apply", "-o"), ("apply", "--trail"),
+    ("schematic", "-o")])
+def test_unwritable_output_path_exits_2(capsys, trefoil_path, tmp_path, command, flag):
+    # an output file that cannot be written is an input error, not a crash
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    target = tmp_path / "no" / "such" / "dir" / "out"
+    argv = [command, trefoil_path, *([str(skm)] if command == "apply" else []),
+            *(["--gamma", "closed"] if command != "schematic" else []), flag, str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("text, code", [
     (bundled_text("trefoil.skd"), 0),  # well formed
     ("triple T1 lines=bm,bt,mt\n", 1),  # a false verdict

@@ -1,6 +1,6 @@
 """Flip validity, exchangeability, crossing changes, dd-condition."""
 
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -22,9 +22,12 @@ from skdiag import (
 from skdiag.crossing import (
     PATTERN_TYPES,
     RELABEL,
+    exchange_set,
+    first_invalid_flip,
     first_invalid_triple,
     flip_pattern,
     role_permutation,
+    triple_masks,
 )
 from skdiag.explorer import SizeBudget, enumerate_exchangeable, generate_random_complex
 from skdiag.singularity import DescendentDisk, Level, Pairing
@@ -104,6 +107,22 @@ def test_flip_sets_unknown_curve(trefoil):
         flip_sets(trefoil, {"nope"})
 
 
+def test_exchange_set_names_every_unknown_id_sorted(trefoil):
+    with pytest.raises(UnknownIdError) as exc:
+        exchange_set(trefoil, ["zz", "closed", "aa", "open1"])
+    assert str(exc.value) == "unknown curve id(s): aa, zz"
+    # an edge id names the curve through it only at the CLI, not here
+    with pytest.raises(UnknownIdError) as exc:
+        exchange_set(trefoil, ["open1.2"])
+    assert str(exc.value) == "unknown curve id(s): open1.2"
+
+
+def test_exchange_set_takes_any_iterable_of_known_ids(trefoil):
+    assert exchange_set(trefoil, (c for c in ("open1", "closed"))) == {"open1", "closed"}
+    assert exchange_set(trefoil, ["open2", "open2", "closed"]) == {"open2", "closed"}
+    assert exchange_set(trefoil, []) == frozenset()
+
+
 def test_exchangeability_trefoil(trefoil):
     assert is_exchangeable(trefoil, set())
     assert is_exchangeable(trefoil, all_curves(trefoil))
@@ -146,6 +165,24 @@ def test_crossing_change_single_triple_mt():
     assert new_types[1] is LineType.BM  # was bt
     assert new_types[2] is LineType.BT  # was bm
     assert changed.curves == cx.curves
+
+
+@pytest.mark.parametrize("types", list(product(LineType, repeat=3)))
+def test_first_invalid_flip_matches_the_compiled_masks_for_any_line_types(types):
+    # one triple point, each line a loop arc of its own closed curve E<i>;
+    # line types that are not a permutation are checked as triple_masks types them
+    from skdiag.singularity import Arc, TripleSlot
+
+    edges = [Arc(f"E{i}", TripleSlot("T", i, "a"), TripleSlot("T", i, "b"))
+             for i in range(3)]
+    cx = SingularityComplex.build(triples=[TriplePoint("T", types)], edges=edges)
+    for k in range(4):
+        for gamma in combinations(["E0", "E1", "E2"], k):
+            bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1)))
+            found = first_invalid_flip(cx, gamma)
+            assert (found is None) == (bad is None), (types, gamma)
+            if found is not None:
+                assert found.flipped_lines == {int(c[1]) for c in gamma}
 
 
 def test_crossing_change_preserves_structure(trefoil):

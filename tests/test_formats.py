@@ -1,5 +1,6 @@
 """Parsing, canonical serialization, fingerprints, schematic export."""
 
+import hashlib
 import random
 
 import pytest
@@ -227,6 +228,26 @@ def test_schematic_counts_match_census_on_fixtures(r2, r3, r5, r6):
         nodes, edges = _dot_counts(export_schematic(cx))
         assert nodes == rec.triple_points + rec.branch_points + rec.circles
         assert edges == rec.arc_edges + rec.circles
+
+
+# SHA-256 of each DOT text, frozen before export_schematic became one pass
+SCHEMATIC_SHA256 = {
+    "r2": "62ac5783f9e3a426989c7c1a607058508eba26379269a97133766587fca9737e",
+    "r3": "ccef409c37a17766957f496b7aa49f28db62e54fd2630f093cc37e09189b4865",
+    "r5": "1ae7d64061337cba18d54b3690daf759f4829b044debede220de4e610ce6ee20",
+    "r6": "28a10d87a8dbeba86747382789adc8ec7c2ed2c21549f5db41a3e409e54d14f2",
+    "trefoil": "7b165960ab3b1e7b465c36126f4ebf2041886f20dcb90ff9b4dc4996e15d1d85",
+    # 12 curves (the palette wraps), 6 circles, 5 disks
+    "generated": "a3ca6c72b3ec022d3b6432a0536b7c051d25b8a07d2411a5e55f260afcf27758",
+}
+
+
+def test_schematic_bytes_are_pinned(r2, r3, r5, r6, trefoil):
+    cxs = {"r2": r2, "r3": r3, "r5": r5, "r6": r6, "trefoil": trefoil,
+           "generated": generate_random_complex(7, SizeBudget(30, 10, 6), disks=5)}
+    for name, cx in cxs.items():
+        dot = export_schematic(cx).encode("utf-8")
+        assert hashlib.sha256(dot).hexdigest() == SCHEMATIC_SHA256[name], name
 
 
 def test_derived_ids_are_deterministic(r2):

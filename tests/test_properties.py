@@ -28,6 +28,7 @@ from skdiag import (
     TripleSlot,
     all_curves,
     apply_move,
+    apply_sequence,
     apply_with_transport,
     census,
     crossing_change,
@@ -419,6 +420,49 @@ def test_derived_complexes_match_fresh_builds(seed, budget, disks, steps):
             cx = apply_derived(cx, move)
         except MoveRejected:
             continue
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2),
+       steps=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 10 ** 6)),
+                      max_size=8),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_trail_checks_on_derived_complexes_match_fresh_ones(seed, budget, disks,
+                                                            steps, data):
+    """A trail checks complexes built by ``rebuilt``: on each, the first
+    invalid flip of a drawn union is the flip_sets reference's on the same
+    complex read back from its canonical text, and each apply_sequence trail
+    flag is the check's verdict on the step's complex read back."""
+    start = cx = with_sites(generate_random_complex(seed, budget, disks=disks),
+                            SITE_NAMES, seed)
+    unions = [g for g in enumerate_exchangeable(cx, max_size=3)
+              if satisfies_dd_condition(cx, g)]
+    start_gamma = gamma = unions[seed % len(unions)]
+    moves, derived = [], []
+    for step, (kind, pick) in enumerate(steps):
+        move = random_move(cx, kind, pick, step)
+        if move is None:
+            continue
+        try:
+            cx, gamma = apply_with_transport(cx, gamma, move)
+        except MoveRejected:
+            continue
+        moves.append(move)
+        derived.append(cx)
+        ids = sorted(cx.curves_by_id)
+        drawn = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
+        fresh = parse_skd(serialize_canonical(cx))
+        assert first_invalid_flip(cx, drawn) == next(
+            (fs for fs in flip_sets(fresh, drawn) if not is_valid_flip(fs.flipped_types)),
+            None)
+    result = apply_sequence(start, start_gamma, moves)
+    assert len(result.trail) == len(derived)
+    for entry, step_cx in zip(result.trail, derived):
+        fresh = parse_skd(serialize_canonical(step_cx))
+        assert entry.fingerprint == fingerprint(fresh)
+        assert entry.exchangeable == is_exchangeable(fresh, entry.gamma)
+        assert entry.dd == satisfies_dd_condition(fresh, entry.gamma)
 
 
 @pytest.mark.parametrize("name, move", [("r2", r2_move()), ("r3", r3_move()),
