@@ -218,14 +218,19 @@ def _cmd_apply(args) -> int:
     trail = [{"index": t.index, "kind": t.kind, "fingerprint": t.fingerprint,
               "gamma": list(t.gamma), "exchangeable": t.exchangeable,
               "dd": t.dd} for t in result.trail]
-    if args.trail:
-        _write(args.trail, json.dumps(
-            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n")
     text = serialize_canonical(result.complex)
     fp = digest(text)
     payload = {"command": "apply", "moves": len(moves),
                "gamma": sorted(result.gamma), "fingerprint": fp, "trail": trail}
-    _write_out(args, text, payload)
+    # both texts are built; the files are written -o first, then --trail,
+    # then stdout: so a failed write leaves no trail and prints nothing
+    if _to_file(args):
+        _write(args.output, text)
+    if args.trail:
+        _write(args.trail, json.dumps(
+            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n")
+    if not _to_file(args):
+        _write_out(args, text, payload)
     _emit(args, payload, lambda: [
         f"applied {len(moves)} move(s); gamma: "
         + (",".join(sorted(result.gamma)) or "(empty)"),

@@ -8,12 +8,12 @@ flipping only the bottom/top line, or the bottom/middle and middle/top lines
 together, forces a cyclic height relation. In one line: a flip is valid iff
 bit(bt) == bit(bm) or bit(bt) == bit(mt).
 
-Scans run on integer masks: given each curve its own bit in sorted-id
-order, a triple point compiles to the masks (m_bm, m_bt, m_mt) of the
-curves on its lines of each type, a disk to the masks (m_e1, m_e2) of its
-edges' curves, and a union to the OR of its curves' bits. A single check
-reads the flipped lines from the ends of the union's own arcs instead: a
-line flips exactly when one of them ends on it.
+A scan gives each curve one integer flip word, with a 3-bit field per
+triple point (the types of the lines the curve lies on) and a 2-bit field
+per disk (whether it is the curve of each of the disk's edges), and ORs
+the words of a candidate's curves; one bit-parallel test then checks every
+triple point at once. A single union reads its flipped lines from the ends
+of its own arcs instead: a line flips exactly when one of them ends on it.
 
 A valid change relabels the line types at each triple point by the sheet
 role permutation the new height order induces, and swaps the decker tags of
@@ -21,8 +21,10 @@ descendent-disk arcs that ride on flipped curves. The incidence structure
 (points, edges, traced curves) is untouched.
 """
 
+from functools import reduce
 from itertools import product
-from typing import Callable, Iterable, Mapping, NamedTuple
+from operator import or_
+from typing import Callable, Iterable, NamedTuple
 
 from .canonical import digest, disk_line, middle_block, triple_line
 from .errors import NotExchangeableError, UnknownIdError
@@ -84,70 +86,52 @@ def is_valid_flip(flipped: Iterable[LineType]) -> bool:
     return role_permutation(frozenset(flipped)) is not None
 
 
-#: new line type of each old one, for each of the six valid flip patterns
+#: new line type of each old one, for each of the six valid flip patterns;
+#: a pattern is valid iff it is a key
 RELABEL = {
     p: {lt: TYPE_OF_PAIR[frozenset(perm[role] for role in pair)]
         for lt, pair in SHEET_PAIR.items()}
     for p in range(8) if (perm := role_permutation(frozenset(
         lt for i, lt in enumerate(PATTERN_TYPES) if p >> i & 1))) is not None}
 
+#: per triple of line types (a permutation or not), the flip pattern of each
+#: bitmask of flipped lines: the bits of their types, OR-ed
+PATTERN_OF_LINES = {types: [reduce(or_, (1 << _BIT_OF[lt] for i, lt in enumerate(types)
+                                         if lines >> i & 1), 0) for lines in range(8)]
+                    for types in product(LineType, repeat=3)}
 
-def curve_bits(cx: SingularityComplex) -> dict[str, int]:
-    """Bit ``1 << i`` for the i-th curve in sorted-id order."""
-    return {c.id: 1 << i for i, c in enumerate(cx.curves)}
+
+def exchangeable_unions(unions: Iterable[tuple[str, ...]], words: dict[str, int],
+                        low: int) -> list[tuple[tuple[str, ...], int]]:
+    """(union, word) for each of ``unions`` whose flip word, the OR of its
+    curves' ``words``, has a pattern in RELABEL in every field that starts
+    at a bit of ``low``: there its bt bit equals its bm bit or its mt bit."""
+    word = words.__getitem__
+    return [(u, w) for u in unions
+            if not ((w := reduce(or_, map(word, u), 0)) ^ w >> 1)
+            & (w >> 1 ^ w >> 2) & low]
 
 
-def triple_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
-    """(m_bm, m_bt, m_mt) per triple point, in id order: the OR of the bits of
-    the curves on its lines of each type (a curve without a bit counts 0)."""
+def flip_words(cx: SingularityComplex) -> tuple[dict[str, int], int, int]:
+    """Each curve's flip word, in sorted-id order, and the low bits of the
+    triple-point and the disk fields. Triple point j has a 3-bit field at
+    bit 3j, set at the types (PATTERN_TYPES bits) of the lines the curve
+    lies on; disk k has a 2-bit field at 3T + 2k, bit 0 / bit 1 set when it
+    is the curve of edge1 / edge2. A union's word is the OR of its curves'."""
     index, curve_of = cx.slot_index, cx.curve_by_edge
-    out = []
-    for t in cx.triple_points:
-        m = [0, 0, 0]
+    words = {c.id: 0 for c in cx.curves}
+    for j, t in enumerate(cx.triple_points):
         for i, lt in enumerate(t.line_types):
             # line i's curve, as cx.line_curve(t.id, i) finds it
-            m[_BIT_OF[lt]] |= bits.get(curve_of[index[t.id, i, "a"][0]], 0)
-        out.append(tuple(m))
-    return out
-
-
-def disk_masks(cx: SingularityComplex, bits: Mapping[str, int]) -> list[tuple]:
-    """(m_e1, m_e2) per disk in id order: the bits of its edges' curves."""
-    return [(bits.get(cx.curve_of(d.edge1), 0), bits.get(cx.curve_of(d.edge2), 0))
-            for d in cx.disks]
-
-
-def flip_pattern(g: int, masks: tuple) -> int:
-    """The line types union mask ``g`` flips at a triple point (PATTERN_TYPES bits)."""
-    bm, bt, mt = masks
-    return (g & bm != 0) | (g & bt != 0) << 1 | (g & mt != 0) << 2
-
-
-def disk_flips(g: int, masks: tuple) -> int:
-    """Bit 0 / bit 1 set when union mask ``g`` flips the curve of edge1 / edge2."""
-    return (g & masks[0] != 0) | (g & masks[1] != 0) << 1
-
-
-def first_invalid_triple(g: int, masks: Iterable[tuple]) -> int | None:
-    """Index of the first triple point where union mask ``g`` flips an
-    invalid set, exactly {bt} or {bm, mt}; None when every flip is valid."""
-    for i, (bm, bt, mt) in enumerate(masks):
-        if (g & bm != 0) == (g & mt != 0) != (g & bt != 0):
-            return i
-    return None
-
-
-#: per triple of line types (a permutation or not), bit ``lines`` set for each
-#: bitmask ``lines`` of lines whose types, OR-ed into PATTERN_TYPES bits as
-#: triple_masks does (a sum of distinct bits is their OR), are {bt} or {bm, mt}
-INVALID_LINES = {types: sum(1 << lines for lines in range(8) if sum({
-    1 << _BIT_OF[lt] for i, lt in enumerate(types) if lines >> i & 1}) in (0b010, 0b101))
-    for types in product(LineType, repeat=3)}
-
-
-def dd_holds(g: int, masks: Iterable[tuple]) -> bool:
-    """Descendent disk condition for union mask ``g``."""
-    return all((g & e1 != 0) == (g & e2 != 0) for e1, e2 in masks)
+            words[curve_of[index[t.id, i, "a"][0]]] |= 1 << 3 * j + _BIT_OF[lt]
+    at = 3 * len(cx.triple_points)
+    for k, d in enumerate(cx.disks):
+        words[cx.curve_of(d.edge1)] |= 1 << at + 2 * k
+        words[cx.curve_of(d.edge2)] |= 2 << at + 2 * k
+    # bit 0 of every field: the sums of 8^j over the triple points and of
+    # 4^k over the disks
+    low = (8 ** len(cx.triple_points) - 1) // 7
+    return words, low, (4 ** len(cx.disks) - 1) // 3 << at
 
 
 def _flip_set(cx: SingularityComplex, t: TriplePoint, gamma: ExchangeSet) -> FlipSet:
@@ -162,11 +146,12 @@ def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
     return [_flip_set(cx, t, gamma) for t in cx.triple_points]
 
 
-def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:
-    """The invalid flip set at the first triple point, in id order, or None.
-    A line flips exactly when one of gamma's arcs ends on it, so the flipped
-    lines are read from those ends, and only their triple points checked."""
-    gamma = exchange_set(cx, gamma)
+def _flips(cx: SingularityComplex,
+           gamma: ExchangeSet) -> tuple[dict[str, int], FlipSet | None]:
+    """The flip pattern of each triple point gamma touches, and the invalid
+    flip set at the first of them in id order, or None. A line flips
+    exactly when one of gamma's arcs ends on it, so the flipped lines are
+    read from those ends, and only their triple points visited."""
     edges, curves, triples = cx.edges_by_id, cx.curves_by_id, cx.triples_by_id
     flipped: dict[str, int] = {}  # triple id -> bitmask of its flipped lines
     for c in gamma:
@@ -175,9 +160,16 @@ def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet 
                 for end in arc[1:]:
                     if type(end) is TripleSlot:
                         flipped[end[0]] = flipped.get(end[0], 0) | 1 << end[1]
-    bad = [tid for tid, lines in flipped.items()
-           if INVALID_LINES[triples[tid].line_types] >> lines & 1]
-    return _flip_set(cx, triples[min(bad)], gamma) if bad else None
+    patterns = {tid: PATTERN_OF_LINES[triples[tid].line_types][lines]
+                for tid, lines in flipped.items()}
+    bad = [tid for tid, p in patterns.items() if p not in RELABEL]
+    return patterns, _flip_set(cx, triples[min(bad)], gamma) if bad else None
+
+
+def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:
+    """The invalid flip set at the first triple point, in id order, or None."""
+    gamma = exchange_set(cx, gamma)
+    return _flips(cx, gamma)[1]
 
 
 def is_exchangeable(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
@@ -201,52 +193,53 @@ def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> Singularity
     """The diagram obtained by exchanging upper/lower information along gamma.
 
     Incidence structure is preserved exactly; line types at each triple
-    point are relabelled by the induced sheet-role permutation, and each
-    disk tag on a flipped curve is swapped between upper and lower.
-    Raises NotExchangeableError naming the first triple point whose flip
-    set is invalid.
+    point gamma touches are relabelled by the induced sheet-role
+    permutation, and each disk tag on a flipped curve is swapped between
+    upper and lower. Raises NotExchangeableError naming the first triple
+    point whose flip set is invalid.
     """
     gamma = exchange_set(cx, gamma)
     if not gamma:
         return cx
-    bits = dict.fromkeys(gamma, 1)
-    masks = triple_masks(cx, bits)
-    bad = first_invalid_triple(1, masks)
-    if bad is not None:
-        fs = _flip_set(cx, cx.triple_points[bad], gamma)
+    patterns, fs = _flips(cx, gamma)
+    if fs is not None:
         types = "{" + ", ".join(sorted(t.value for t in fs.flipped_types)) + "}"
         raise NotExchangeableError(
             fs.triple_id,
             f"flip set {types} at triple point {fs.triple_id} is not valid")
-    new_triples = [relabelled_triple(t, flip_pattern(1, m))
-                   for t, m in zip(cx.triple_points, masks)]
-    new_disks = [flipped_disk(d, disk_flips(1, m))
-                 for d, m in zip(cx.disks, disk_masks(cx, bits))]
+    new_triples = [relabelled_triple(t, p) if (p := patterns.get(t.id)) else t
+                   for t in cx.triple_points]
+    curve_of = cx.curve_of
+    new_disks = [flipped_disk(d, (curve_of(d.edge1) in gamma)
+                              | (curve_of(d.edge2) in gamma) << 1) for d in cx.disks]
     return SingularityComplex.build(
         new_triples, cx.branch_points, cx.edges, new_disks)
 
 
-def changed_fingerprinter(cx: SingularityComplex,
-                          bits: Mapping[str, int]) -> Callable[[int], str]:
-    """``g -> fingerprint(crossing_change(cx, gamma))`` for an exchangeable
-    union gamma of mask ``g`` under ``bits``, without building the change:
-    the canonical lines of each triple point (one per valid flip pattern),
-    each disk (one per pair of level flips) and the unchanged middle block
-    are built once, and a call only picks, joins and hashes them."""
-    triples = [(m, {p: triple_line(relabelled_triple(t, p)) for p in RELABEL})
-               for t, m in zip(cx.triple_points, triple_masks(cx, bits))]
-    disks = [(m, [disk_line(flipped_disk(d, f)) for f in range(4)])
-             for d, m in zip(cx.disks, disk_masks(cx, bits))]
-    middle = middle_block(cx)
-    return lambda g: digest("".join([
-        *(lines[flip_pattern(g, m)] for m, lines in triples), middle,
-        *(lines[disk_flips(g, m)] for m, lines in disks)]))
+def changed_fingerprinter(cx: SingularityComplex) -> Callable[[int], str]:
+    """``w -> fingerprint(crossing_change(cx, gamma))`` for an exchangeable
+    union gamma of flip word ``w`` (see flip_words), without building the
+    change: the canonical lines of each triple point (one per valid flip
+    pattern), each disk (one per pair of level flips) and the unchanged
+    middle block are built once, and a call only picks, joins and hashes
+    them."""
+    triples = [{p: triple_line(relabelled_triple(t, p)) for p in RELABEL}
+               for t in cx.triple_points]
+    disks = [[disk_line(flipped_disk(d, f)) for f in range(4)] for d in cx.disks]
+    middle, at = middle_block(cx), 3 * len(triples)
+    return lambda w: digest("".join([
+        *(lines[w >> 3 * j & 7] for j, lines in enumerate(triples)), middle,
+        *(lines[w >> at + 2 * k & 3] for k, lines in enumerate(disks))]))
 
 
 def satisfies_dd_condition(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
     """Descendent disk condition: every disk has both of its curves in
     gamma or both outside it. Decided purely from the disk registry."""
-    return dd_holds(1, disk_masks(cx, dict.fromkeys(exchange_set(cx, gamma), 1)))
+    gamma, curve_of = exchange_set(cx, gamma), cx.curve_of
+    # a list, not a generator: every disk's edges are looked up, so a
+    # missing edge raises even after a disk has failed
+    return all([(curve_of(d.edge1) in gamma) == (curve_of(d.edge2) in gamma)
+                for d in cx.disks])
 
 
 def all_curves(cx: SingularityComplex) -> ExchangeSet:

@@ -11,17 +11,10 @@ reach. Every report says so.
 
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import NamedTuple
 
-from .crossing import (
-    changed_fingerprinter,
-    curve_bits,
-    dd_holds,
-    disk_masks,
-    first_invalid_triple,
-    triple_masks,
-)
+from .crossing import changed_fingerprinter, exchangeable_unions, flip_words
 from .errors import EnumerationCapExceeded, OracleConflict
 from .singularity import SingularityComplex
 
@@ -107,21 +100,21 @@ class DuVerdict(NamedTuple):
     witness: tuple[str, ...] | None = None
 
 
-def _exchangeable_layers(cx: SingularityComplex, bits: dict[str, int],
-                         max_size: int | None, cap: int):
-    """The exchangeable unions (curve-id tuples) of each size, smallest first,
-    each in lexicographic order: checked at the call, scanned when taken."""
+def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int):
+    """The low bits of the disk fields of the flip words, and the
+    exchangeable unions (curve-id tuples) of each size with their words,
+    smallest first, each in lexicographic order: checked at the call,
+    scanned when taken."""
+    n = len(cx.curves)
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be non-negative, not {max_size}")
-    n = len(bits)
     if max_size is None and 2 ** n > cap:
         raise EnumerationCapExceeded(
             cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
             "pass max_size to bound the scan")
-    masks, bit = triple_masks(cx, bits), bits.__getitem__
-    return ([combo for combo in combinations(bits, k)
-             if first_invalid_triple(sum(map(bit, combo)), masks) is None]
-            for k in range((n if max_size is None else min(max_size, n)) + 1))
+    words, low, disk_low = flip_words(cx)
+    return disk_low, (exchangeable_unions(combinations(words, k), words, low)
+                      for k in range((n if max_size is None else min(max_size, n)) + 1))
 
 
 def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
@@ -130,26 +123,23 @@ def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
     order (size bounded by max_size when given).
 
     Refuses with the cap value when the candidate-subset count would
-    exceed ``cap`` and no max_size was supplied. Candidates are checked as
-    curve masks against triple-point masks compiled once."""
-    return [frozenset(combo) for layer in
-            _exchangeable_layers(cx, curve_bits(cx), max_size, cap) for combo in layer]
+    exceed ``cap`` and no max_size was supplied. Each candidate ORs one
+    flip word per curve and tests every triple point at once."""
+    return [frozenset(gamma) for layer in _exchangeable_layers(cx, max_size, cap)[1]
+            for gamma, _ in layer]
 
 
 def _du_layers(cx: SingularityComplex, oracle: TrivialityOracle,
                max_size: int | None, cap: int):
     """The witnesses of each size layer, as ``_exchangeable_layers``."""
-    bits = curve_bits(cx)
-    layers = _exchangeable_layers(cx, bits, max_size, cap)
-    dmasks = disk_masks(cx, bits)
-    changed = changed_fingerprinter(cx, bits) if oracle.entries else None
+    disk_low, layers = _exchangeable_layers(cx, max_size, cap)
+    changed = changed_fingerprinter(cx) if oracle.entries else None
 
-    def witness(gamma: tuple[str, ...]) -> DuWitness:
-        g = sum(map(bits.__getitem__, gamma))
-        dd = dd_holds(g, dmasks)
-        verdict = oracle.lookup(changed(g)) if dd and changed else Verdict.UNKNOWN
+    def witness(gamma: tuple[str, ...], w: int) -> DuWitness:
+        dd = not (w ^ w >> 1) & disk_low  # each disk's two edge bits agree
+        verdict = oracle.lookup(changed(w)) if dd and changed else Verdict.UNKNOWN
         return DuWitness(gamma, len(gamma), True, dd, verdict)
-    return (tuple(map(witness, layer)) for layer in layers)
+    return (tuple(starmap(witness, layer)) for layer in layers)
 
 
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,

@@ -66,13 +66,6 @@ class SkdDocument(NamedTuple):
     oracle: Mapping[str, str] = MappingProxyType({})
 
 
-def _records(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line:
-            yield lineno, line
-
-
 def _column_of(line_text: str, token: str) -> int:
     pos = line_text.find(token)
     return pos + 1 if pos >= 0 else 1
@@ -136,11 +129,16 @@ def _disk_fields(line: str, args: list[str]):
         yield 1, "disk record: " + "; ".join(parts)
         return
     try:
-        Pairing(kv["pair"].lower())
-        Level(kv["level1"].lower())
-        Level(kv["level2"].lower())
+        _disk_tags(kv)
     except ValueError as exc:
         yield 1, f"disk record: {exc}"
+
+
+def _disk_tags(kv: dict[str, str]) -> tuple[Pairing, Level, Level]:
+    """The pairing and the two levels of a disk's key=value tokens; raises
+    ValueError naming the first bad one."""
+    return (Pairing(kv["pair"].lower()), Level(kv["level1"].lower()),
+            Level(kv["level2"].lower()))
 
 
 # The grammar of each `.skd` record kind, written once. Its full-line
@@ -351,12 +349,9 @@ def _parse_disk_declaration(kv: dict[str, str]):
     if missing:
         return None, ("incomplete disk declaration: missing " + ", ".join(missing))
     try:
-        pair = Pairing(kv["pair"].lower())
-        level1 = Level(kv["level1"].lower())
-        level2 = Level(kv["level2"].lower())
+        return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv)), None
     except ValueError as exc:
         return None, str(exc)
-    return DiskDeclaration(kv["disk"], kv["partner"], pair, level1, level2), None
 
 
 def _build_move(kind: MoveKind, kv: dict[str, str]):
@@ -420,7 +415,10 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
 
     errors: list[tuple[int, int, str]] = []
     staged: list[tuple[int, str, MoveKind, list[str]]] = []
-    for lineno, line in _records(text):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].rstrip()
+        if not line:
+            continue
         tokens = line.split()
         try:
             name = normalize_kind_token(tokens[0])

@@ -24,6 +24,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .canonical import fingerprint
 from .crossing import (
+    PATTERN_OF_LINES,
+    RELABEL,
     ExchangeSet,
     exchange_set,
     first_invalid_flip,
@@ -44,7 +46,6 @@ from .singularity import (
     CurveKind,
     DescendentDisk,
     Level,
-    LineType,
     Pairing,
     SingularityComplex,
     TripleSlot,
@@ -624,21 +625,17 @@ def apply_move(cx: SingularityComplex, move: MoveInstance) -> SingularityComplex
 # -- gamma transport ------------------------------------------------------
 
 
-def _r3_roles(cx: SingularityComplex, center: str) -> dict[LineType, str]:
-    t = cx.triples_by_id[center]
-    return {t.line_types[i]: cx.line_curve(center, i) for i in range(3)}
-
-
 def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
                     move: MoveInstance, out: _Outcome) -> ExchangeSet:
     replaced, born = frozenset(), False
     if move.kind is MoveKind.R3_MINUS:
-        roles = _r3_roles(cx, move.center)
-        g_s, g_w, g_k = roles[LineType.BM], roles[LineType.MT], roles[LineType.BT]
-        pattern = (g_s in gamma, g_w in gamma, g_k in gamma)
-        if pattern in ((False, False, True), (True, True, False)):
-            included = [n for n, flag in zip(("gamma_s", "gamma_w", "gamma_k"),
-                                             pattern) if flag]
+        t = cx.triples_by_id[move.center]
+        pattern = PATTERN_OF_LINES[t.line_types][sum(
+            1 << i for i in range(3) if cx.line_curve(t.id, i) in gamma)]
+        if pattern not in RELABEL:
+            # gamma_s, gamma_w, gamma_k: the curves on the bm, mt, bt lines
+            included = [name for name, bit in (("gamma_s", 1), ("gamma_w", 4),
+                                               ("gamma_k", 2)) if pattern & bit]
             raise MoveRejected(
                 "transport-case",
                 f"membership pattern {{{', '.join(included)}}} at {move.center} "
@@ -724,6 +721,12 @@ class SequenceResult(NamedTuple):
     trail: tuple[TrailEntry, ...]
 
 
+def union_flags(cx: SingularityComplex, gamma: ExchangeSet) -> tuple[bool, bool]:
+    """Whether gamma is exchangeable on cx, and whether it satisfies the
+    descendent disk condition: the two flags of a trail entry."""
+    return is_exchangeable(cx, gamma), satisfies_dd_condition(cx, gamma)
+
+
 def apply_sequence(cx: SingularityComplex, gamma: Iterable[str],
                    seq: Iterable[MoveInstance]) -> SequenceResult:
     """Fold apply_move and transport over a move sequence.
@@ -748,12 +751,13 @@ def apply_sequence(cx: SingularityComplex, gamma: Iterable[str],
             cur, gamma = apply_with_transport(cur, gamma, move)
         except DiagramError as exc:
             raise SequenceAborted(i, str(exc)) from exc
+        exchangeable, dd = union_flags(cur, gamma)
         trail.append(TrailEntry(
             index=i,
             kind=move.kind.name,
             fingerprint=fingerprint(cur),
             gamma=tuple(sorted(gamma)),
-            exchangeable=is_exchangeable(cur, gamma),
-            dd=satisfies_dd_condition(cur, gamma),
+            exchangeable=exchangeable,
+            dd=dd,
         ))
     return SequenceResult(cur, gamma, tuple(trail))

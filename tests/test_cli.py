@@ -2,11 +2,13 @@
 
 import gc
 import json
+from hashlib import sha256
 
 import pytest
 
-from skdiag import parse_skd
+from skdiag import crossing_change, fingerprint, parse_skd, serialize_canonical
 from skdiag.cli import main
+from skdiag.explorer import SizeBudget, generate_random_complex
 from skdiag.fixtures import fixture_text as bundled_text
 
 from tests.conftest import fixture_text
@@ -74,6 +76,18 @@ def test_unwritable_output_path_exits_2(capsys, trefoil_path, tmp_path, command,
     assert code == 2 and not out
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def test_apply_with_an_unwritable_output_leaves_no_trail(capsys, trefoil_path, tmp_path):
+    # the output is written before the trail, so a failed -o writes neither
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    target, trail = tmp_path / "no" / "dir" / "out.skd", tmp_path / "t.json"
+    code, out, err = run(capsys, "apply", trefoil_path, str(skm), "--gamma", "closed",
+                         "-o", str(target), "--trail", str(trail))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not trail.exists() and not target.parent.exists()
 
 
 @pytest.mark.parametrize("text, code", [
@@ -304,3 +318,28 @@ def test_json_output_is_compact(capsys, trefoil_path, tmp_path):
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True,
                              separators=(",", ":")) + "\n"
+
+
+# SHA-256 of the bounded scans' --json output on a 300-triple-point
+# complex, computed with the per-triple-point mask scan that the flip words
+# replaced: a change to any row, its order, a dd flag or a verdict shows
+T300_GOLDEN = {
+    "enumerate": "b9bf1b94d5263c51b45767145f4f8de9a7222e80986c9676b2b847099df79a0a",
+    "du-bound": "0b081c4fd0cc831981041345c8cd2cc513f1c18db0fdcd175847c7f99f216f11",
+}
+
+
+def test_bounded_scans_at_scale_keep_their_golden_output(capsys, tmp_path):
+    cx = generate_random_complex(3, SizeBudget(300, 600, 10), disks=3)
+    skd, oracle = tmp_path / "t300.skd", tmp_path / "t300.oracle.skd"
+    skd.write_text(serialize_canonical(cx))
+    # a trivial diagram planted at a dd-passing union of two curves that
+    # meet triple points, and the unchanged diagram marked nontrivial
+    oracle.write_text(
+        f"oracle {fingerprint(crossing_change(cx, ('E1123', 'E155')))} trivial\n"
+        f"oracle {fingerprint(cx)} nontrivial\n")
+    for command, extra in (("enumerate", []), ("du-bound", ["--oracle", str(oracle)])):
+        code, out, _ = run(capsys, command, str(skd), *extra, "--max-size", "2", "--json")
+        assert code == 0
+        assert sha256(out.encode()).hexdigest() == T300_GOLDEN[command], command
+    assert json.loads(out)["best_size"] == 2

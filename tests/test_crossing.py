@@ -1,6 +1,8 @@
 """Flip validity, exchangeability, crossing changes, dd-condition."""
 
+from functools import reduce
 from itertools import chain, combinations, permutations, product
+from operator import or_
 
 import pytest
 
@@ -23,11 +25,10 @@ from skdiag.crossing import (
     PATTERN_TYPES,
     RELABEL,
     exchange_set,
+    exchangeable_unions,
     first_invalid_flip,
-    first_invalid_triple,
-    flip_pattern,
+    flip_words,
     role_permutation,
-    triple_masks,
 )
 from skdiag.explorer import SizeBudget, enumerate_exchangeable, generate_random_complex
 from skdiag.singularity import DescendentDisk, Level, Pairing
@@ -68,14 +69,41 @@ def test_is_valid_flip_matches_oracle_on_all_eight():
         assert engine == oracle_valid_flip(subset), subset
 
 
+def _loops(types):
+    """One triple point T of these line types, each line a loop arc of its
+    own closed curve E<i>."""
+    from skdiag.singularity import Arc, TripleSlot
+
+    edges = [Arc(f"E{i}", TripleSlot("T", i, "a"), TripleSlot("T", i, "b"))
+             for i in range(3)]
+    return SingularityComplex.build(triples=[TriplePoint("T", types)], edges=edges)
+
+
+def _word_valid(w: int, low: int) -> bool:
+    """The word test on a one-curve union whose word is ``w``."""
+    return exchangeable_unions([("c",)], {"c": w}, low) == [(("c",), w)]
+
+
 def test_mask_rule_matches_role_permutation_on_all_eight():
-    masks = (0b001, 0b010, 0b100)  # one curve on each of the bm, bt, mt lines
+    # one curve on each of the bm, bt, mt lines: its word is its type's bit
+    words, low, _ = flip_words(_loops(PATTERN_TYPES))
     for g in range(8):
         flipped = frozenset(lt for i, lt in enumerate(PATTERN_TYPES) if g >> i & 1)
         valid = role_permutation(flipped) is not None
-        assert (first_invalid_triple(g, [masks]) is None) == valid, flipped
-        assert flip_pattern(g, masks) == g
+        gamma = tuple(f"E{i}" for i in range(3) if g >> i & 1)
+        assert reduce(or_, (words[c] for c in gamma), 0) == g
+        assert exchangeable_unions([gamma], words, low) == ([(gamma, g)] if valid else [])
         assert (g in RELABEL) == valid
+
+
+def test_word_rule_tests_every_field_on_its_own():
+    # two triple points' patterns side by side, and a field the low bits skip
+    valid = {g: role_permutation(frozenset(
+        lt for i, lt in enumerate(PATTERN_TYPES) if g >> i & 1)) is not None
+        for g in range(8)}
+    for g, h in product(range(8), repeat=2):
+        assert _word_valid(g | h << 3, 0b1001) == (valid[g] and valid[h]), (g, h)
+        assert _word_valid(g | h << 3, 0b1000) == valid[h], (g, h)
 
 
 def test_full_reversal_is_valid():
@@ -169,18 +197,15 @@ def test_crossing_change_single_triple_mt():
 
 @pytest.mark.parametrize("types", list(product(LineType, repeat=3)))
 def test_first_invalid_flip_matches_the_compiled_masks_for_any_line_types(types):
-    # one triple point, each line a loop arc of its own closed curve E<i>;
-    # line types that are not a permutation are checked as triple_masks types them
-    from skdiag.singularity import Arc, TripleSlot
-
-    edges = [Arc(f"E{i}", TripleSlot("T", i, "a"), TripleSlot("T", i, "b"))
-             for i in range(3)]
-    cx = SingularityComplex.build(triples=[TriplePoint("T", types)], edges=edges)
+    # line types that are not a permutation are checked as flip_words types
+    # them: a type met on two lines sets one bit
+    cx = _loops(types)
+    words, low, _ = flip_words(cx)
     for k in range(4):
         for gamma in combinations(["E0", "E1", "E2"], k):
-            bad = first_invalid_triple(1, triple_masks(cx, dict.fromkeys(gamma, 1)))
+            valid = bool(exchangeable_unions([gamma], words, low))
             found = first_invalid_flip(cx, gamma)
-            assert (found is None) == (bad is None), (types, gamma)
+            assert (found is None) == valid, (types, gamma)
             if found is not None:
                 assert found.flipped_lines == {int(c[1]) for c in gamma}
 
@@ -259,3 +284,13 @@ def test_dd_disk_with_missing_edge_raises(r2):
     assert not validate(cx).ok
     with pytest.raises(UnknownIdError):
         satisfies_dd_condition(cx, {"s1"})
+    # also after an earlier disk (A, on s1 and u1) has failed
+    failed_first = SingularityComplex.build(
+        r2.triple_points, r2.branch_points, r2.edges,
+        [DescendentDisk("A", "s1", "u1", Pairing.CROSS, Level.UPPER, Level.UPPER),
+         *cx.disks])
+    with pytest.raises(UnknownIdError):
+        satisfies_dd_condition(failed_first, {"s1"})
+    # a scan's flip words hold each disk's field, so a scan raises as well
+    with pytest.raises(UnknownIdError):
+        enumerate_exchangeable(cx)

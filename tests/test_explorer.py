@@ -1,6 +1,8 @@
 """Enumeration, du-exchange bounds, oracle behavior, random generation."""
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -14,7 +16,7 @@ from skdiag import (
     is_exchangeable,
 )
 from skdiag import explorer
-from skdiag.crossing import changed_fingerprinter, curve_bits
+from skdiag.crossing import changed_fingerprinter, flip_words
 from skdiag.explorer import (
     DuStatus,
     EMPTY_ORACLE,
@@ -150,20 +152,24 @@ def test_is_du_exchangeable_stops_at_the_first_layer_with_a_witness(monkeypatch)
     # checks that one candidate, not all 2^16
     cx = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(16)])
     oracle = TrivialityOracle.from_mapping({fingerprint(cx): "trivial"})
-    checked = []
-    monkeypatch.setattr(explorer, "first_invalid_triple",
-                        lambda g, masks: checked.append(g))
+    checked, scan = [], explorer.exchangeable_unions
+
+    def counted(unions, words, low):
+        unions = list(unions)
+        checked.extend(unions)
+        return scan(unions, words, low)
+    monkeypatch.setattr(explorer, "exchangeable_unions", counted)
     assert is_du_exchangeable(cx, oracle).witness == ()
-    assert checked == [0]
+    assert checked == [()]
 
 
 def test_is_du_exchangeable_names_the_smallest_witness_of_its_layer():
     # every changed diagram but the unchanged one is trivial, so two unions
     # of size 1 are witnesses; the verdict names the one du-bound names
     cx = generate_random_complex(0, SizeBudget(4, 6, 1))
-    bits = curve_bits(cx)
-    changed = changed_fingerprinter(cx, bits)
-    fps = {changed(sum(map(bits.__getitem__, g)))
+    words = flip_words(cx)[0]
+    changed = changed_fingerprinter(cx)
+    fps = {changed(reduce(or_, map(words.__getitem__, g), 0))
            for g in enumerate_exchangeable(cx, max_size=1)} - {fingerprint(cx)}
     oracle = TrivialityOracle.from_mapping(dict.fromkeys(fps, "trivial"))
     report = du_index_upper_bound(cx, oracle)

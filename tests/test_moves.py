@@ -1,5 +1,7 @@
 """Move application, gamma transport, commutation squares, sequences."""
 
+from itertools import chain, combinations
+
 import pytest
 
 from skdiag import (
@@ -14,6 +16,8 @@ from skdiag import (
     R4Plus,
     R6,
     SequenceAborted,
+    SingularityComplex,
+    TriplePoint,
     UnknownIdError,
     apply_move,
     apply_sequence,
@@ -21,6 +25,7 @@ from skdiag import (
     census,
     crossing_change,
     fingerprint,
+    flip_sets,
     is_exchangeable,
     is_valid_flip,
     normalize_kind_token,
@@ -33,7 +38,9 @@ from skdiag import (
     validate_t_descendent,
 )
 from skdiag import fixtures as bundled
+from skdiag import moves
 from skdiag.canonical import canonical_lines
+from skdiag.moves import union_flags
 from skdiag.singularity import (
     ARCS,
     BRANCHES,
@@ -42,6 +49,8 @@ from skdiag.singularity import (
     TRIPLES,
     Arc,
     BranchRef,
+    DescendentDisk,
+    LineType,
     TripleSlot,
 )
 
@@ -198,8 +207,9 @@ def test_r3_missing_patterns_rejected_and_match_flip_table(r3):
     center = r3.triples_by_id["T0"]
     for gamma, names in (({"ek1"}, {"gamma_k"}),
                          ({"es1", "ew1"}, {"gamma_s", "gamma_w"})):
-        with pytest.raises(MoveRejected, match="outside the six"):
+        with pytest.raises(MoveRejected, match="outside the six") as exc:
             transport(r3, gamma, m)
+        assert f"pattern {{{', '.join(sorted(names))}}} at T0" in str(exc.value)
         # cross-check: the flip set at the central triple point is invalid
         flipped = {center.line_types[i] for i in range(3)
                    if r3.line_curve("T0", i) in gamma}
@@ -474,6 +484,44 @@ def test_apply_sequence_trefoil_script(trefoil):
     assert result.gamma == {"closed"}
     assert result.trail[0].gamma == ("bubble", "closed")
     assert census(result.complex).triple_points == 4
+
+
+def _flags_reference(cx, gamma):
+    """(exchangeable, dd) from the flip sets and the disk registry."""
+    return (all(is_valid_flip(fs.flipped_types) for fs in flip_sets(cx, gamma)),
+            all((cx.curve_of(d.edge1) in gamma) == (cx.curve_of(d.edge2) in gamma)
+                for d in cx.disks))
+
+
+def test_union_flags_are_false_on_unions_that_fail(trefoil, r2, r3, r6):
+    # every t-descendent sequence keeps its union exchangeable and dd, so a
+    # flag that always said True would pass the sequence tests; here the
+    # trail's flags meet unions that fail either check, or both
+    loops = SingularityComplex.build(
+        triples=[TriplePoint("T", (LineType.BM, LineType.BT, LineType.MT))],
+        edges=[Arc(f"E{i}", TripleSlot("T", i, "a"), TripleSlot("T", i, "b"))
+               for i in range(3)],
+        disks=[DescendentDisk("D", "E0", "E1", Pairing.CROSS, Level.UPPER,
+                              Level.UPPER)])
+    seen = set()
+    for cx in (trefoil, r2, r3, r6, loops):
+        ids = sorted(cx.curves_by_id)
+        for gamma in chain.from_iterable(combinations(ids, k) for k in range(len(ids) + 1)):
+            flags = union_flags(cx, frozenset(gamma))
+            assert flags == _flags_reference(cx, gamma), (gamma, flags)
+            seen.add(flags)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert union_flags(loops, frozenset({"E1"})) == (False, False)
+
+
+def test_apply_sequence_takes_its_trail_flags_from_union_flags(trefoil, monkeypatch):
+    calls = []
+    monkeypatch.setattr(moves, "union_flags",
+                        lambda cx, gamma: calls.append(gamma) or (False, True))
+    script = parse_skm(fixture_text("trefoil_seq.skm"))
+    result = apply_sequence(trefoil, {"closed"}, script)
+    assert [(t.exchangeable, t.dd) for t in result.trail] == [(False, True)] * 3
+    assert [frozenset(t.gamma) for t in result.trail] == calls
 
 
 def test_apply_sequence_aborts_with_index(trefoil):

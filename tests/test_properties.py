@@ -1,6 +1,8 @@
 """Property tests over seeded random complexes."""
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from skdiag import (
     DescendentDisk,
     DiskDeclaration,
     Level,
+    LineType,
     MoveRejected,
     Pairing,
     ParseError,
@@ -45,8 +48,8 @@ from skdiag import (
 )
 from skdiag.crossing import (
     changed_fingerprinter,
-    curve_bits,
     first_invalid_flip,
+    flip_words,
     role_permutation,
 )
 from skdiag.singularity import endpoints
@@ -108,21 +111,29 @@ scan_budgets = st.builds(SizeBudget,
                          circles=st.integers(min_value=0, max_value=2))
 
 
-def reference_scan(cx):
-    """Every exchangeable union (sorted ids) mapped to its dd flag, in
-    size-then-lexicographic order, from role_permutation and line_curve."""
+def reference_scan(cx, max_size=None):
+    """Every exchangeable union (sorted ids) of at most ``max_size`` curves
+    mapped to its dd flag, in size-then-lexicographic order, from
+    role_permutation and line_curve."""
     ids = sorted(cx.curves_by_id)
+    lines = [(t, [cx.line_curve(t.id, i) for i in range(3)]) for t in cx.triple_points]
     out = {}
-    for k in range(len(ids) + 1):
+    for k in range(len(ids) + 1 if max_size is None else min(max_size, len(ids)) + 1):
         for combo in combinations(ids, k):
-            flips = [frozenset(t.line_types[i] for i in range(3)
-                               if cx.line_curve(t.id, i) in combo)
-                     for t in cx.triple_points]
+            flips = [frozenset(t.line_types[i] for i in range(3) if curves[i] in combo)
+                     for t, curves in lines]
             if all(role_permutation(f) is not None for f in flips):
                 out[combo] = all((cx.curve_of(d.edge1) in combo)
                                  == (cx.curve_of(d.edge2) in combo)
                                  for d in cx.disks)
     return out
+
+
+def assert_changed_fingerprints(cx, unions):
+    words, changed = flip_words(cx)[0], changed_fingerprinter(cx)
+    for gamma in unions:
+        assert changed(reduce(or_, map(words.__getitem__, gamma), 0)) == \
+            fingerprint(crossing_change(cx, gamma)), gamma
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=scan_budgets,
@@ -143,18 +154,75 @@ def test_scan_matches_role_permutation_reference(seed, budget, disks):
             if w.verdict is Verdict.TRIVIAL} == trivial
 
 
+@given(seed=st.integers(min_value=0, max_value=10 ** 6),
+       budget=st.builds(SizeBudget, triples=st.integers(min_value=0, max_value=40),
+                        branches=st.integers(min_value=0, max_value=12),
+                        circles=st.integers(min_value=0, max_value=3)),
+       disks=st.integers(min_value=0, max_value=3), max_size=st.none() | st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_word_scan_matches_the_reference_up_to_40_triple_points(seed, budget, disks,
+                                                                max_size):
+    """Flip words span many fields here: the rows of both scans (unions,
+    order, dd flags) and a few changed fingerprints match the reference."""
+    cx = generate_random_complex(seed, budget, disks=disks)
+    if len(cx.curves) > 10:
+        max_size = 2 if max_size is None else min(max_size, 2)
+    reference = reference_scan(cx, max_size)
+    assert [tuple(sorted(g)) for g in enumerate_exchangeable(cx, max_size)] == \
+        list(reference)
+    report = du_index_upper_bound(cx, TrivialityOracle(), max_size)
+    assert [(w.gamma, w.dd) for w in report.witnesses] == list(reference.items())
+    assert_changed_fingerprints(cx, [g for g, dd in reference.items() if dd][-3:])
+
+
+def _one_triple_point(types):
+    """Triple point T of these line types: the closed curve A passes it on
+    lines 0 and 1 (edges A, A.2), the loop C on line 2; Z is a free circle.
+    Disk DA lies on two edges of one curve, disk DC on A and C."""
+    edges = [Arc("A", TripleSlot("T", 0, "b"), TripleSlot("T", 1, "a")),
+             Arc("A.2", TripleSlot("T", 1, "b"), TripleSlot("T", 0, "a")),
+             Arc("C", TripleSlot("T", 2, "a"), TripleSlot("T", 2, "b")), Circle("Z")]
+    disks = [DescendentDisk(did, e1, e2, Pairing("cross"), Level("upper"), Level("upper"))
+             for did, e1, e2 in (("DA", "A", "A.2"), ("DC", "A.2", "C"))]
+    return SingularityComplex.build([TriplePoint("T", types)], [], edges, disks)
+
+
+def _no_triple_point():
+    # circles and an open arc, one disk between a circle and the arc
+    return SingularityComplex.build(
+        [], [BranchPoint("B1"), BranchPoint("B2")],
+        [Arc("O", BranchRef("B1"), BranchRef("B2")), Circle("Z0"), Circle("Z1")],
+        [DescendentDisk("D", "Z0", "O", Pairing("cross"), Level("upper"), Level("lower"))])
+
+
+@pytest.mark.parametrize("cx", [
+    *(_one_triple_point(types) for types in product(LineType, repeat=3)),
+    _no_triple_point()])
+def test_word_scan_matches_the_reference_on_hand_built_complexes(cx):
+    # a curve on two lines of one triple point, line types that are not a
+    # permutation (build does not validate them), no triple point at all,
+    # and a disk on two edges of one curve
+    reference = reference_scan(cx)
+    assert [tuple(sorted(g)) for g in enumerate_exchangeable(cx)] == list(reference)
+    oracle = TrivialityOracle.from_mapping({fingerprint(cx): "trivial"})
+    report = du_index_upper_bound(cx, oracle)
+    assert [(w.gamma, w.dd) for w in report.witnesses] == list(reference.items())
+    assert {w.gamma for w in report.witnesses if w.verdict is Verdict.TRIVIAL} == {
+        g for g, dd in reference.items()
+        if dd and fingerprint(crossing_change(cx, g)) == fingerprint(cx)}
+    assert_changed_fingerprints(cx, [g for g, dd in reference.items() if dd])
+    for gamma, dd in reference.items():
+        assert satisfies_dd_condition(cx, gamma) == dd
+
+
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=scan_budgets,
        disks=st.integers(min_value=0, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_changed_fingerprints_match_crossing_change(seed, budget, disks):
     cx = generate_random_complex(seed, budget, disks=disks)
     assume(len(cx.curves) <= 10)
-    bits = curve_bits(cx)
-    changed = changed_fingerprinter(cx, bits)
-    for gamma in enumerate_exchangeable(cx):
-        if satisfies_dd_condition(cx, gamma):
-            assert changed(sum(bits[c] for c in gamma)) == \
-                fingerprint(crossing_change(cx, gamma))
+    assert_changed_fingerprints(cx, [g for g in enumerate_exchangeable(cx)
+                                     if satisfies_dd_condition(cx, g)])
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -169,10 +237,11 @@ def test_is_du_exchangeable_finds_the_best_witness(seed, budget, disks, max_size
     names the witness the full du-bound report does, under random oracles."""
     cx = generate_random_complex(seed, budget, disks=disks)
     assume(len(cx.curves) <= 10)
-    bits = curve_bits(cx)
-    changed = changed_fingerprinter(cx, bits)
+    words = flip_words(cx)[0]
+    changed = changed_fingerprinter(cx)
     # the changed diagrams of dd-passing unions, each annotated or not at random
-    fps = sorted({changed(sum(map(bits.__getitem__, g))) for g in enumerate_exchangeable(cx)
+    fps = sorted({changed(reduce(or_, map(words.__getitem__, g), 0))
+                  for g in enumerate_exchangeable(cx)
                   if satisfies_dd_condition(cx, g)})
     verdicts = st.sampled_from((None, "nontrivial", "trivial"))
     oracle = TrivialityOracle.from_mapping(
