@@ -9,6 +9,7 @@ machine-readable report with a top-level ``format_version`` field.
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -34,11 +35,25 @@ def _read(path: str) -> str:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(files: dict[str, str]) -> None:
+    """Write each path's text, all or none: each to a temporary file beside
+    it, renamed over it once all are written. A path there that is not a
+    writable file (a directory, /dev/null) is opened as a plain write would."""
+    staged = []  # (path, temporary, target)
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, text in files.items():
+            target = os.path.realpath(path)
+            if not os.path.exists(target) or os.path.isfile(target) and os.access(target, os.W_OK):
+                staged.append((path, f"{target}.{os.getpid()}.tmp", target))
+                target = staged[-1][1]
+            Path(target).write_text(text, encoding="utf-8")
+        for path, temp, target in staged:
+            os.replace(temp, target)
     except OSError as exc:
-        raise DiagramError(f"cannot write {path}: {exc}") from exc
+        for _, temp, _ in staged:
+            Path(temp).unlink(missing_ok=True)
+        reason = OSError(exc.errno, exc.strerror, path)  # naming the path, not a temporary
+        raise DiagramError(f"cannot write {path}: {reason}") from exc
 
 
 def _parsed(path: str, parse, **kw):
@@ -100,7 +115,7 @@ def _to_file(args) -> bool:
 def _write_out(args, text: str, payload: dict) -> None:
     """Write produced text to -o, or to stdout (embedded under --json)."""
     if _to_file(args):
-        _write(args.output, text)
+        _write({args.output: text})
     elif args.json:
         payload["text"] = text
     else:
@@ -222,13 +237,12 @@ def _cmd_apply(args) -> int:
     fp = digest(text)
     payload = {"command": "apply", "moves": len(moves),
                "gamma": sorted(result.gamma), "fingerprint": fp, "trail": trail}
-    # both texts are built; the files are written -o first, then --trail,
-    # then stdout: so a failed write leaves no trail and prints nothing
-    if _to_file(args):
-        _write(args.output, text)
+    # -o and --trail are both written or neither, before anything prints
+    files = {args.output: text} if _to_file(args) else {}
     if args.trail:
-        _write(args.trail, json.dumps(
-            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n")
+        files[args.trail] = json.dumps(
+            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n"
+    _write(files)
     if not _to_file(args):
         _write_out(args, text, payload)
     _emit(args, payload, lambda: [

@@ -10,7 +10,7 @@ reach. Every report says so.
 """
 
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, starmap
 from typing import NamedTuple
 
@@ -131,13 +131,15 @@ def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
 
 def _du_layers(cx: SingularityComplex, oracle: TrivialityOracle,
                max_size: int | None, cap: int):
-    """The witnesses of each size layer, as ``_exchangeable_layers``."""
+    """The witnesses of each size layer, as ``_exchangeable_layers``. A
+    changed diagram depends on the flip word alone: each is hashed once."""
     disk_low, layers = _exchangeable_layers(cx, max_size, cap)
     changed = changed_fingerprinter(cx) if oracle.entries else None
+    verdict_of = cache(lambda w: oracle.lookup(changed(w)))
 
     def witness(gamma: tuple[str, ...], w: int) -> DuWitness:
         dd = not (w ^ w >> 1) & disk_low  # each disk's two edge bits agree
-        verdict = oracle.lookup(changed(w)) if dd and changed else Verdict.UNKNOWN
+        verdict = verdict_of(w) if dd and changed else Verdict.UNKNOWN
         return DuWitness(gamma, len(gamma), True, dd, verdict)
     return (tuple(starmap(witness, layer)) for layer in layers)
 

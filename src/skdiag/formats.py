@@ -29,7 +29,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import ParseError, UnknownIdError
+from .errors import ParseError, StructuralError, UnknownIdError
 from .singularity import (
     Arc,
     BranchPoint,
@@ -54,7 +54,7 @@ _ID_RE = re.compile(_ID + r"\Z")
 
 ORACLE_VERDICTS = ("trivial", "nontrivial")
 
-_LINE_TYPES = {lt.value: lt for lt in LineType}
+_TYPES_OF = {",".join(types): types for types in product(LineType, repeat=3)}  # by lines= value
 _LINE_INDEX = {"0": 0, "1": 1, "2": 2}
 
 
@@ -64,11 +64,6 @@ class SkdDocument(NamedTuple):
 
     complex: SingularityComplex
     oracle: Mapping[str, str] = MappingProxyType({})
-
-
-def _column_of(line_text: str, token: str) -> int:
-    pos = line_text.find(token)
-    return pos + 1 if pos >= 0 else 1
 
 
 def _endpoint_error(token: str) -> str | None:
@@ -90,37 +85,40 @@ def _endpoint_error(token: str) -> str | None:
 
 
 def _parse_kv(tokens: list[str]):
-    """key=value tokens -> dict, or an offending token."""
+    """key=value tokens -> dict, or the index of an offending token."""
     out = {}
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         if "=" not in tok:
-            return None, tok
+            return None, i
         key, value = tok.split("=", 1)
         if key in out:
-            return None, tok
+            return None, i
         out[key] = value
     return out, None
 
 
-def _triple_fields(line: str, args: list[str]):
-    type_tokens = args[1][len("lines="):].split(",")
-    bad = [tok for tok in type_tokens if tok.lower() not in _LINE_TYPES]
-    for tok in bad:
-        yield _column_of(line, tok), f"unknown line type {tok!r} (expected bm, bt or mt)"
-    if len(type_tokens) - len(bad) != 3:
+def _triple_fields(args: list[str], cols: list[int]):
+    good, at = 0, cols[1] + len("lines=")
+    for tok in args[1][len("lines="):].split(","):
+        if tok.lower() in {lt.value for lt in LineType}:
+            good += 1
+        else:
+            yield at, f"unknown line type {tok!r} (expected bm, bt or mt)"
+        at += len(tok) + 1
+    if good != 3:
         yield 1, "a triple point has exactly three lines"
 
 
-def _edge_fields(line: str, args: list[str]):
-    for tok in args[1:]:
+def _edge_fields(args: list[str], cols: list[int]):
+    for tok, col in zip(args[1:], cols[1:]):
         if err := _endpoint_error(tok):
-            yield _column_of(line, tok), err
+            yield col, err
 
 
-def _disk_fields(line: str, args: list[str]):
+def _disk_fields(args: list[str], cols: list[int]):
     kv, bad = _parse_kv(args[1:])
     if bad is not None:
-        yield _column_of(line, bad), f"bad or repeated key=value token {bad!r}"
+        yield cols[1 + bad], f"bad or repeated key=value token {args[1 + bad]!r}"
         return
     required = {"e1", "e2", "pair", "level1", "level2"}
     parts = [f"{word} {', '.join(sorted(keys))}" for word, keys in
@@ -141,56 +139,91 @@ def _disk_tags(kv: dict[str, str]) -> tuple[Pairing, Level, Level]:
             Level(kv["level2"].lower()))
 
 
-# The grammar of each `.skd` record kind, written once. Its full-line
-# pattern (after the keyword; the line without its comment and trailing
-# whitespace) alone accepts a line and yields its fields. To word why a
-# line is rejected: a test of the token count and shape, the usage message
-# when it fails, and the field checks. ``\s`` is the whitespace str.split
-# splits on; ``(?ai:...)`` ignores ASCII case only, as ``str.lower`` does.
-# In an endpoint, the line and slot are the last two dot-separated fields.
+# The grammar of each `.skd` record kind, written once. Its pattern (after
+# the keyword) alone accepts a record and yields its fields: the id first
+# (an oracle's fingerprint), then the rest. To word why a line is rejected:
+# a test of the token count and shape, the usage message when it fails,
+# and the field checks. ``[^\S\n]`` is the whitespace str.split splits on,
+# less the line break; ``(?ai:...)`` ignores ASCII case only, as
+# ``str.lower`` does. In an endpoint, the line and slot are the last two
+# dot-separated fields.
+_S = r"[^\S\n]"
 _END = rf"(?:B:({_ID})|T:({_ID})\.([012])\.([ab]))"
-_LINE_TYPE = r"(?ai:(bm|bt|mt))"
+_LINE_TYPE = r"(?ai:bm|bt|mt)"
 _LEVEL = r"(?ai:(upper|lower))(?!\S)"
 _RULES = {
-    "triple": (rf"\s+({_ID})\s+lines={_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE}",
+    "triple": (rf"({_ID}){_S}+lines=({_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE})",
                lambda args: len(args) == 2 and args[1].startswith("lines="),
                "triple record needs: triple <id> lines=<t>,<t>,<t>", _triple_fields),
-    "branch": (rf"\s+({_ID})", lambda args: len(args) == 1,
-               "branch record needs: branch <id>", lambda line, args: ()),
-    "edge": (rf"\s+({_ID})\s+{_END}\s+{_END}", lambda args: len(args) == 3,
+    "branch": (rf"({_ID})", lambda args: len(args) == 1,
+               "branch record needs: branch <id>", lambda args, cols: ()),
+    "edge": (rf"({_ID}){_S}+{_END}{_S}+{_END}", lambda args: len(args) == 3,
              "edge record needs: edge <id> <endpoint> <endpoint>", _edge_fields),
-    "circle": (rf"\s+({_ID})", lambda args: len(args) == 1,
-               "circle record needs: circle <id>", lambda line, args: ()),
+    "circle": (rf"({_ID})", lambda args: len(args) == 1,
+               "circle record needs: circle <id>", lambda args, cols: ()),
     # five key=value tokens in any order, each key present: so each once
-    "disk": (rf"\s+({_ID})(?=.*\se1=(\S*))(?=.*\se2=(\S*))"
-             rf"(?=.*\spair=(?ai:(cross|parallel))(?!\S))"
-             rf"(?=.*\slevel1={_LEVEL})(?=.*\slevel2={_LEVEL})"
-             r"(?:\s+(?:e1|e2|pair|level1|level2)=\S*){5}",
+    "disk": (rf"({_ID})(?=.*{_S}e1=(\S*))(?=.*{_S}e2=(\S*))"
+             rf"(?=.*{_S}pair=(?ai:(cross|parallel))(?!\S))"
+             rf"(?=.*{_S}level1={_LEVEL})(?=.*{_S}level2={_LEVEL})"
+             rf"(?:{_S}+(?:e1|e2|pair|level1|level2)=\S*){{5}}",
              lambda args: len(args) >= 1, "disk record needs an id", _disk_fields),
     # a fingerprint is a SHA-256 digest: 64 lowercase hex digits
-    "oracle": (r"\s+([0-9a-f]{64})\s+(trivial|nontrivial)",
+    "oracle": (rf"([0-9a-f]{{64}}){_S}+(trivial|nontrivial)",
                lambda args: len(args) == 2 and args[1] in ORACLE_VERDICTS,
                "oracle record needs: oracle <fingerprint> trivial|nontrivial",
-               lambda line, args: [(_column_of(line, args[0]), f"oracle fingerprint "
-                                    f"{args[0]!r} is not 64 lowercase hex digits")]),
+               lambda args, cols: [(cols[0], f"oracle fingerprint {args[0]!r} "
+                                    "is not 64 lowercase hex digits")]),
 }
-_SKD_RECORDS = {kind: re.compile(rf"\s*{kind}{rule[0]}\Z") for kind, rule in _RULES.items()}
+# A record is a whole line, its keyword at the start of the text or of a line
+# (the lookbehind): keyword first, so that a scan searches for it in C.
+_SKD_PATTERNS = {kind: re.compile(rf"{kind}(?<![^\n]{kind}){_S}+{rule[0]}{_S}*(?![^\n])")
+                 for kind, rule in _RULES.items()}
 
 
 def _rejections(line: str):
     """Why a `.skd` line fails its record pattern, as (column, message)
     pairs: its usage when its tokens have the wrong count or shape, else
     the problems its field checks find, in order, else a bad id."""
-    record, *args = line.split()
+    tokens = list(re.finditer(r"\S+", line))  # those of str.split, and their columns
+    (record, *args), (_, *cols) = [m[0] for m in tokens], [m.start() + 1 for m in tokens]
     if record not in _RULES:
         return [(1, f"unknown record kind {record!r}")]
     _, shape, usage, fields = _RULES[record]
     if not shape(args):
         return [(1, usage)]
-    problems = list(fields(line, args))
+    problems = list(fields(args, cols))
     if not problems and not _ID_RE.match(args[0]):
-        problems.append((_column_of(line, args[0]), f"bad id {args[0]!r}"))
+        problems.append((cols[0], f"bad id {args[0]!r}"))
     return problems
+
+
+def _located(text: str):
+    """A `.skd` text read one line at a time, to place its diagnostics:
+    every problem as (line, column, message), in order, and the line that
+    first defines each (kind, id) and oracle fingerprint."""
+    errors, lines_of, verdicts = [], {}, {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].rstrip()
+        record = line.lstrip()
+        if not record:
+            continue
+        keyword = record.split(None, 1)[0]
+        m = keyword in _SKD_PATTERNS and _SKD_PATTERNS[keyword].match(record)
+        if not m:
+            # a line the token checks pass is a gap in the patterns: still rejected
+            errors += [(lineno, column, message) for column, message in
+                       _rejections(line) or [(1, f"malformed {keyword} record")]]
+            continue
+        kind, rid = "edge" if keyword == "circle" else keyword, m[1]
+        first = lines_of.setdefault((kind, rid), lineno)
+        if kind == "oracle":
+            if verdicts.setdefault(rid, m[2]) != m[2]:
+                errors.append((lineno, 1, f"oracle {rid} is {m[2]} here but "
+                               f"{verdicts[rid]} on line {first}"))
+        elif first != lineno:
+            errors.append((lineno, len(line) - len(record) + m.start(1) + 1,
+                           f"duplicate {kind} id {rid!r} (first defined on line {first})"))
+    return errors, lines_of
 
 
 def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
@@ -199,89 +232,55 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
     Raises ParseError with all diagnostics when the text does not describe
     a well-formed complex. With ``check=False`` only syntax and duplicate
     ids are diagnosed and the (possibly invalid) complex is returned, so a
-    caller can run and report validation itself. A record is built from
-    the groups of its kind's pattern (see ``_RULES``).
+    caller can run and report validation itself. Each record kind is read
+    with one pass of its pattern (see ``_RULES``) over the whole text; it
+    is read line by line only to place diagnostics.
     """
-    errors: list[tuple[int, int, str]] = []
-    triples: list[TriplePoint] = []
-    branches: list[BranchPoint] = []
-    edges: list[Arc | Circle] = []
-    disks: list[DescendentDisk] = []
-    oracle: dict[str, str] = {}
-    lines_of: dict[tuple[str, str], int] = {}
-    # builds a record as its NamedTuple's own __new__ does, without its frame
-    new, first_line = tuple.__new__, lines_of.setdefault
-
-    # the records all stay alive, so a cyclic collection during the loop
-    # frees nothing. Pausing the collector makes fewer collections while
-    # it runs, but only defers the rest: the next ones scan all it made.
-    # The CLI, whose inputs live until it exits, freezes them (cli._parsed)
+    flat = "\n".join(text.splitlines())
+    if "#" in flat:
+        flat = re.sub(r"#[^\n]*", "", flat)
+    # without indentation and blank lines, each line starts with its keyword
+    flat = re.sub(r"\n\s+", "\n", flat).strip()
+    # the records all stay alive, so a collection while they are built frees
+    # nothing: it is paused (and the CLI then freezes them, see cli._parsed)
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.partition("#")[0].rstrip()
-            if not line:
-                continue
-            record = line.split(None, 1)[0]
-            pattern = _SKD_RECORDS.get(record)
-            m = pattern.match(line) if pattern else None
-            if m is None:
-                # the token checks explain every rejection; a line they pass
-                # would be a gap in the patterns, and is still rejected
-                for column, message in (_rejections(line)
-                                        or [(1, f"malformed {record} record")]):
-                    errors.append((lineno, column, message))
-                continue
-            if record == "edge":
-                rid, b1, t1, l1, s1, b2, t2, l2, s2 = m.groups()
-                kind, kept, rec = "edge", edges, new(Arc, (
-                    rid, new(BranchRef, (b1,)) if b1 else
-                    new(TripleSlot, (t1, _LINE_INDEX[l1], s1)),
-                    new(BranchRef, (b2,)) if b2 else
-                    new(TripleSlot, (t2, _LINE_INDEX[l2], s2))))
-            elif record == "triple":
-                rid, a, b, c = m.groups()
-                kind, kept, rec = "triple", triples, new(TriplePoint, (rid, (
-                    _LINE_TYPES[a.lower()], _LINE_TYPES[b.lower()],
-                    _LINE_TYPES[c.lower()])))
-            elif record == "branch":
-                rid = m[1]
-                kind, kept, rec = "branch", branches, new(BranchPoint, (rid,))
-            elif record == "circle":
-                rid = m[1]
-                kind, kept, rec = "edge", edges, new(Circle, (rid,))
-            elif record == "disk":
-                rid, e1, e2, pair, level1, level2 = m.groups()
-                kind, kept, rec = "disk", disks, new(DescendentDisk, (
-                    rid, e1, e2, Pairing(pair.lower()), Level(level1.lower()),
-                    Level(level2.lower())))
-            else:
-                fp, verdict = m.groups()
-                if oracle.setdefault(fp, verdict) != verdict:
-                    errors.append((lineno, 1, f"oracle {fp} is {verdict} here but "
-                                   f"{oracle[fp]} on line {lines_of['oracle', fp]}"))
-                first_line(("oracle", fp), lineno)
-                continue
-            if (first := first_line((kind, rid), lineno)) == lineno:
-                kept.append(rec)
-            else:
-                errors.append((lineno, _column_of(line, rid), f"duplicate {kind} "
-                               f"id {rid!r} (first defined on line {first})"))
+        # a record is built as its NamedTuple's own __new__ builds it, without
+        # its frame; each findall list is released once its records are built
+        new, index, scan = tuple.__new__, _LINE_INDEX, _SKD_PATTERNS
+        triples = [new(TriplePoint, (rid, _TYPES_OF[types.lower()]))
+                   for rid, types in scan["triple"].findall(flat)]
+        branches = [new(BranchPoint, (rid,)) for rid in scan["branch"].findall(flat)]
+        edges = [new(Arc, (rid, new(BranchRef, (b1,)) if b1 else
+                           new(TripleSlot, (t1, index[l1], s1)),
+                           new(BranchRef, (b2,)) if b2 else
+                           new(TripleSlot, (t2, index[l2], s2))))
+                 for rid, b1, t1, l1, s1, b2, t2, l2, s2 in scan["edge"].findall(flat)]
+        edges += [new(Circle, (rid,)) for rid in scan["circle"].findall(flat)]
+        disks = [new(DescendentDisk, (rid, e1, e2, Pairing(pair.lower()),
+                                      Level(level1.lower()), Level(level2.lower())))
+                 for rid, e1, e2, pair, level1, level2 in scan["disk"].findall(flat)]
+        verdicts = scan["oracle"].findall(flat)
+        oracle = dict(verdicts)
+        found = len(triples) + len(branches) + len(edges) + len(disks) + len(verdicts)
+        # a repeated id makes the build raise; a fingerprint with two verdicts
+        # is in the oracle once
+        cx = (found == (flat.count("\n") + 1 if flat else 0)
+              and len(set(verdicts)) == len(oracle)
+              and SingularityComplex.build(triples, branches, edges, disks))
+    except StructuralError:
+        cx = None
     finally:
         if gc_enabled:
             gc.enable()
-
-    if errors:
-        raise ParseError(errors)
-    cx = SingularityComplex.build(triples, branches, edges, disks)
-    if check:
-        for violation in validate(cx).violations:
-            # at each subject's defining line; without one, at line 1
-            for subject in violation.subjects or [None]:
-                errors.append((lines_of.get(subject, 1), 1, violation.message))
-        if errors:
-            raise ParseError(errors)
+    if not cx:
+        raise ParseError(_located(text)[0] or [(1, 1, "malformed record")])
+    if check and (violations := validate(cx).violations):
+        lines_of = _located(text)[1]
+        # at each subject's defining line; without one, at line 1
+        raise ParseError([(lines_of.get(subject, 1), 1, v.message)
+                          for v in violations for subject in v.subjects or [None]])
     return SkdDocument(cx, oracle)
 
 
@@ -436,8 +435,8 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
     for lineno, line, kind, args in staged:
         kv, bad = _parse_kv(args)
         if bad is not None:
-            errors.append((lineno, _column_of(line, bad),
-                           f"bad or repeated key=value token {bad!r}"))
+            errors.append((lineno, list(re.finditer(r"\S+", line))[1 + bad].start() + 1,
+                           f"bad or repeated key=value token {args[bad]!r}"))
             continue
         move, err = _build_move(kind, kv)
         if err:

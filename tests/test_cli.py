@@ -79,7 +79,7 @@ def test_unwritable_output_path_exits_2(capsys, trefoil_path, tmp_path, command,
 
 
 def test_apply_with_an_unwritable_output_leaves_no_trail(capsys, trefoil_path, tmp_path):
-    # the output is written before the trail, so a failed -o writes neither
+    # -o and --trail are written all or none, so a failed -o writes neither
     skm = tmp_path / "seq.skm"
     skm.write_text(fixture_text("trefoil_seq.skm"))
     target, trail = tmp_path / "no" / "dir" / "out.skd", tmp_path / "t.json"
@@ -88,6 +88,43 @@ def test_apply_with_an_unwritable_output_leaves_no_trail(capsys, trefoil_path, t
     assert code == 2 and not out
     assert err.startswith(f"error: cannot write {target}: ")
     assert not trail.exists() and not target.parent.exists()
+
+
+def test_apply_with_an_unwritable_trail_leaves_no_output(capsys, trefoil_path, tmp_path):
+    # a failed --trail keeps -o as it was (absent, or its old text) and
+    # leaves no temporary file beside it
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    work = tmp_path / "work"
+    work.mkdir()
+    out, trail = work / "out.skd", work / "no" / "dir" / "t.json"
+    argv = ["apply", trefoil_path, str(skm), "--gamma", "closed", "-o", str(out),
+            "--trail", str(trail)]
+    for before in (None, "old text\n"):
+        if before is not None:
+            out.write_text(before)
+        code, printed, err = run(capsys, *argv)
+        assert code == 2 and not printed
+        assert err == (f"error: cannot write {trail}: [Errno 2] No such file or "
+                       f"directory: {str(trail)!r}\n")
+        assert (out.read_text() if out.exists() else None) == before
+        assert [p.name for p in work.iterdir()] == (["out.skd"] if before else [])
+
+
+def test_apply_to_a_directory_fails_as_a_plain_write(capsys, trefoil_path, tmp_path):
+    # a path that is not a regular file is opened in place: a directory
+    # fails as opening it would, and the trail beside it is not written
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    work = tmp_path / "work"
+    out, trail = work / "out", work / "t.json"
+    out.mkdir(parents=True)
+    code, printed, err = run(capsys, "apply", trefoil_path, str(skm), "--gamma", "closed",
+                             "-o", str(out), "--trail", str(trail))
+    assert code == 2 and not printed
+    assert err == f"error: cannot write {out}: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert out.is_dir() and not any(out.iterdir())
+    assert [p.name for p in work.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize("text, code", [

@@ -15,7 +15,7 @@ from skdiag import (
     fingerprint,
     is_exchangeable,
 )
-from skdiag import explorer
+from skdiag import crossing, explorer
 from skdiag.crossing import changed_fingerprinter, flip_words
 from skdiag.explorer import (
     DuStatus,
@@ -177,6 +177,30 @@ def test_is_du_exchangeable_names_the_smallest_witness_of_its_layer():
              and w.dd and w.verdict is Verdict.TRIVIAL]
     assert len(first) >= 2 and report.best_witness().gamma == first[0]
     assert is_du_exchangeable(cx, oracle).witness == first[0]
+
+
+def test_du_bound_hashes_each_changed_diagram_once(monkeypatch):
+    # a dense complex: 2,048 exchangeable unions, all dd-passing, share 8
+    # flip words, and the changed diagram is a function of the word alone
+    cx = generate_random_complex(2, SizeBudget(3, 18, 2))
+    words = flip_words(cx)[0]
+    unions = enumerate_exchangeable(cx)
+    by_word = {g: reduce(or_, (words[c] for c in g), 0) for g in unions}
+    assert len(unions) == 2048 and len(set(by_word.values())) == 8
+    half = sorted({fingerprint(crossing_change(cx, g)) for g in unions})[::2]
+    oracle = TrivialityOracle.from_mapping(dict.fromkeys(half, "trivial"))
+    digests, digest = [], crossing.digest
+
+    def counted(text):
+        digests.append(text)
+        return digest(text)
+    monkeypatch.setattr(crossing, "digest", counted)
+    report = du_index_upper_bound(cx, oracle)
+    assert len(digests) <= len(set(by_word.values()))
+    monkeypatch.undo()
+    for w in report.witnesses:
+        expected = fingerprint(crossing_change(cx, w.gamma)) in half
+        assert w.dd and (w.verdict is Verdict.TRIVIAL) == expected
 
 
 def test_is_du_exchangeable_keeps_the_cap_and_max_size():

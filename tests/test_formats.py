@@ -177,6 +177,17 @@ def test_parse_skm_rejects_unknown_keys():
     assert any("unknown key" in msg for _, _, msg in exc.value.diagnostics)
 
 
+@pytest.mark.parametrize("text, column, token", [
+    ("R6 disk=D1 disk=D2\n", 12, "disk=D2"),
+    ("  R6 disk=D1 R\n", 14, "R"),  # its text is also the kind's first letter
+])
+def test_parse_skm_places_a_bad_token_at_its_own_column(text, column, token):
+    with pytest.raises(ParseError) as exc:
+        parse_skm(text)
+    assert exc.value.diagnostics == (
+        (1, column, f"bad or repeated key=value token {token!r}"),)
+
+
 def test_parse_skm_rejects_missing_keys():
     with pytest.raises(ParseError) as exc:
         parse_skm("R2- t1=T1\n")
@@ -348,6 +359,15 @@ GOLDEN_DIAGNOSTICS = [
      [(3, 1, f"oracle {ORACLE_FP} is nontrivial here but trivial on line 2")]),
     ("circle C1\ncircle C1", [(3, 8, "duplicate edge id 'C1' (first defined on line 2)")]),
     ("frob X", [(2, 1, "unknown record kind 'frob'")]),
+    # a token whose text also occurs earlier in its line is placed at its own offset
+    ("branch b\nbranch b", [(3, 8, "duplicate branch id 'b' (first defined on line 2)")]),
+    ("oracle r trivial", [(2, 8, "oracle fingerprint 'r' is not 64 lowercase hex digits")]),
+    ("triple T1 lines=t,bm,mt",
+     [(2, 17, "unknown line type 't' (expected bm, bt or mt)"),
+      (2, 1, "a triple point has exactly three lines")]),
+    ("disk d e1=E1 d", [(2, 14, "bad or repeated key=value token 'd'")]),
+    ("edge e T:e.0.a e", [(2, 16, "endpoint 'e' must start with B: or T:")]),
+    ("circle C1\n  circle C1", [(3, 10, "duplicate edge id 'C1' (first defined on line 2)")]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Property tests over seeded random complexes."""
 
+import re
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
@@ -26,6 +27,7 @@ from skdiag import (
     R4Plus,
     R6,
     SingularityComplex,
+    SkdDocument,
     StructuralError,
     TriplePoint,
     TripleSlot,
@@ -46,6 +48,7 @@ from skdiag import (
     serialize_canonical,
     validate,
 )
+from skdiag import formats
 from skdiag.crossing import (
     changed_fingerprinter,
     first_invalid_flip,
@@ -555,6 +558,80 @@ LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 CASE_FREE_KEYS = ("lines", "pair", "level1", "level2")
 
 
+# The reference reader reads one line at a time: it matches each line
+# against its kind's pattern (the grammar of formats._RULES, anchored to
+# the line), builds each record from the groups, and words a rejected line
+# with formats._rejections. parse_skd_document, which scans the whole text
+# once per record kind, must read every text as it does.
+REFERENCE_PATTERNS = {kind: re.compile(rf"\s*{kind}\s+{rule[0]}\s*\Z")
+                      for kind, rule in formats._RULES.items()}
+REFERENCE_TYPES = {lt.value: lt for lt in LineType}
+
+
+def reference_record(kind, groups):
+    """The record of a matched line, and the kind its id is unique in."""
+    if kind == "triple":
+        rid, types = groups
+        return "triple", TriplePoint(rid, tuple(REFERENCE_TYPES[t]
+                                                for t in types.lower().split(",")))
+    if kind == "edge":
+        rid, *ends = groups
+        return "edge", Arc(rid, *(BranchRef(b) if b else TripleSlot(t, int(i), slot)
+                                  for b, t, i, slot in (ends[:4], ends[4:])))
+    if kind == "disk":
+        rid, e1, e2, pair, level1, level2 = groups
+        return "disk", DescendentDisk(rid, e1, e2, Pairing(pair.lower()),
+                                      Level(level1.lower()), Level(level2.lower()))
+    record = {"branch": BranchPoint, "circle": Circle}[kind](groups[0])
+    return ("edge" if kind == "circle" else kind), record
+
+
+def reference_read(text: str, check: bool):
+    """The document ``parse_skd_document(text, check)`` returns, or the
+    diagnostics of the ParseError it raises."""
+    errors, lines_of, oracle = [], {}, {}
+    records = {"triple": [], "branch": [], "edge": [], "disk": []}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].rstrip()
+        if not line:
+            continue
+        kind = line.split(None, 1)[0]
+        m = REFERENCE_PATTERNS[kind].match(line) if kind in REFERENCE_PATTERNS else None
+        if m is None:
+            errors += [(lineno, column, message) for column, message in
+                       formats._rejections(line) or [(1, f"malformed {kind} record")]]
+        elif kind == "oracle":
+            fp, verdict = m.groups()
+            if oracle.setdefault(fp, verdict) != verdict:
+                errors.append((lineno, 1, f"oracle {fp} is {verdict} here but "
+                               f"{oracle[fp]} on line {lines_of['oracle', fp]}"))
+            lines_of.setdefault(("oracle", fp), lineno)
+        else:
+            unique_in, record = reference_record(kind, m.groups())
+            if (first := lines_of.setdefault((unique_in, record.id), lineno)) == lineno:
+                records[unique_in].append(record)
+            else:
+                errors.append((lineno, m.start(1) + 1, f"duplicate {unique_in} id "
+                               f"{record.id!r} (first defined on line {first})"))
+    if errors:
+        return tuple(errors)
+    cx = SingularityComplex.build(*records.values())
+    if check:
+        errors = [(lines_of.get(subject, 1), 1, violation.message)
+                  for violation in validate(cx).violations
+                  for subject in violation.subjects or [None]]
+    return tuple(errors) or SkdDocument(cx, oracle)
+
+
+def assert_reads_as_the_reference(text: str) -> None:
+    for check in (True, False):
+        try:
+            got = parse_skd_document(text, check=check)
+        except ParseError as exc:
+            got = exc.diagnostics
+        assert got == reference_read(text, check)
+
+
 def perturbed_line(line: str, data) -> str:
     """``line`` respaced, its line types and disk enums recased, its disk
     keys reordered, and a comment maybe appended."""
@@ -587,6 +664,7 @@ def test_perturbed_text_keeps_its_fingerprint(seed, budget, disks, data):
     text = "".join(line + data.draw(st.sampled_from(LINE_BREAKS))
                    for line in data.draw(st.permutations(lines)))
     assert fingerprint(parse_skd(text)) == fingerprint(cx)
+    assert_reads_as_the_reference(text)
 
 
 MUTATION_ALPHABET = ("abelrtxyzBEMT019_.+-:,=# \t\n\u00a0\u2028"
@@ -631,6 +709,7 @@ def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
             assert exc.diagnostics
             for line, col, message in exc.diagnostics:
                 assert 1 <= line <= last and col >= 1 and message
+    assert_reads_as_the_reference(text)
 
 
 RECORD_TYPES = {"triple_points": TriplePoint, "branch_points": BranchPoint,

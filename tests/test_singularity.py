@@ -107,6 +107,61 @@ def test_slot_conflict_names_both_edges():
     assert set(conflicts[0].subjects) == {("edge", "E1"), ("edge", "E2")}
 
 
+def _loops_and_a_branch_arc(*replaced):
+    """T1 with a loop on each of its lines, and an arc from B1 to B2: well
+    formed, until an arc of ``replaced`` takes the place of its namesake."""
+    arcs = {f"L{i}": Arc(f"L{i}", TripleSlot("T1", i, "a"), TripleSlot("T1", i, "b"))
+            for i in range(3)}
+    arcs["P"] = Arc("P", BranchRef("B1"), BranchRef("B2"))
+    arcs.update((arc.id, arc) for arc in replaced)
+    return SingularityComplex.build([TriplePoint("T1", ALL_TYPES)],
+                                    [BranchPoint("B1"), BranchPoint("B2")], arcs.values())
+
+
+def t1_unused(slot):
+    return ("slot-unused", f"slot T:T1.{slot} is not used by any edge", (("triple", "T1"),))
+
+
+B1_UNUSED = ("branch-unused", "branch point B1 is not used by any edge", (("branch", "B1"),))
+
+
+@pytest.mark.parametrize("arcs, report", [
+    # a self-slot: one endpoint claimed twice by one arc
+    ([Arc("L0", TripleSlot("T1", 0, "a"), TripleSlot("T1", 0, "a"))],
+     [("self-slot", "edge L0 uses endpoint T:T1.0.a twice", (("edge", "L0"),)),
+      ("slot-conflict", "slot T:T1.0.a claimed by edges L0, L0",
+       (("edge", "L0"), ("edge", "L0"))), t1_unused("0.b")]),
+    # the counts balance (2|arcs| = 6T+B, one claim per key), but one key
+    # is not a real endpoint: an unknown triple or branch point, a line 3,
+    # a slot c, a branch id on a triple slot, a triple id on a branch ref
+    ([Arc("L1", TripleSlot("T1", 1, "a"), TripleSlot("T9", 1, "b"))],
+     [("dangling-ref", "edge L1: unknown triple point 'T9'", (("edge", "L1"),)),
+      t1_unused("1.b")]),
+    ([Arc("P", BranchRef("B9"), BranchRef("B2"))],
+     [("dangling-ref", "edge P: unknown branch point 'B9'", (("edge", "P"),)), B1_UNUSED]),
+    ([Arc("L2", TripleSlot("T1", 3, "a"), TripleSlot("T1", 2, "b"))],
+     [("dangling-ref", "edge L2: bad slot T:T1.3.a", (("edge", "L2"),)), t1_unused("2.a")]),
+    ([Arc("L2", TripleSlot("T1", 2, "c"), TripleSlot("T1", 2, "b"))],
+     [("dangling-ref", "edge L2: bad slot T:T1.2.c", (("edge", "L2"),)), t1_unused("2.a")]),
+    ([Arc("L0", TripleSlot("B1", 0, "a"), TripleSlot("T1", 0, "b"))],
+     [("dangling-ref", "edge L0: unknown triple point 'B1'", (("edge", "L0"),)),
+      t1_unused("0.a")]),
+    ([Arc("P", BranchRef("T1"), BranchRef("B2"))],
+     [("dangling-ref", "edge P: unknown branch point 'T1'", (("edge", "P"),)), B1_UNUSED]),
+    # a contested endpoint, and the one left unused
+    ([Arc("P", TripleSlot("T1", 0, "a"), BranchRef("B2"))],
+     [("slot-conflict", "slot T:T1.0.a claimed by edges L0, P",
+       (("edge", "L0"), ("edge", "P"))), B1_UNUSED]),
+    # a rewiring that still claims each endpoint once is well formed
+    ([Arc("L0", BranchRef("B1"), TripleSlot("T1", 0, "b")),
+      Arc("P", TripleSlot("T1", 0, "a"), BranchRef("B2"))], []),
+])
+def test_validate_reports_each_broken_endpoint(arcs, report):
+    cx = _loops_and_a_branch_arc(*arcs)
+    assert [tuple(v) for v in validate(cx).violations] == report
+    assert validate(_loops_and_a_branch_arc()).ok
+
+
 def test_trace_raises_on_malformed():
     t = TriplePoint("T1", ALL_TYPES)
     cx = SingularityComplex.build(
