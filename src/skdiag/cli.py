@@ -38,15 +38,22 @@ def _read(path: str) -> str:
 def _write(files: dict[str, str]) -> None:
     """Write each path's text, all or none: each to a temporary file beside
     it, renamed over it once all are written. A path there that is not a
-    writable file (a directory, /dev/null) is opened as a plain write would."""
-    staged = []  # (path, temporary, target)
+    writable file (a directory, /dev/null), or whose directory is not
+    writable, is opened as a plain write would, once the temporaries are
+    written."""
+    staged, in_place = [], []  # (path, temporary, target), (path, text)
     try:
         for path, text in files.items():
             target = os.path.realpath(path)
-            if not os.path.exists(target) or os.path.isfile(target) and os.access(target, os.W_OK):
+            if not os.path.exists(target) or (
+                    os.path.isfile(target) and os.access(target, os.W_OK)
+                    and os.access(os.path.dirname(target), os.W_OK)):
                 staged.append((path, f"{target}.{os.getpid()}.tmp", target))
-                target = staged[-1][1]
-            Path(target).write_text(text, encoding="utf-8")
+                Path(staged[-1][1]).write_text(text, encoding="utf-8")
+            else:
+                in_place.append((path, text))
+        for path, text in in_place:
+            Path(path).write_text(text, encoding="utf-8")
         for path, temp, target in staged:
             os.replace(temp, target)
     except OSError as exc:

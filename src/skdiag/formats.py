@@ -145,10 +145,11 @@ def _disk_tags(kv: dict[str, str]) -> tuple[Pairing, Level, Level]:
 # a test of the token count and shape, the usage message when it fails,
 # and the field checks. ``[^\S\n]`` is the whitespace str.split splits on,
 # less the line break; ``(?ai:...)`` ignores ASCII case only, as
-# ``str.lower`` does. In an endpoint, the line and slot are the last two
-# dot-separated fields.
+# ``str.lower`` does. In a triple slot (an endpoint's, or a `.skm` splice
+# map's), the line and slot are the last two dot-separated fields.
 _S = r"[^\S\n]"
-_END = rf"(?:B:({_ID})|T:({_ID})\.([012])\.([ab]))"
+_SLOT = rf"({_ID})\.([012])\.([ab])"
+_END = rf"(?:B:({_ID})|T:{_SLOT})"
 _LINE_TYPE = r"(?ai:bm|bt|mt)"
 _LEVEL = r"(?ai:(upper|lower))(?!\S)"
 _RULES = {
@@ -292,113 +293,93 @@ def parse_skd(text: str) -> SingularityComplex:
 
 # -- move scripts ----------------------------------------------------------
 
-_SPLICE_SLOT_RE = re.compile(
-    r"(?P<tid>[A-Za-z0-9_.+-]+)\.(?P<line>[012])\.(?P<slot>[ab])\Z")
+_SLOT_RE = re.compile(_SLOT + r"\Z")
 
 
-def _parse_slot(token: str):
-    m = _SPLICE_SLOT_RE.match(token)
-    if not m:
-        return None, f"bad slot reference {token!r} (expected <triple>.<line>.<a|b>)"
-    return TripleSlot(m["tid"], int(m["line"]), m["slot"]), None
+def _slot(token: str) -> TripleSlot:
+    if not (m := _SLOT_RE.match(token)):
+        raise ValueError(f"bad slot reference {token!r} (expected <triple>.<line>.<a|b>)")
+    return TripleSlot(m[1], _LINE_INDEX[m[2]], m[3])
 
 
-def _parse_splice(value: str):
+def _splice(value: str) -> tuple[tuple[TripleSlot, TripleSlot], ...]:
+    """A splice map ``<slot>:<slot>,...``; raises ValueError naming its
+    first bad pair or slot."""
     pairs = []
     for chunk in value.split(","):
         halves = chunk.split(":")
         if len(halves) != 2:
-            return None, f"bad splice pair {chunk!r} (expected <slot>:<slot>)"
-        refs = []
-        for half in halves:
-            ref, err = _parse_slot(half)
-            if err:
-                return None, err
-            refs.append(ref)
-        pairs.append((refs[0], refs[1]))
-    return tuple(pairs), None
+            raise ValueError(f"bad splice pair {chunk!r} (expected <slot>:<slot>)")
+        pairs.append(tuple(map(_slot, halves)))
+    return tuple(pairs)
 
 
-def _parse_list(value: str) -> tuple[str, ...]:
-    return tuple(v for v in value.split(",") if v)
+def _ids(count: int | None = None, wrong: str = ""):
+    """The parser of a comma-separated id list: of any length, or of
+    exactly ``count`` ids, raising ValueError(wrong) on another."""
+    def parse(value: str) -> tuple[str, ...]:
+        ids = tuple(v for v in value.split(",") if v)
+        if count is not None and len(ids) != count:
+            raise ValueError(wrong)
+        return ids
+    return parse
 
 
 _DISK_KEYS = ("disk", "partner", "pair", "level1", "level2")
 
-# keyed by kind name, which a MoveKind (a str enum) also looks up
-_MOVE_KEYS: dict[str, tuple[set[str], set[str]]] = {
-    "R1_PLUS": ({"circle"}, set(_DISK_KEYS)),
-    "R1_MINUS": ({"circle"}, {"drop_disks"}),
-    "R2_MINUS": ({"t1", "t2", "curves", "splice"}, {"drop_disks"}),
-    "R3_MINUS": ({"triples", "curves", "center", "splice"}, {"drop_disks"}),
-    "R4_PLUS": ({"edge", "branch1", "branch2"}, set(_DISK_KEYS)),
-    "R4_MINUS": ({"edge"}, {"drop_disks"}),
-    "R5_MINUS": ({"t", "edge", "splice"}, {"drop_disks"}),
-    "R6": ({"disk"}, set()),
+
+def _declaration(kv: dict[str, str]):
+    """The disk declared by the five ``_DISK_KEYS``; raises ValueError
+    naming the missing keys, or the first bad pair or level."""
+    from .moves import DiskDeclaration
+
+    if missing := [k for k in _DISK_KEYS if k not in kv]:
+        raise ValueError("incomplete disk declaration: missing " + ", ".join(missing))
+    return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv))
+
+
+# Each kind's keys, in the order of its record's fields (moves.MOVE_TYPES),
+# with the parser of their value: a plain id, an id list (of an exact count),
+# the splice map, or the disk declaration, whose five keys make one field. A
+# key is optional when its field has a default. Keyed by kind name, which a
+# MoveKind (a str enum) also looks up.
+_DECLARATION, _DROP = (_DISK_KEYS, _declaration), ("drop_disks", _ids())
+_MOVE_KEYS = {
+    "R1_PLUS": (("circle", str), _DECLARATION),
+    "R1_MINUS": (("circle", str), _DROP),
+    "R2_MINUS": (("t1", str), ("t2", str),
+                 ("curves", _ids(2, "curves must name exactly two closed curves")),
+                 ("splice", _splice), _DROP),
+    "R3_MINUS": (("triples", _ids(6, "triples must name exactly six triple points")),
+                 ("curves", _ids(3, "curves must name exactly three closed curves")),
+                 ("center", str), ("splice", _splice), _DROP),
+    "R4_PLUS": (("edge", str), ("branch1", str), ("branch2", str), _DECLARATION),
+    "R4_MINUS": (("edge", str), _DROP),
+    "R5_MINUS": (("t", str), ("edge", str), ("splice", _splice), _DROP),
+    "R6": (("disk", str),),
 }
 
 
-def _parse_disk_declaration(kv: dict[str, str]):
-    from .moves import DiskDeclaration
+def _build_move(kind: MoveKind, kv: dict[str, str]) -> MoveInstance:
+    """The move of a kind's key=value pairs; raises ValueError naming its
+    first problem: missing keys, unknown keys, or a bad value (the splice
+    map's before those of the fields in order)."""
+    from .moves import MOVE_TYPES
 
-    given = [k for k in _DISK_KEYS if k in kv]
-    if not given:
-        return None, None
-    missing = [k for k in _DISK_KEYS if k not in kv]
-    if missing:
-        return None, ("incomplete disk declaration: missing " + ", ".join(missing))
-    try:
-        return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv)), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
-def _build_move(kind: MoveKind, kv: dict[str, str]):
-    """MoveInstance from key=value pairs, or an error message."""
-    from .moves import (R1Minus, R1Plus, R2Minus, R3Minus, R4Minus, R4Plus,
-                        R5Minus, R6, MoveKind)
-
-    required, optional = _MOVE_KEYS[kind]
-    missing = sorted(required - set(kv))
-    extra = sorted(set(kv) - required - optional)
-    if missing:
-        return None, f"{kind.name}: missing key(s) " + ", ".join(missing)
-    if extra:
-        return None, f"{kind.name}: unknown key(s) " + ", ".join(extra)
-    drop = _parse_list(kv.get("drop_disks", ""))
-    if kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS):
-        decl, err = _parse_disk_declaration(kv)
-        if err:
-            return None, f"{kind.name}: {err}"
-        if kind is MoveKind.R1_PLUS:
-            return R1Plus(kv["circle"], decl), None
-        return R4Plus(kv["edge"], kv["branch1"], kv["branch2"], decl), None
-    if kind is MoveKind.R1_MINUS:
-        return R1Minus(kv["circle"], drop), None
-    if kind is MoveKind.R4_MINUS:
-        return R4Minus(kv["edge"], drop), None
-    if kind is MoveKind.R6:
-        return R6(kv["disk"]), None
-    splice, err = _parse_splice(kv["splice"])
-    if err:
-        return None, f"{kind.name}: {err}"
-    if kind is MoveKind.R2_MINUS:
-        curves = _parse_list(kv["curves"])
-        if len(curves) != 2:
-            return None, "R2_MINUS: curves must name exactly two closed curves"
-        return R2Minus(kv["t1"], kv["t2"], (curves[0], curves[1]), splice, drop), None
-    if kind is MoveKind.R3_MINUS:
-        triples = _parse_list(kv["triples"])
-        curves = _parse_list(kv["curves"])
-        if len(triples) != 6:
-            return None, "R3_MINUS: triples must name exactly six triple points"
-        if len(curves) != 3:
-            return None, "R3_MINUS: curves must name exactly three closed curves"
-        return R3Minus(triples, (curves[0], curves[1], curves[2]),
-                       kv["center"], splice, drop), None
-    if kind is MoveKind.R5_MINUS:
-        return R5Minus(kv["t"], kv["edge"], splice, drop), None
-    raise AssertionError(kind)
+    record = MOVE_TYPES[kind]
+    fields = [(field, (key,) if isinstance(key, str) else key, parse)
+              for field, (key, parse) in zip(record._fields, _MOVE_KEYS[kind], strict=True)]
+    required = {k for field, keys, _ in fields if field not in record._field_defaults
+                for k in keys}
+    if missing := sorted(required - set(kv)):
+        raise ValueError("missing key(s) " + ", ".join(missing))
+    if extra := sorted(set(kv).difference(*(keys for _, keys, _ in fields))):
+        raise ValueError("unknown key(s) " + ", ".join(extra))
+    # the splice map is read first; a field none of whose keys is given is
+    # optional, and takes its default
+    first = sorted(fields, key=lambda f: f[2] is not _splice)
+    return record(**{field: parse(kv[keys[0]] if len(keys) == 1 else kv)
+                     for field, keys, parse in first if not kv.keys().isdisjoint(keys)})
 
 
 def parse_skm(text: str) -> tuple[MoveInstance, ...]:
@@ -438,11 +419,10 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
             errors.append((lineno, list(re.finditer(r"\S+", line))[1 + bad].start() + 1,
                            f"bad or repeated key=value token {args[bad]!r}"))
             continue
-        move, err = _build_move(kind, kv)
-        if err:
-            errors.append((lineno, 1, err))
-            continue
-        moves.append(move)
+        try:
+            moves.append(_build_move(kind, kv))
+        except ValueError as exc:
+            errors.append((lineno, 1, f"{kind.name}: {exc}"))
     if errors:
         raise ParseError(errors)
     return tuple(moves)

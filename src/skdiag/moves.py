@@ -20,7 +20,7 @@ bookkeeping of the R1+/R4+ and R6 cases).
 """
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union, get_args
 
 from .canonical import fingerprint
 from .crossing import (
@@ -175,6 +175,8 @@ class R6(NamedTuple):
 
 
 MoveInstance = Union[R1Plus, R1Minus, R2Minus, R3Minus, R4Plus, R4Minus, R5Minus, R6]
+#: the record class of each kind
+MOVE_TYPES = {cls.kind: cls for cls in get_args(MoveInstance)}
 
 
 # -- application ---------------------------------------------------------
@@ -199,23 +201,6 @@ def _fresh_id(cx: SingularityComplex, base: str, minted: set[str]) -> str:
 def _require(cond: bool, check: str, message: str) -> None:
     if not cond:
         raise MoveRejected(check, message)
-
-
-def _curve_or_reject(cx: SingularityComplex, curve_id: str, check: str):
-    curve = cx.curves_by_id.get(curve_id)
-    _require(curve is not None, check, f"no double curve with id {curve_id!r}")
-    return curve
-
-
-def _triples_met(cx: SingularityComplex, curve) -> list[str]:
-    met = []
-    for eid in curve.edges:
-        edge = cx.edges_by_id[eid]
-        if isinstance(edge, Arc):
-            for ref in edge.ends:
-                if isinstance(ref, TripleSlot):
-                    met.append(ref.triple_id)
-    return met
 
 
 def _validate_disk_declaration(cx: SingularityComplex, decl: DiskDeclaration,
@@ -446,31 +431,46 @@ def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
     return _Outcome(new_cx, descent)
 
 
+def _check_sites(cx: SingularityComplex, triples: tuple[str, ...],
+                 curves: tuple[str, ...]) -> set[str]:
+    """Check that the closed curves ``curves`` cancel at ``triples``: they
+    meet no other triple point, each of ``triples`` carries two of them and
+    one surviving curve, and each pair of them meets at exactly two of
+    ``triples``, whose surviving lines belong to one curve. Returns the
+    surviving curves."""
+    for cid in curves:
+        curve = cx.curves_by_id.get(cid)
+        _require(curve is not None, "pattern", f"no double curve with id {cid!r}")
+        _require(curve.kind is CurveKind.CLOSED, "pattern", f"curve {cid} is not closed")
+        # a closed curve's arcs end at triple slots (after the arc's id); a circle has none
+        met = {end.triple_id for eid in curve.edges for end in cx.edges_by_id[eid][1:]}
+        _require(met <= set(triples), "pattern", f"curve {cid} leaves the deleted triple points")
+    sites: dict[frozenset, list[str]] = {}  # the survivors at each pair's sites
+    for tid in triples:
+        through = [cx.line_curve(tid, i) for i in range(3)]
+        here = [c for c in through if c in curves]
+        _require(len(here) == 2 and here[0] != here[1], "pattern",
+                 f"triple point {tid} does not carry two distinct deleted curves")
+        sites.setdefault(frozenset(here), []).extend(c for c in through if c not in curves)
+    # R2-'s one pair always meets at both of its two: only R3- can fail this
+    _require(all(len(v) == 2 for v in sites.values()), "pattern",
+             "each pair of deleted curves must meet at exactly two of the "
+             "six triple points")
+    _require(all(s1 == s2 for s1, s2 in sites.values()), "pattern",
+             "the surviving lines at the two sites of a deleted-curve "
+             "pair belong to different curves")
+    return {s1 for s1, _ in sites.values()}
+
+
 def _apply_r2_minus(cx: SingularityComplex, m: R2Minus) -> _Outcome:
     for tid in (m.t1, m.t2):
         _require(tid in cx.triples_by_id, "locus", f"no triple point {tid!r}")
     _require(m.t1 != m.t2, "locus", "the two cancelled triple points must differ")
-    c1, c2 = m.curves
-    _require(c1 != c2, "pattern", "the two deleted closed curves must differ")
-    survivor = None
-    for cid in (c1, c2):
-        curve = _curve_or_reject(cx, cid, "pattern")
-        _require(curve.kind is CurveKind.CLOSED, "pattern",
-                 f"curve {cid} is not closed")
-        met = _triples_met(cx, curve)
-        _require(sorted(set(met)) == sorted({m.t1, m.t2}) and len(met) == 4,
-                 "pattern",
-                 f"curve {cid} does not pass through exactly {m.t1} and {m.t2}")
-    for tid in (m.t1, m.t2):
-        through = [cx.line_curve(tid, i) for i in range(3)]
-        _require(through.count(c1) == 1 and through.count(c2) == 1, "pattern",
-                 f"triple point {tid} is not spanned by {c1} and {c2} on two lines")
-        rest = next(c for c in through if c not in (c1, c2))
-        _require(survivor in (None, rest), "pattern",
-                 "the surviving lines at the two triple points belong to "
-                 "different curves")
-        survivor = rest
-    out = _cancel_move(cx, {m.t1, m.t2}, (c1, c2), m.splice, m.drop_disks)
+    _require(len(m.curves) == 2, "locus", "R2- deletes exactly two closed curves")
+    _require(len(set(m.curves)) == 2, "pattern",
+             "the two deleted closed curves must be distinct")
+    (survivor,) = _check_sites(cx, (m.t1, m.t2), m.curves)
+    out = _cancel_move(cx, {m.t1, m.t2}, m.curves, m.splice, m.drop_disks)
     _require(_closed_count(cx) - _closed_count(out.complex) == 2,
              "postcondition", "closed double curve count did not drop by two")
     _check_shortening(cx, out, survivor, by=2)
@@ -486,46 +486,17 @@ def _apply_r3_minus(cx: SingularityComplex, m: R3Minus) -> _Outcome:
              f"no triple point {m.center!r}")
     _require(m.center not in m.triples, "locus",
              "the central triple point survives the move")
-    curves = m.curves
-    _require(len(set(curves)) == 3, "pattern",
+    _require(len(set(m.curves)) == 3, "pattern",
              "the three deleted closed curves must be distinct")
-    dead = set(m.triples)
-    for cid in curves:
-        curve = _curve_or_reject(cx, cid, "pattern")
-        _require(curve.kind is CurveKind.CLOSED, "pattern",
-                 f"curve {cid} is not closed")
-        met = _triples_met(cx, curve)
-        _require(set(met) <= dead, "pattern",
-                 f"curve {cid} leaves the deleted triple points")
-    pair_sites: dict[frozenset, list[str]] = {}
-    survivor_at: dict[str, str] = {}
-    for tid in m.triples:
-        through = [cx.line_curve(tid, i) for i in range(3)]
-        here = [c for c in through if c in curves]
-        _require(len(here) == 2 and here[0] != here[1], "pattern",
-                 f"triple point {tid} does not carry two distinct deleted curves")
-        rest = next(c for c in through if c not in curves)
-        pair_sites.setdefault(frozenset(here), []).append(tid)
-        survivor_at[tid] = rest
-    _require(len(pair_sites) == 3 and all(len(v) == 2 for v in pair_sites.values()),
-             "pattern",
-             "each pair of deleted curves must meet at exactly two of the "
-             "six triple points")
-    pair_survivors = set()
-    for pair, sites in pair_sites.items():
-        s1, s2 = (survivor_at[t] for t in sites)
-        _require(s1 == s2, "pattern",
-                 "the surviving lines at the two sites of a deleted-curve "
-                 "pair belong to different curves")
-        pair_survivors.add(s1)
+    survivors = _check_sites(cx, m.triples, m.curves)
     center_curves = {cx.line_curve(m.center, i) for i in range(3)}
     _require(len(center_curves) == 3, "pattern",
              "the central triple point's three lines must carry three "
              "distinct curves")
-    _require(center_curves == pair_survivors, "pattern",
+    _require(center_curves == survivors, "pattern",
              "the central triple point's curves do not match the surviving "
              "curves at the deleted sites")
-    out = _cancel_move(cx, dead, curves, m.splice, m.drop_disks)
+    out = _cancel_move(cx, set(m.triples), m.curves, m.splice, m.drop_disks)
     _require(_closed_count(cx) - _closed_count(out.complex) == 3,
              "postcondition", "closed double curve count did not drop by three")
     for cid in sorted(center_curves):

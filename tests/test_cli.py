@@ -1,7 +1,11 @@
 """CLI subcommands, exit codes, JSON output."""
 
+import builtins
+import errno
 import gc
+import io
 import json
+import os
 from hashlib import sha256
 
 import pytest
@@ -125,6 +129,63 @@ def test_apply_to_a_directory_fails_as_a_plain_write(capsys, trefoil_path, tmp_p
     assert err == f"error: cannot write {out}: [Errno 21] Is a directory: {str(out)!r}\n"
     assert out.is_dir() and not any(out.iterdir())
     assert [p.name for p in work.iterdir()] == ["out"]
+
+
+def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_path,
+                                                             tmp_path, monkeypatch):
+    # a temporary file cannot be made beside a writable file in a directory
+    # the user cannot write, so the file is written in place, as a plain
+    # write would; a new file there fails as a plain write would. Root ignores
+    # directory permissions, so the directory's are emulated: os.access says
+    # it is not writable, and creating or renaming a file in it is refused
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out.skd"
+    out.write_text("old text\n")
+    real_access, real_open, real_replace = os.access, io.open, os.replace
+
+    def in_locked(path) -> bool:
+        return os.path.dirname(os.path.realpath(path)) == os.path.realpath(locked)
+
+    def refused(path):
+        return PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    def access(path, mode, **kw):
+        return (mode != os.W_OK or os.path.realpath(path) != os.path.realpath(locked)) \
+            and real_access(path, mode, **kw)
+
+    def open_(file, mode="r", *args, **kw):
+        if in_locked(file) and not os.path.exists(file) and set(mode) & set("wxa"):
+            raise refused(file)
+        return real_open(file, mode, *args, **kw)
+
+    def replace(src, dst, **kw):
+        if in_locked(src) or in_locked(dst):
+            raise refused(dst)
+        return real_replace(src, dst, **kw)
+
+    for name, fake in (("access", access), ("replace", replace)):
+        monkeypatch.setattr(os, name, fake)
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(builtins, "open", open_)
+    argv = ["apply", trefoil_path, str(skm), "--gamma", "closed"]
+    expected, trail = tmp_path / "expected.skd", tmp_path / "t.json"
+    code, printed, _ = run(capsys, *argv, "-o", str(expected))
+    assert code == 0
+    assert run(capsys, *argv, "-o", str(out), "--trail", str(trail)) == (0, printed, "")
+    assert out.read_text() == expected.read_text() and trail.exists()
+    assert [p.name for p in locked.iterdir()] == ["out.skd"]
+    # it is written once every temporary is, so a failed --trail leaves it
+    out.write_text("old text\n")
+    lost = tmp_path / "no" / "t.json"
+    assert run(capsys, *argv, "-o", str(out), "--trail", str(lost))[0] == 2
+    assert out.read_text() == "old text\n"
+    new = locked / "new.skd"
+    assert run(capsys, *argv, "-o", str(new)) == (
+        2, "", f"error: cannot write {new}: [Errno 13] Permission denied: {str(new)!r}\n")
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("text, code", [

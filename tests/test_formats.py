@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,9 @@ from skdiag import (
     serialize_canonical,
     export_schematic,
 )
+from skdiag import formats
 from skdiag.explorer import SizeBudget, generate_random_complex
+from skdiag.moves import MOVE_TYPES
 
 from tests.conftest import fixture_text
 
@@ -199,6 +203,90 @@ def test_parse_skm_incomplete_disk_declaration():
         parse_skm("R1+ circle=c disk=P9\n")
     assert any("incomplete disk declaration" in msg
                for _, _, msg in exc.value.diagnostics)
+
+
+#: one row per `.skm` diagnostic: its text (a script) and every (line, column,
+#: message) it raises, in order. Kind tokens are checked on every line first;
+#: a line then reports only its first problem, in the order: a bad token,
+#: missing keys, unknown keys, the disk declaration, the splice map, the id
+#: counts in field order.
+GOLDEN_SKM_DIAGNOSTICS = [
+    ("R9- t=T1", [(1, 1, "unknown move kind token 'R9-'")]),
+    ("R3+ triples=Ta", [(1, 1, "move R3_PLUS violates the t-descendent condition "
+                               "(R2+, R3+ and R5+ are excluded)")]),
+    ("R6 x=1\nR2_PLUS t1=T1\nfrob x=1",
+     [(2, 1, "move R2_PLUS violates the t-descendent condition (R2+, R3+ and R5+ are "
+             "excluded)"), (3, 1, "unknown move kind token 'frob'")]),
+    ("R1+ circle=c\nR6 disk", [(2, 4, "bad or repeated key=value token 'disk'")]),
+    ("R6 disk=D1 disk=D2", [(1, 12, "bad or repeated key=value token 'disk=D2'")]),
+    ("  R4_MINUS   edge=e0  drop_disks",
+     [(1, 23, "bad or repeated key=value token 'drop_disks'")]),
+    ("R2- t1=T1", [(1, 1, "R2_MINUS: missing key(s) curves, splice, t2")]),
+    ("R6 disk=D1 extra=1 another=2", [(1, 1, "R6: unknown key(s) another, extra")]),
+    ("R2- t1=T1 curves=u1 extra=1", [(1, 1, "R2_MINUS: missing key(s) splice, t2")]),
+    ("R1+ circle=c disk=P9 level2=upper",
+     [(1, 1, "R1_PLUS: incomplete disk declaration: missing partner, pair, level1")]),
+    ("R4+ edge=e branch1=Q1 branch2=Q2 pair=cross partner=x",
+     [(1, 1, "R4_PLUS: incomplete disk declaration: missing disk, level1, level2")]),
+    ("R1+ circle=c disk=P9 pair=bogus extra=1", [(1, 1, "R1_PLUS: unknown key(s) extra")]),
+    ("R1+ circle=c disk=P9 pair=bogus",
+     [(1, 1, "R1_PLUS: incomplete disk declaration: missing partner, level1, level2")]),
+    ("R1+ circle=c disk=P9 partner=e pair=bogus level1=upper level2=upper",
+     [(1, 1, "R1_PLUS: 'bogus' is not a valid Pairing")]),
+    ("R4+ edge=e branch1=Q1 branch2=Q2 disk=P9 partner=e pair=cross level1=up level2=upper",
+     [(1, 1, "R4_PLUS: 'up' is not a valid Level")]),
+    ("R5- t=T1 edge=e0 splice=T1.0.a:T1.0.b,T1.1.a",
+     [(1, 1, "R5_MINUS: bad splice pair 'T1.1.a' (expected <slot>:<slot>)")]),
+    ("R5- t=T1 edge=e0 splice=T1.0.a:T1.3.b",
+     [(1, 1, "R5_MINUS: bad slot reference 'T1.3.b' (expected <triple>.<line>.<a|b>)")]),
+    ("R2- t1=T1 t2=T2 curves=u1 splice=T1.0.a:T1.0.b",
+     [(1, 1, "R2_MINUS: curves must name exactly two closed curves")]),
+    ("R3- triples=Ta,Tb curves=f1,g1,h1 center=T0 splice=Ta.0.a:Ta.0.b",
+     [(1, 1, "R3_MINUS: triples must name exactly six triple points")]),
+    ("R3- triples=Ta,Tb,Tc,Td,Te,Tf curves=f1,g1 center=T0 splice=Ta.0.a:Ta.0.b",
+     [(1, 1, "R3_MINUS: curves must name exactly three closed curves")]),
+    # the splice map is checked before the id counts that precede it
+    ("R3- triples=Ta,Tb curves=f1 center=T0 splice=Ta.0.a:Ta.0.x",
+     [(1, 1, "R3_MINUS: bad slot reference 'Ta.0.x' (expected <triple>.<line>.<a|b>)")]),
+    ("R3- triples=Ta,Tb curves=f1 center=T0 splice=Ta.0.a:Ta.0.b,x",
+     [(1, 1, "R3_MINUS: bad splice pair 'x' (expected <slot>:<slot>)")]),
+    ("R2- t1=T1 t2=T2 curves=u1,v1 splice=T1.0.a:T1.0.b\nR6 disk=D1 x\nR6 x=1",
+     [(2, 12, "bad or repeated key=value token 'x'"), (3, 1, "R6: missing key(s) disk")]),
+]
+
+
+@pytest.mark.parametrize("text, diagnostics", GOLDEN_SKM_DIAGNOSTICS)
+def test_skm_diagnostics_keep_their_wording_columns_and_order(text, diagnostics):
+    with pytest.raises(ParseError) as info:
+        parse_skm(f"{text}\n")
+    assert info.value.diagnostics == tuple(diagnostics)
+
+
+def readme_skm_keys() -> dict[str, tuple[set[str], set[str]]]:
+    """Each kind's keys in README's `.skm` example block: those it gives
+    plainly, and those in brackets."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## The `.skm` format", 1)[1].split("```", 2)[1]
+    keys = {}
+    for line in block.strip().splitlines():
+        kind, plain, bracketed = re.fullmatch(r"(\S+) ([^[]*?) ?(?:\[(.*)\])?", line).groups()
+        keys[kind] = tuple({token.partition("=")[0] for token in part.split()}
+                           for part in (plain, bracketed or ""))
+    return keys
+
+
+def test_readme_gives_each_kind_the_keys_of_the_key_table():
+    table = {}
+    for kind, rows in formats._MOVE_KEYS.items():
+        record = MOVE_TYPES[kind]
+        assert len(rows) == len(record._fields), kind
+        required, optional = set(), set()
+        for field, (key, _) in zip(record._fields, rows):
+            (optional if field in record._field_defaults else required).update(
+                [key] if isinstance(key, str) else key)
+        table[kind] = (required, optional)
+    assert readme_skm_keys() == table
+    assert set(table) == {kind.name for kind in MoveKind}
 
 
 # -- schematic --------------------------------------------------------------

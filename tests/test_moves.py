@@ -419,6 +419,123 @@ def test_r3_center_mismatch(r3):
             splice=smooth("T0", "Tb", "Tc", "Td", "Te", "Tf")))
 
 
+R2_SITE, R3_SITE = fixture_text("r2.skd"), fixture_text("r3.skd")
+#: r2, r3, a free circle, and sites that each break one cancellation-site rule
+SITE_TEXTS = {
+    "r2": R2_SITE,
+    "r3": R3_SITE,
+    "circle": "circle o\n",
+    # r2 with its open curve cut between the sites, so that their surviving
+    # lines belong to two curves; r3 with gamma_s cut between Ta and T0
+    "r2 cut": R2_SITE.replace("edge s2 T:T1.0.b T:T2.0.a\n", "edge s2 T:T1.0.b B:B3\n"
+                              "edge w2 B:B4 T:T2.0.a\nbranch B3\nbranch B4\n"),
+    "r3 cut": R3_SITE.replace("edge es2 T:Ta.0.b T:T0.0.a\n", "edge es2 T:Ta.0.b B:Bx\n"
+                              "edge es5 B:By T:T0.0.a\nbranch Bx\nbranch By\n"),
+    # r2's sites with each closed curve crossing one of them on two lines
+    "twice": """
+triple T1 lines=bm,bt,mt
+triple T2 lines=bm,bt,mt
+branch B1
+branch B2
+edge s1 B:B1 T:T1.0.a
+edge s2 T:T1.0.b T:T2.0.a
+edge s3 T:T2.0.b B:B2
+edge u1 T:T1.1.b T:T1.2.a
+edge u2 T:T1.2.b T:T1.1.a
+edge v1 T:T2.1.b T:T2.2.a
+edge v2 T:T2.2.b T:T2.1.a
+""",
+    # six triple points on one open curve p0, where the closed curves f1
+    # and g1 meet at four of them (Ka-Kd), and g1 and h1 at two
+    "four": "".join(f"triple K{t} lines=bm,bt,mt\n" for t in "abcdef") + """
+branch P1
+branch P2
+edge p0 B:P1 T:Ka.0.a
+edge p1 T:Ka.0.b T:Kb.0.a
+edge p2 T:Kb.0.b T:Kc.0.a
+edge p3 T:Kc.0.b T:Kd.0.a
+edge p4 T:Kd.0.b T:Ke.0.a
+edge p5 T:Ke.0.b T:Kf.0.a
+edge p6 T:Kf.0.b B:P2
+edge f1 T:Ka.1.b T:Kb.1.a
+edge f2 T:Kb.1.b T:Kc.1.a
+edge f3 T:Kc.1.b T:Kd.1.a
+edge f4 T:Kd.1.b T:Ka.1.a
+edge g1 T:Ka.2.b T:Kb.2.a
+edge g2 T:Kb.2.b T:Kc.2.a
+edge g3 T:Kc.2.b T:Kd.2.a
+edge g4 T:Kd.2.b T:Ke.1.a
+edge g5 T:Ke.1.b T:Kf.1.a
+edge g6 T:Kf.1.b T:Ka.2.a
+edge h1 T:Ke.2.b T:Kf.2.a
+edge h2 T:Kf.2.b T:Ke.2.a
+""",
+}
+K_TRIPLES = tuple(f"K{t}" for t in "abcdef")
+SURVIVORS_DIFFER = ("the surviving lines at the two sites of a deleted-curve pair "
+                    "belong to different curves")
+#: each cancellation-site rule broken once: the sites, the move, and the
+#: check and message that reject it. R2- and R3- share every rule but their
+#: curve counts and R3-'s centre rules.
+SITE_RULES = [
+    ("r2 three curves", ("r2",), r2_move()._replace(curves=("u1", "v1", "s1")),
+     "locus", "R2- deletes exactly two closed curves"),
+    ("r2 equal curves", ("r2",), r2_move()._replace(curves=("u1", "u1")),
+     "pattern", "the two deleted closed curves must be distinct"),
+    ("r2 missing curve", ("r2",), r2_move()._replace(curves=("u1", "w9")),
+     "pattern", "no double curve with id 'w9'"),
+    ("r2 open curve", ("r2",), r2_move()._replace(curves=("s1", "u1")),
+     "pattern", "curve s1 is not closed"),
+    ("r2 curve leaves", ("r3",), r2_move()._replace(
+        t1="Ta", t2="Tb", curves=("f1", "g1"), splice=smooth("Ta", "Tb")),
+     "pattern", "curve f1 leaves the deleted triple points"),
+    ("r2 site without both", ("twice",), r2_move(),
+     "pattern", "triple point T1 does not carry two distinct deleted curves"),
+    ("r2 survivors differ", ("r2 cut",), r2_move(), "pattern", SURVIVORS_DIFFER),
+    ("r3 equal curves", ("r3",), r3_move()._replace(curves=("f1", "f1", "g1")),
+     "pattern", "the three deleted closed curves must be distinct"),
+    ("r3 missing curve", ("r3",), r3_move()._replace(curves=("f1", "g1", "zz")),
+     "pattern", "no double curve with id 'zz'"),
+    ("r3 open curve", ("r3",), r3_move()._replace(curves=("f1", "g1", "es1")),
+     "pattern", "curve es1 is not closed"),
+    ("r3 curve leaves", ("r3",), r3_move()._replace(
+        center="Ta", triples=("T0", "Tb", "Tc", "Td", "Te", "Tf"),
+        splice=smooth("T0", "Tb", "Tc", "Td", "Te", "Tf")),
+     "pattern", "curve f1 leaves the deleted triple points"),
+    ("r3 site without both", ("r3", "circle"), r3_move()._replace(curves=("f1", "g1", "o")),
+     "pattern", "triple point Tc does not carry two distinct deleted curves"),
+    ("r3 pair at four sites", ("four", "r2"), r3_move()._replace(
+        triples=K_TRIPLES, center="T1", splice=smooth(*K_TRIPLES)),
+     "pattern", "each pair of deleted curves must meet at exactly two of the six "
+                "triple points"),
+    ("r3 survivors differ", ("r3 cut",), r3_move(), "pattern", SURVIVORS_DIFFER),
+    ("r3 centre carries a curve twice", ("r3", "twice"), r3_move()._replace(center="T1"),
+     "pattern", "the central triple point's three lines must carry three distinct curves"),
+    ("r3 centre off the survivors", ("r3", "r2"), r3_move()._replace(center="T1"),
+     "pattern", "the central triple point's curves do not match the surviving curves "
+                "at the deleted sites"),
+]
+
+
+@pytest.mark.parametrize("label, names, move, check, message", SITE_RULES,
+                         ids=[row[0] for row in SITE_RULES])
+def test_each_cancellation_site_rule_rejects_with_its_check(label, names, move, check,
+                                                            message):
+    cx = parse_skd("".join(SITE_TEXTS[name] for name in names))
+    assert validate(cx).ok
+    with pytest.raises(MoveRejected) as info:
+        apply_move(cx, move)
+    assert (info.value.check, str(info.value)) == (check, message)
+
+
+def test_apply_sequence_aborts_on_an_r2_minus_naming_three_curves(r2):
+    move = r2_move()._replace(curves=("u1", "v1", "s1"))
+    with pytest.raises(SequenceAborted) as info:
+        apply_sequence(r2, set(), [R1Plus("bub"), move])
+    assert (info.value.index, info.value.reason) == (
+        1, "R2- deletes exactly two closed curves")
+
+
 def test_r5_edge_must_join_branch_to_triple(r5):
     with pytest.raises(MoveRejected, match="does not join"):
         apply_move(r5, r5_move()._replace(edge_id="g1"))

@@ -14,6 +14,7 @@ from skdiag import (
     BranchPoint,
     BranchRef,
     Circle,
+    CurveKind,
     DescendentDisk,
     DiskDeclaration,
     Level,
@@ -48,7 +49,7 @@ from skdiag import (
     serialize_canonical,
     validate,
 )
-from skdiag import formats
+from skdiag import formats, moves
 from skdiag.crossing import (
     changed_fingerprinter,
     first_invalid_flip,
@@ -67,7 +68,15 @@ from skdiag.explorer import (
     is_du_exchangeable,
 )
 
-from tests.conftest import fixture_text, load_fixture, r2_move, r3_move, r5_move, r6_move
+from tests.conftest import (
+    fixture_text,
+    load_fixture,
+    r2_move,
+    r3_move,
+    r5_move,
+    r6_move,
+    smooth,
+)
 from tests.test_singularity import traced_partition, unionfind_partition
 
 budgets = st.builds(SizeBudget,
@@ -535,6 +544,78 @@ def test_trail_checks_on_derived_complexes_match_fresh_ones(seed, budget, disks,
         assert entry.fingerprint == fingerprint(fresh)
         assert entry.exchangeable == is_exchangeable(fresh, entry.gamma)
         assert entry.dd == satisfies_dd_condition(fresh, entry.gamma)
+
+
+def reference_r2_minus(cx, m):
+    """``apply_move(cx, m)`` for an R2- move, its pattern checked by R2-'s
+    own rule: each closed curve passes through exactly t1 and t2, once
+    each, and the surviving lines at t1 and t2 belong to one curve."""
+    def require(cond, check, message):
+        if not cond:
+            raise MoveRejected(check, message)
+
+    for tid in (m.t1, m.t2):
+        require(tid in cx.triples_by_id, "locus", f"no triple point {tid!r}")
+    require(m.t1 != m.t2, "locus", "the two cancelled triple points must differ")
+    c1, c2 = m.curves
+    require(c1 != c2, "pattern", "the two deleted closed curves must differ")
+    for cid in (c1, c2):
+        curve = cx.curves_by_id.get(cid)
+        require(curve is not None, "pattern", f"no double curve with id {cid!r}")
+        require(curve.kind is CurveKind.CLOSED, "pattern", f"curve {cid} is not closed")
+        met = [ref.triple_id for eid in curve.edges if isinstance(cx.edges_by_id[eid], Arc)
+               for ref in cx.edges_by_id[eid].ends if isinstance(ref, TripleSlot)]
+        require(sorted(set(met)) == sorted({m.t1, m.t2}) and len(met) == 4, "pattern",
+                f"curve {cid} does not pass through exactly {m.t1} and {m.t2}")
+    survivor = None
+    for tid in (m.t1, m.t2):
+        through = [cx.line_curve(tid, i) for i in range(3)]
+        require(through.count(c1) == 1 and through.count(c2) == 1, "pattern",
+                f"triple point {tid} is not spanned by {c1} and {c2} on two lines")
+        rest = next(c for c in through if c not in (c1, c2))
+        require(survivor in (None, rest), "pattern", "the surviving lines at the two "
+                "triple points belong to different curves")
+        survivor = rest
+    out = moves._cancel_move(cx, {m.t1, m.t2}, (c1, c2), m.splice, m.drop_disks)
+    require(moves._closed_count(cx) - moves._closed_count(out.complex) == 2,
+            "postcondition", "closed double curve count did not drop by two")
+    moves._check_shortening(cx, out, survivor, by=2)
+    return out.complex
+
+
+def verdict(apply, cx, move) -> str:
+    """The fingerprint of what ``apply(cx, move)`` builds, or the check
+    that rejects it."""
+    try:
+        return fingerprint(apply(cx, move))
+    except MoveRejected as exc:
+        return exc.check
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_r2_minus_decides_each_locus_as_its_reference(seed, budget, disks, data):
+    """The shared cancellation-site check accepts and rejects R2- loci as
+    R2-'s own checks did, with the same check, and builds the same complex.
+    The loci are the spliced r2 site's cancellation with each of its triple
+    points, curves and its splice map kept or redrawn."""
+    cx = with_sites(generate_random_complex(seed, budget, disks=disks), SITE_NAMES, seed)
+    own = random_move(cx, SITE_NAMES.index("r2") + 5, 0, 0)
+    assert fingerprint(apply_move(cx, own)) == verdict(reference_r2_minus, cx, own)
+    # redrawn mostly from the r2 and r3 sites and the closed curves, where
+    # near misses are
+    triples = st.sampled_from([t for t in cx.triples_by_id if t.startswith(("r2_", "r3_"))]) \
+        | st.sampled_from([*cx.triples_by_id, "nope"])
+    curves = st.sampled_from([c.id for c in cx.curves if c.kind is CurveKind.CLOSED]) \
+        | st.sampled_from([*cx.curves_by_id, "nope"])
+    for _ in range(4):
+        t1, t2 = (data.draw(st.just(t) | triples) for t in (own.t1, own.t2))
+        move = own._replace(t1=t1, t2=t2,
+                            curves=tuple(data.draw(st.just(c) | curves) for c in own.curves),
+                            splice=data.draw(st.sampled_from(
+                                (own.splice, smooth(t1, t2), smooth(t1)))))
+        assert verdict(apply_move, cx, move) == verdict(reference_r2_minus, cx, move)
 
 
 @pytest.mark.parametrize("name, move", [("r2", r2_move()), ("r3", r3_move()),
