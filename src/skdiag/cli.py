@@ -11,6 +11,7 @@ import gc
 import json
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -35,15 +36,19 @@ def _read(path: str) -> str:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(files: dict[str, str]) -> None:
-    """Write each path's text, all or none: each to a temporary file beside
-    it, renamed over it once all are written. A path there that is not a
-    writable file (a directory, /dev/null), or whose directory is not
-    writable, is opened as a plain write would, once the temporaries are
-    written."""
-    staged, in_place = [], []  # (path, temporary, target), (path, text)
+def _write(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text), all or none, refusing two paths to one regular
+    file, old or new: each to a temporary file beside it, renamed over it once
+    all are written. A path there that is not a writable file (a directory,
+    /dev/null), or whose directory is not writable, is opened in turn and
+    written in place once all are open, truncating only a regular file."""
+    for (a, _), (b, _) in combinations(files, 2):
+        if (os.path.isfile(a) and os.path.exists(b) and os.path.samefile(a, b)
+                or not os.path.exists(a) and os.path.realpath(a) == os.path.realpath(b)):
+            raise DiagramError(f"cannot write {a} and {b}: they name one file")
+    staged, opened = [], []  # (path, temporary, target), (path, text, file)
     try:
-        for path, text in files.items():
+        for path, text in files:
             target = os.path.realpath(path)
             if not os.path.exists(target) or (
                     os.path.isfile(target) and os.access(target, os.W_OK)
@@ -51,9 +56,12 @@ def _write(files: dict[str, str]) -> None:
                 staged.append((path, f"{target}.{os.getpid()}.tmp", target))
                 Path(staged[-1][1]).write_text(text, encoding="utf-8")
             else:
-                in_place.append((path, text))
-        for path, text in in_place:
-            Path(path).write_text(text, encoding="utf-8")
+                opened.append((path, text, open(os.open(path, os.O_WRONLY), "w", encoding="utf-8")))
+        for path, text, file in opened:
+            if os.path.isfile(path):
+                file.truncate()
+            file.write(text)
+            file.flush()
         for path, temp, target in staged:
             os.replace(temp, target)
     except OSError as exc:
@@ -61,6 +69,9 @@ def _write(files: dict[str, str]) -> None:
             Path(temp).unlink(missing_ok=True)
         reason = OSError(exc.errno, exc.strerror, path)  # naming the path, not a temporary
         raise DiagramError(f"cannot write {path}: {reason}") from exc
+    finally:
+        for _, _, file in opened:
+            file.close()
 
 
 def _parsed(path: str, parse, **kw):
@@ -122,7 +133,7 @@ def _to_file(args) -> bool:
 def _write_out(args, text: str, payload: dict) -> None:
     """Write produced text to -o, or to stdout (embedded under --json)."""
     if _to_file(args):
-        _write({args.output: text})
+        _write([(args.output, text)])
     elif args.json:
         payload["text"] = text
     else:
@@ -245,10 +256,10 @@ def _cmd_apply(args) -> int:
     payload = {"command": "apply", "moves": len(moves),
                "gamma": sorted(result.gamma), "fingerprint": fp, "trail": trail}
     # -o and --trail are both written or neither, before anything prints
-    files = {args.output: text} if _to_file(args) else {}
+    files = [(args.output, text)] if _to_file(args) else []
     if args.trail:
-        files[args.trail] = json.dumps(
-            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n"
+        files.append((args.trail, json.dumps(
+            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n"))
     _write(files)
     if not _to_file(args):
         _write_out(args, text, payload)

@@ -29,6 +29,7 @@ from .crossing import (
     ExchangeSet,
     exchange_set,
     first_invalid_flip,
+    flipped_disk,
     is_exchangeable,
     satisfies_dd_condition,
 )
@@ -49,6 +50,7 @@ from .singularity import (
     Pairing,
     SingularityComplex,
     TripleSlot,
+    endpoints,
 )
 
 
@@ -191,9 +193,8 @@ class _Outcome(NamedTuple):
 def _fresh_id(cx: SingularityComplex, base: str, minted: set[str]) -> str:
     """The first ``base.n`` neither an edge of ``cx`` nor in ``minted``, added to it."""
     n = 1
-    while f"{base}.{n}" in cx.edges_by_id or f"{base}.{n}" in minted:
+    while (fid := f"{base}.{n}") in cx.edges_by_id or fid in minted:
         n += 1
-    fid = f"{base}.{n}"
     minted.add(fid)
     return fid
 
@@ -224,13 +225,10 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
     orphaned slot must be reconnected exactly once by the splice map.
     """
     orphans: dict[TripleSlot, tuple[str, int]] = {}
-    for tid in sorted(dead_triples):
-        for line in range(3):
-            for slot in ("a", "b"):
-                ref = TripleSlot(tid, line, slot)
-                claim = cx.edge_end_at(ref)
-                if claim[0] not in dead_edges:
-                    orphans[ref] = claim
+    for ref in endpoints([cx.triples_by_id[t] for t in sorted(dead_triples)], ()):
+        claim = cx.edge_end_at(ref)
+        if claim[0] not in dead_edges:
+            orphans[ref] = claim
 
     partner: dict[tuple[str, int], tuple[str, int]] = {}
     seen: set[TripleSlot] = set()
@@ -249,59 +247,31 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
     _require(not missing, "splice",
              "orphaned slot(s) not reconnected: " + ", ".join(missing))
 
-    affected = sorted({eid for eid, _ in partner})
-    visited: set[str] = set()
     new_edges: list[Arc | Circle] = []
     descent: dict[str, str | None] = {}
     reversed_edges: set[str] = set()
-    for seed in affected:
-        if seed in visited:
+    # a chain is met first at its smallest edge, which names it and sets its direction
+    for seed in sorted({eid for eid, _ in partner}):
+        if seed in descent:
             continue
-        # walk backwards from (seed, end1) to a free entry stub or a cycle
-        entry = (seed, 0)
-        back_seen = set()
-        while entry in partner and entry not in back_seen:
-            back_seen.add(entry)
-            prev_exit_edge, prev_exit_side = partner[entry]
-            entry = (prev_exit_edge, 1 - prev_exit_side)
-        chain: list[tuple[str, bool]] = []
-        cur = entry
-        closed = False
-        while True:
-            eid, side = cur
-            chain.append((eid, side == 0))
-            nxt = partner.get((eid, 1 - side))
-            if nxt is None:
-                break
-            if nxt == entry:
-                closed = True
-                break
-            cur = nxt
-        ids = [eid for eid, _ in chain]
-        visited.update(ids)
-        base = min(ids)
-        if closed:
-            new_id = _fresh_id(cx, base, minted)
-            new_edges.append(Circle(new_id))
-            for eid in ids:
+        new_id = _fresh_id(cx, seed, minted)
+        descent[seed] = new_id
+        flips, ends = [], []
+        for start in (1, 0):  # on from the seed's end2, then back from its end1
+            eid, side = seed, start
+            while (nxt := partner.get((eid, side))) not in (None, (seed, 0)):
+                eid, entered = nxt
                 descent[eid] = new_id
+                if entered == start:
+                    flips.append(eid)
+                side = 1 - entered
+            if nxt is not None:  # back at the seed's end1: the chain closes
+                new_edges.append(Circle(new_id))
+                break
+            ends.append(cx.edges_by_id[eid][1 + side])
         else:
-            # orient the chain along its smallest constituent
-            fwd = dict(chain)[base]
-            if not fwd:
-                chain = [(eid, not f) for eid, f in reversed(chain)]
-            first_edge = cx.edges_by_id[chain[0][0]]
-            last_edge = cx.edges_by_id[chain[-1][0]]
-            _require(isinstance(first_edge, Arc) and isinstance(last_edge, Arc),
-                     "splice", f"chain {base} ends on an edge that is not an arc")
-            start = first_edge.end1 if chain[0][1] else first_edge.end2
-            stop = last_edge.end2 if chain[-1][1] else last_edge.end1
-            new_id = _fresh_id(cx, base, minted)
-            new_edges.append(Arc(new_id, start, stop))
-            for eid, f in chain:
-                descent[eid] = new_id
-                if not f:
-                    reversed_edges.add(eid)
+            new_edges.append(Arc(new_id, ends[1], ends[0]))
+            reversed_edges.update(flips)
     return new_edges, descent, reversed_edges
 
 
@@ -368,6 +338,8 @@ def _check_shortening(cx: SingularityComplex, out: _Outcome, curve_id: str,
 
 def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
                  dead_curves: tuple[str, ...], splice, drop_disks) -> _Outcome:
+    """Delete ``dead_triples``, the curves ``dead_curves`` and the branch points
+    at their ends, and reconnect the stubs left at the triple points by ``splice``."""
     dead_edges: set[str] = set()
     for cid in dead_curves:
         dead_edges.update(cx.curves_by_id[cid].edges)
@@ -375,8 +347,11 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     for eid in dead_edges:
         descent[eid] = None
     old_disks, new_disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
+    dead_branches = sorted({end.branch_id for eid in dead_edges
+                            for end in cx.edges_by_id[eid][1:] if type(end) is BranchRef})
     new_cx = cx.rebuilt(
         [*(cx.triples_by_id[t] for t in sorted(dead_triples)),
+         *(cx.branches_by_id[b] for b in dead_branches),
          *(cx.edges_by_id[e] for e in descent), *old_disks],
         new_edges + new_disks)
     return _Outcome(new_cx, descent, tuple(e.id for e in new_edges))
@@ -396,9 +371,7 @@ def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
     _require(edge is not None, "locus", f"no edge with id {m.circle_id!r}")
     _require(isinstance(edge, Circle), "locus",
              f"edge {m.circle_id!r} is not a free circle")
-    descent: dict[str, str | None] = {m.circle_id: None}
-    old_disks, new_disks = _remap_disks(cx, descent, set(), {m.circle_id}, m.drop_disks)
-    return _Outcome(cx.rebuilt([edge, *old_disks], new_disks), descent)
+    return _cancel_move(cx, set(), (m.circle_id,), (), m.drop_disks)
 
 
 def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
@@ -423,12 +396,7 @@ def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
              and isinstance(edge.end1, BranchRef)
              and isinstance(edge.end2, BranchRef), "locus",
              f"edge {m.edge_id!r} is not an arc bounded by two branch points")
-    dead_branches = sorted({edge.end1.branch_id, edge.end2.branch_id})
-    descent: dict[str, str | None] = {m.edge_id: None}
-    old_disks, new_disks = _remap_disks(cx, descent, set(), {m.edge_id}, m.drop_disks)
-    new_cx = cx.rebuilt(
-        [edge, *(cx.branches_by_id[b] for b in dead_branches), *old_disks], new_disks)
-    return _Outcome(new_cx, descent)
+    return _cancel_move(cx, set(), (m.edge_id,), (), m.drop_disks)
 
 
 def _check_sites(cx: SingularityComplex, triples: tuple[str, ...],
@@ -486,6 +454,7 @@ def _apply_r3_minus(cx: SingularityComplex, m: R3Minus) -> _Outcome:
              f"no triple point {m.center!r}")
     _require(m.center not in m.triples, "locus",
              "the central triple point survives the move")
+    _require(len(m.curves) == 3, "locus", "R3- deletes exactly three closed curves")
     _require(len(set(m.curves)) == 3, "pattern",
              "the three deleted closed curves must be distinct")
     survivors = _check_sites(cx, m.triples, m.curves)
@@ -555,14 +524,8 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
         # a free circle involved: the exchange absorbs it and the two edges
         # fuse into one; the dual disk would touch that edge twice and is
         # not representable, so it is dropped
-        base = min(e1.id, e2.id)
-        new_id = _fresh_id(cx, base, minted)
-        if isinstance(e1, Arc) or isinstance(e2, Arc):
-            arc = e1 if isinstance(e1, Arc) else e2
-            fused: Arc | Circle = Arc(new_id, arc.end1, arc.end2)
-        else:
-            fused = Circle(new_id)
-        added = [fused]
+        new_id = _fresh_id(cx, min(e1.id, e2.id), minted)
+        added = [(e1 if type(e1) is Arc else e2)._replace(id=new_id)]
         new_ids = (new_id, new_id)
     new_cx = cx.rebuilt([e1, e2, disk], added)
     _require(len(new_cx.curves) - len(cx.curves) in (-1, 0, 1), "postcondition",
@@ -596,9 +559,15 @@ def apply_move(cx: SingularityComplex, move: MoveInstance) -> SingularityComplex
 # -- gamma transport ------------------------------------------------------
 
 
+def _born_into(cx: SingularityComplex, gamma: ExchangeSet, move: MoveInstance) -> bool:
+    """Whether ``move`` is a birth whose disk pairs its new curve with one of gamma."""
+    return (move.kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS) and move.disk is not None
+            and cx.curve_of(move.disk.partner_edge) in gamma)
+
+
 def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
                     move: MoveInstance, out: _Outcome) -> ExchangeSet:
-    replaced, born = frozenset(), False
+    replaced, born = frozenset(), _born_into(cx, gamma, move)
     if move.kind is MoveKind.R3_MINUS:
         t = cx.triples_by_id[move.center]
         pattern = PATTERN_OF_LINES[t.line_types][sum(
@@ -616,8 +585,6 @@ def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
         disk = cx.disks_by_id[move.disk_id]
         replaced = gamma & {cx.curve_of(disk.edge1), cx.curve_of(disk.edge2)}
         born = bool(replaced)
-    elif move.kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS) and move.disk is not None:
-        born = cx.curve_of(move.disk.partner_edge) in gamma
     new = set()
     for cid in gamma - replaced:
         mapped = _descend_curve(cx, out, cid)
@@ -663,14 +630,8 @@ def relabel_locus_for_change(cx: SingularityComplex, gamma: Iterable[str],
     against the exchanged sheets). This is what makes applying the move
     after the change agree with changing along the transported union.
     """
-    gamma = exchange_set(cx, gamma)
-    if (move.kind in (MoveKind.R1_PLUS, MoveKind.R4_PLUS)
-            and move.disk is not None
-            and cx.curve_of(move.disk.partner_edge) in gamma):
-        decl = move.disk
-        flipped = DiskDeclaration(decl.disk_id, decl.partner_edge, decl.pair,
-                                  decl.level1.flipped(), decl.level2.flipped())
-        return move._replace(disk=flipped)
+    if _born_into(cx, exchange_set(cx, gamma), move):
+        return move._replace(disk=flipped_disk(move.disk, 3))
     return move
 
 

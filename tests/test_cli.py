@@ -131,19 +131,15 @@ def test_apply_to_a_directory_fails_as_a_plain_write(capsys, trefoil_path, tmp_p
     assert [p.name for p in work.iterdir()] == ["out"]
 
 
-def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_path,
-                                                             tmp_path, monkeypatch):
-    # a temporary file cannot be made beside a writable file in a directory
-    # the user cannot write, so the file is written in place, as a plain
-    # write would; a new file there fails as a plain write would. Root ignores
-    # directory permissions, so the directory's are emulated: os.access says
-    # it is not writable, and creating or renaming a file in it is refused
-    skm = tmp_path / "seq.skm"
-    skm.write_text(fixture_text("trefoil_seq.skm"))
+@pytest.fixture
+def locked(tmp_path, monkeypatch):
+    """A directory the user cannot write, holding a writable ``out.skd`` of
+    old text. Root ignores directory permissions, so they are emulated:
+    os.access says it is not writable, and creating or renaming a file in it
+    is refused."""
     locked = tmp_path / "locked"
     locked.mkdir()
-    out = locked / "out.skd"
-    out.write_text("old text\n")
+    (locked / "out.skd").write_text("old text\n")
     real_access, real_open, real_replace = os.access, io.open, os.replace
 
     def in_locked(path) -> bool:
@@ -156,8 +152,8 @@ def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_pat
         return (mode != os.W_OK or os.path.realpath(path) != os.path.realpath(locked)) \
             and real_access(path, mode, **kw)
 
-    def open_(file, mode="r", *args, **kw):
-        if in_locked(file) and not os.path.exists(file) and set(mode) & set("wxa"):
+    def open_(file, mode="r", *args, **kw):  # a descriptor is already open
+        if not isinstance(file, int) and in_locked(file) and not os.path.exists(file) and set(mode) & set("wxa"):
             raise refused(file)
         return real_open(file, mode, *args, **kw)
 
@@ -170,6 +166,17 @@ def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_pat
         monkeypatch.setattr(os, name, fake)
     monkeypatch.setattr(io, "open", open_)
     monkeypatch.setattr(builtins, "open", open_)
+    return locked
+
+
+def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_path,
+                                                             tmp_path, locked):
+    # a temporary file cannot be made beside a writable file in a directory
+    # the user cannot write, so the file is written in place, as a plain
+    # write would; a new file there fails as a plain write would
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    out = locked / "out.skd"
     argv = ["apply", trefoil_path, str(skm), "--gamma", "closed"]
     expected, trail = tmp_path / "expected.skd", tmp_path / "t.json"
     code, printed, _ = run(capsys, *argv, "-o", str(expected))
@@ -186,6 +193,64 @@ def test_a_file_in_a_read_only_directory_is_written_in_place(capsys, trefoil_pat
     assert run(capsys, *argv, "-o", str(new)) == (
         2, "", f"error: cannot write {new}: [Errno 13] Permission denied: {str(new)!r}\n")
     assert not new.exists()
+
+
+def test_in_place_paths_are_all_opened_before_any_is_written(capsys, trefoil_path,
+                                                             tmp_path, locked):
+    # -o in a read-only directory and --trail a directory are both written
+    # in place: the trail fails to open, so -o is never rewritten
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    out, trail = locked / "out.skd", tmp_path / "trail"
+    trail.mkdir()
+    code, printed, err = run(capsys, "apply", trefoil_path, str(skm), "--gamma", "closed",
+                             "-o", str(out), "--trail", str(trail))
+    assert code == 2 and not printed
+    assert err == (f"error: cannot write {trail}: [Errno 21] Is a directory: "
+                   f"{str(trail)!r}\n")
+    assert out.read_text() == "old text\n" and not any(trail.iterdir())
+    assert [p.name for p in locked.iterdir()] == ["out.skd"]
+
+
+@pytest.mark.parametrize("alias, before", [
+    ("same", None), ("same", "old text\n"), ("link", None), ("link", "old text\n"),
+    ("hard", "old text\n")])
+def test_output_and_trail_naming_one_file_are_refused(capsys, trefoil_path, tmp_path,
+                                                      before, alias):
+    # -o and --trail naming one regular file, new or old, by one path, a
+    # symbolic link or a hard link, would leave it holding one of the two
+    # texts: neither is written
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "out.skd"
+    if before is not None:
+        out.write_text(before)
+    trail = out if alias == "same" else work / "link"
+    if alias == "link":
+        trail.symlink_to(out)
+    elif alias == "hard":
+        os.link(out, trail)
+    code, printed, err = run(capsys, "apply", trefoil_path, str(skm), "--gamma", "closed",
+                             "-o", str(out), "--trail", str(trail))
+    assert (code, printed) == (2, "")
+    assert err == f"error: cannot write {out} and {trail}: they name one file\n"
+    assert (out.read_text() if out.exists() else None) == before
+    assert sorted(p.name for p in work.iterdir()) == sorted(
+        ["out.skd"] * (before is not None) + ["link"] * (alias != "same"))
+    if alias == "hard":
+        assert trail.read_text() == before
+
+
+def test_output_and_trail_may_both_be_a_device(capsys, trefoil_path, tmp_path):
+    # a device takes any number of texts, so two paths to one are written
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    argv = ["apply", trefoil_path, str(skm), "--gamma", "closed"]
+    code, printed, _ = run(capsys, *argv, "-o", str(tmp_path / "out.skd"))
+    assert code == 0
+    assert run(capsys, *argv, "-o", os.devnull, "--trail", os.devnull) == (0, printed, "")
 
 
 @pytest.mark.parametrize("text, code", [

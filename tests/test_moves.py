@@ -492,6 +492,10 @@ SITE_RULES = [
     ("r2 site without both", ("twice",), r2_move(),
      "pattern", "triple point T1 does not carry two distinct deleted curves"),
     ("r2 survivors differ", ("r2 cut",), r2_move(), "pattern", SURVIVORS_DIFFER),
+    ("r3 two curves", ("r3",), r3_move()._replace(curves=("f1", "g1")),
+     "locus", "R3- deletes exactly three closed curves"),
+    ("r3 four curves", ("r3",), r3_move()._replace(curves=("f1", "g1", "h1", "es1")),
+     "locus", "R3- deletes exactly three closed curves"),
     ("r3 equal curves", ("r3",), r3_move()._replace(curves=("f1", "f1", "g1")),
      "pattern", "the three deleted closed curves must be distinct"),
     ("r3 missing curve", ("r3",), r3_move()._replace(curves=("f1", "g1", "zz")),

@@ -1,5 +1,6 @@
 """Property tests over seeded random complexes."""
 
+import random
 import re
 from functools import reduce
 from itertools import combinations, product
@@ -628,6 +629,143 @@ def test_cancellations_derive_like_fresh_builds(name, move, births):
         cx = apply_derived(cx, R4Plus(f"w{i}", f"wa{i}", f"wb{i}") if i % 2
                            else R1Plus(f"n{i}"))
     apply_derived(cx, move)
+
+
+def reference_merge_chains(cx, dead_triples, dead_edges, splice, minted):
+    """``moves._merge_chains(cx, dead_triples, dead_edges, splice, minted)``
+    by a walk that goes back from each unvisited edge's end1 to its chain's
+    first stub (or round a cycle), forwards along the chain, then reverses
+    the chain if it runs against its smallest edge."""
+    def require(cond, check, message):
+        if not cond:
+            raise MoveRejected(check, message)
+
+    orphans = {}
+    for tid in sorted(dead_triples):
+        for line in range(3):
+            for slot in ("a", "b"):
+                ref = TripleSlot(tid, line, slot)
+                claim = cx.edge_end_at(ref)
+                if claim[0] not in dead_edges:
+                    orphans[ref] = claim
+    partner, seen = {}, set()
+    for r1, r2 in splice:
+        for r in (r1, r2):
+            require(r.triple_id in dead_triples, "splice",
+                    f"splice slot {r} is not on a deleted triple point")
+            require(r in orphans, "splice",
+                    f"splice slot {r} has no surviving edge to reconnect")
+            require(r not in seen, "splice", f"splice slot {r} used twice")
+            seen.add(r)
+        require(r1 != r2, "splice", f"splice pairs slot {r1} with itself")
+        partner[orphans[r1]] = orphans[r2]
+        partner[orphans[r2]] = orphans[r1]
+    missing = sorted(str(r) for r in set(orphans) - seen)
+    require(not missing, "splice", "orphaned slot(s) not reconnected: " + ", ".join(missing))
+
+    visited, new_edges, descent, reversed_edges = set(), [], {}, set()
+    for seed in sorted({eid for eid, _ in partner}):
+        if seed in visited:
+            continue
+        entry, back_seen = (seed, 0), set()
+        while entry in partner and entry not in back_seen:
+            back_seen.add(entry)
+            prev_edge, prev_side = partner[entry]
+            entry = (prev_edge, 1 - prev_side)
+        chain, cur, closed = [], entry, False
+        while True:
+            eid, side = cur
+            chain.append((eid, side == 0))
+            nxt = partner.get((eid, 1 - side))
+            if nxt is None:
+                break
+            if nxt == entry:
+                closed = True
+                break
+            cur = nxt
+        ids = [eid for eid, _ in chain]
+        visited.update(ids)
+        base = min(ids)
+        new_id = moves._fresh_id(cx, base, minted)
+        if closed:
+            new_edges.append(Circle(new_id))
+            descent.update(dict.fromkeys(ids, new_id))
+            continue
+        if not dict(chain)[base]:
+            chain = [(eid, not f) for eid, f in reversed(chain)]
+        first, last = cx.edges_by_id[chain[0][0]], cx.edges_by_id[chain[-1][0]]
+        require(isinstance(first, Arc) and isinstance(last, Arc),
+                "splice", f"chain {base} ends on an edge that is not an arc")
+        new_edges.append(Arc(new_id, first.end1 if chain[0][1] else first.end2,
+                             last.end2 if chain[-1][1] else last.end1))
+        for eid, f in chain:
+            descent[eid] = new_id
+            if not f:
+                reversed_edges.add(eid)
+    return new_edges, descent, reversed_edges
+
+
+def random_merge_case(cx, rng):
+    """Dead triple points, dead edges and a splice map on ``cx``: a few
+    neighbouring triple points, the edges of some curves through them, and
+    a random pairing of the slots those leave, broken one time in three (a
+    pair dropped, or a slot off the dead points, on a dead edge, used
+    twice or paired with itself)."""
+    index = cx.slot_index
+    dead_triples = {rng.choice(sorted(cx.triples_by_id))}
+    for _ in range(rng.randrange(4)):
+        t = rng.choice(sorted(dead_triples))
+        eid, end = index[TripleSlot(t, rng.randrange(3), rng.choice("ab"))]
+        other = cx.edges_by_id[eid][2 - end]
+        if type(other) is TripleSlot:
+            dead_triples.add(other.triple_id)
+    slots = list(endpoints([cx.triples_by_id[t] for t in sorted(dead_triples)], ()))
+    through = sorted({cx.curve_of(index[ref][0]) for ref in slots})
+    dead_edges = {eid for cid in rng.sample(through, rng.randrange(min(3, len(through)) + 1))
+                  for eid in cx.curves_by_id[cid].edges}
+    orphans = [ref for ref in slots if index[ref][0] not in dead_edges]
+    rng.shuffle(orphans)
+    splice = list(zip(orphans[::2], orphans[1::2]))
+    if splice and rng.randrange(3) == 0:
+        live = [ref for ref in index if type(ref) is TripleSlot
+                and ref.triple_id not in dead_triples]
+        spent = [ref for ref in slots if index[ref][0] in dead_edges]
+        r1, r2 = splice.pop(rng.randrange(len(splice)))
+        splice.insert(rng.randrange(len(splice) + 1), rng.choice([
+            (r1, r2), (rng.choice(live or [r1]), r2), (rng.choice(spent or [r1]), r2),
+            (r1, splice[0][0] if splice else r1), (r1, r1), None]))
+        splice = [pair for pair in splice if pair is not None]
+    return dead_triples, dead_edges, tuple(splice)
+
+
+def test_chain_walk_merges_as_its_reference():
+    """``_merge_chains`` walks each chain once from its smallest edge; on
+    seeded random cases it returns what the back-then-forwards walk with a
+    reorientation pass returns, or rejects with the same check and message.
+    The cases close chains and reverse edges."""
+    rng = random.Random(20261019)
+    complexes = [load_fixture(name) for name in ("r2", "r3", "r5")] + [
+        with_sites(generate_random_complex(seed, SizeBudget(3, 4, 1), disks=1),
+                   SITE_NAMES, seed) for seed in range(40)]
+    tally = {"accepted": 0, "rejected": 0, "closed": 0, "reversed": 0}
+    for cx in complexes:
+        for _ in range(25):
+            case = random_merge_case(cx, rng)
+            outcomes = []
+            for merge in (moves._merge_chains, reference_merge_chains):
+                try:
+                    outcomes.append(merge(cx, *case, set()))
+                except MoveRejected as exc:
+                    outcomes.append((exc.check, str(exc)))
+            assert outcomes[0] == outcomes[1], case
+            if len(outcomes[0]) == 2:
+                tally["rejected"] += 1
+                continue
+            new_edges, _, reversed_edges = outcomes[0]
+            tally["accepted"] += 1
+            tally["closed"] += any(type(e) is Circle for e in new_edges)
+            tally["reversed"] += bool(reversed_edges)
+    assert all(tally.values()), tally
 
 
 # -- the `.skd` grammar -------------------------------------------------------

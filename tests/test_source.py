@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import skdiag
+from skdiag import formats, moves
+from skdiag.moves import MoveKind
 
 SOURCES = sorted(Path(skdiag.__file__).parent.glob("*.py"))
 
@@ -70,3 +72,13 @@ def test_only_the_cli_freezes_the_collector():
              or isinstance(node, ast.ImportFrom) and node.module == "gc"
              and names & {alias.name for alias in node.names}]
     assert SOURCES and not found, found
+
+
+def test_each_move_kind_has_one_applier_record_and_key_row():
+    # a kind is applied, typed and read in one place each: every table is
+    # keyed by exactly the kinds, and no applier or record serves two
+    for table in (moves._APPLIERS, moves.MOVE_TYPES, formats._MOVE_KEYS):
+        assert len(table) == len(MoveKind) and {MoveKind(k) for k in table} == set(MoveKind)
+    assert len(set(moves._APPLIERS.values())) == len(set(moves.MOVE_TYPES.values())) \
+        == len(MoveKind)
+    assert all(record.kind is kind for kind, record in moves.MOVE_TYPES.items())
