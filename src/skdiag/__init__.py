@@ -22,17 +22,18 @@ _EXPORTS = {
     "explorer": "ENUMERATION_CAP DuReport DuStatus DuVerdict DuWitness "
                 "TrivialityOracle Verdict du_index_upper_bound "
                 "enumerate_exchangeable is_du_exchangeable",
-    "formats": "SkdDocument curve_summary export_schematic parse_skd "
-               "parse_skd_document parse_skm",
+    "formats": "SkdDocument parse_skd parse_skd_document",
     "generator": "SizeBudget generate_random_complex",
     "moves": "FORBIDDEN_KINDS DiskDeclaration MoveInstance MoveKind R1Minus R1Plus "
              "R2Minus R3Minus R4Minus R4Plus R5Minus R6 SequenceResult TrailEntry "
              "apply_move apply_sequence apply_with_transport normalize_kind_token "
              "relabel_locus_for_change transport validate_t_descendent",
+    "output": "curve_summary export_schematic",
     "singularity": "Arc BranchPoint BranchRef CensusRecord Circle CurveKind "
                    "DescendentDisk DoubleCurve DoubleEdge EndpointRef Level LineType "
                    "Pairing SingularityComplex TriplePoint TripleSlot "
                    "ValidationReport Violation census trace_curves validate",
+    "skm": "parse_skm",
 }
 
 #: the module defining each public name

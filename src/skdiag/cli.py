@@ -9,9 +9,7 @@ machine-readable report with a top-level ``format_version`` field.
 import argparse
 import gc
 import json
-import os
 import sys
-from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -34,44 +32,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
-
-
-def _write(files: list[tuple[str, str]]) -> None:
-    """Write each (path, text), all or none, refusing two paths to one regular
-    file, old or new: each to a temporary file beside it, renamed over it once
-    all are written. A path there that is not a writable file (a directory,
-    /dev/null), or whose directory is not writable, is opened in turn and
-    written in place once all are open, truncating only a regular file."""
-    for (a, _), (b, _) in combinations(files, 2):
-        if (os.path.isfile(a) and os.path.exists(b) and os.path.samefile(a, b)
-                or not os.path.exists(a) and os.path.realpath(a) == os.path.realpath(b)):
-            raise DiagramError(f"cannot write {a} and {b}: they name one file")
-    staged, opened = [], []  # (path, temporary, target), (path, text, file)
-    try:
-        for path, text in files:
-            target = os.path.realpath(path)
-            if not os.path.exists(target) or (
-                    os.path.isfile(target) and os.access(target, os.W_OK)
-                    and os.access(os.path.dirname(target), os.W_OK)):
-                staged.append((path, f"{target}.{os.getpid()}.tmp", target))
-                Path(staged[-1][1]).write_text(text, encoding="utf-8")
-            else:
-                opened.append((path, text, open(os.open(path, os.O_WRONLY), "w", encoding="utf-8")))
-        for path, text, file in opened:
-            if os.path.isfile(path):
-                file.truncate()
-            file.write(text)
-            file.flush()
-        for path, temp, target in staged:
-            os.replace(temp, target)
-    except OSError as exc:
-        for _, temp, _ in staged:
-            Path(temp).unlink(missing_ok=True)
-        reason = OSError(exc.errno, exc.strerror, path)  # naming the path, not a temporary
-        raise DiagramError(f"cannot write {path}: {reason}") from exc
-    finally:
-        for _, _, file in opened:
-            file.close()
 
 
 def _parsed(path: str, parse, **kw):
@@ -117,10 +77,15 @@ def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
     return frozenset(out)
 
 
-def _emit(args, payload: dict, human: Callable[[], list[str]]) -> None:
-    """Print the payload under --json, else the lines ``human()`` builds."""
+def _emit(args, payload: dict, human: Callable[[], list[str]], rows=None) -> None:
+    """Print the payload under --json, else the lines ``human()`` builds.
+    ``rows``, a (key, JSON texts) pair, is an array written after the
+    payload's keys, which its key must sort after."""
     if args.json:
-        print(json.dumps({"format_version": FORMAT_VERSION, **payload}, **_JSON))
+        text = json.dumps({"format_version": FORMAT_VERSION, **payload}, **_JSON)
+        if rows is not None:
+            text = f'{text[:-1]},"{rows[0]}":[{",".join(rows[1])}]}}'
+        print(text)
     else:
         for line in human():
             print(line)
@@ -133,7 +98,9 @@ def _to_file(args) -> bool:
 def _write_out(args, text: str, payload: dict) -> None:
     """Write produced text to -o, or to stdout (embedded under --json)."""
     if _to_file(args):
-        _write([(args.output, text)])
+        from .output import write_files
+
+        write_files([(args.output, text)])
     elif args.json:
         payload["text"] = text
     else:
@@ -167,7 +134,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .formats import curve_summary
+    from .output import curve_summary
 
     cx = _load_document(args.skd).complex
     curves = [{"id": c.id, "kind": c.kind.value, "edges": list(c.edges)}
@@ -241,8 +208,9 @@ def _cmd_crossing_change(args) -> int:
 
 def _cmd_apply(args) -> int:
     from .canonical import digest, serialize_canonical
-    from .formats import parse_skm
     from .moves import apply_sequence
+    from .output import write_files
+    from .skm import parse_skm
 
     cx = _load_document(args.skd).complex
     moves = _parsed(args.skm, parse_skm)
@@ -260,7 +228,7 @@ def _cmd_apply(args) -> int:
     if args.trail:
         files.append((args.trail, json.dumps(
             {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n"))
-    _write(files)
+    write_files(files)
     if not _to_file(args):
         _write_out(args, text, payload)
     _emit(args, payload, lambda: [
@@ -270,57 +238,60 @@ def _cmd_apply(args) -> int:
     return OK
 
 
-def _union_rows(report, verdicts: bool) -> list[dict]:
-    return [{"gamma": list(w.gamma), "size": w.size, "dd": w.dd}
-            | ({"verdict": w.verdict.value} if verdicts else {})
-            for w in report.witnesses]
+def _named(ids, union) -> str:
+    return ",".join(map(ids.__getitem__, union)) or "(empty)"
+
+
+def _rows(ids, records, verdicts: bool):
+    """The JSON text of each witness record's row (keys sorted: dd, gamma,
+    size, and the verdict when asked), each curve id quoted once."""
+    from .explorer import Verdict
+
+    quoted = [json.dumps(c) for c in ids]
+    head = ('{"dd":false,"gamma":[', '{"dd":true,"gamma":[')
+    tail = {v: f',"verdict":{json.dumps(v.value)}}}' if verdicts else "}" for v in Verdict}
+    return (f'{head[dd]}{",".join(map(quoted.__getitem__, u))}],"size":{len(u)}{tail[v]}'
+            for u, dd, v in records)
 
 
 def _cmd_enumerate(args) -> int:
-    from .explorer import EMPTY_ORACLE, du_index_upper_bound
+    from .explorer import EMPTY_ORACLE, du_records
 
     # no oracle: verdicts are du-bound's, so the scan never fingerprints
-    report = du_index_upper_bound(_load_document(args.skd).complex, EMPTY_ORACLE,
-                                  max_size=args.max_size)
-    rows = _union_rows(report, verdicts=False)
-    _emit(args, {"command": "enumerate", "unions": rows}, lambda: [
-        f"size={r['size']} gamma={','.join(r['gamma']) or '(empty)'} "
-        f"dd={'yes' if r['dd'] else 'no'}" for r in rows])
+    ids, records = du_records(_load_document(args.skd).complex, EMPTY_ORACLE, args.max_size)
+    _emit(args, {"command": "enumerate"}, lambda: [
+        f"size={len(u)} gamma={_named(ids, u)} dd={'yes' if dd else 'no'}"
+        for u, dd, _ in records], ("unions", _rows(ids, records, verdicts=False)))
     return OK
 
 
 def _cmd_du_bound(args) -> int:
-    from .explorer import TrivialityOracle, Verdict, du_index_upper_bound
+    from .explorer import DIAGRAM_BOUND_NOTE, TrivialityOracle, Verdict, du_records
 
     doc = _load_document(args.skd)
     oracle = TrivialityOracle.from_mapping(doc.oracle)
     if args.oracle:
         sidecar = _load_document(args.oracle)
         oracle = oracle.merged_with(TrivialityOracle.from_mapping(sidecar.oracle))
-    report = du_index_upper_bound(doc.complex, oracle, max_size=args.max_size)
-    rows = _union_rows(report, verdicts=True)
+    ids, records = du_records(doc.complex, oracle, args.max_size)
+    records = list(records)
+    # the first trivial one is the smallest, and the first of its size
+    best = next((u for u, dd, v in records if dd and v is Verdict.TRIVIAL), None)
 
     def human():
-        lines = [f"note: {report.note}"]
-        if report.best_size is None:
-            lines.append("best_size: unknown (no annotated trivial result)")
-        else:
-            witness = report.best_witness()
-            lines.append(f"best_size: {report.best_size} "
-                         f"(gamma={','.join(witness.gamma) or '(empty)'})")
-        for w in report.witnesses:
-            if w.dd and w.verdict is not Verdict.UNKNOWN:
-                lines.append(f"  size={w.size} gamma={','.join(w.gamma) or '(empty)'}"
-                             f" -> {w.verdict.value}")
-        return lines
-    _emit(args,
-          {"command": "du-bound", "best_size": report.best_size,
-           "note": report.note, "witnesses": rows}, human)
+        return [f"note: {DIAGRAM_BOUND_NOTE}",
+                "best_size: unknown (no annotated trivial result)" if best is None
+                else f"best_size: {len(best)} (gamma={_named(ids, best)})"] + [
+            f"  size={len(u)} gamma={_named(ids, u)} -> {v.value}"
+            for u, dd, v in records if dd and v is not Verdict.UNKNOWN]
+    _emit(args, {"command": "du-bound", "best_size": None if best is None else len(best),
+                 "note": DIAGRAM_BOUND_NOTE}, human,
+          ("witnesses", _rows(ids, records, verdicts=True)))
     return OK
 
 
 def _cmd_schematic(args) -> int:
-    from .formats import export_schematic
+    from .output import export_schematic
 
     cx = _load_document(args.skd).complex
     payload = {"command": "schematic", "output": args.output}

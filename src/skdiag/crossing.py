@@ -101,15 +101,12 @@ PATTERN_OF_LINES = {types: [reduce(or_, (1 << _BIT_OF[lt] for i, lt in enumerate
                     for types in product(LineType, repeat=3)}
 
 
-def exchangeable_unions(unions: Iterable[tuple[str, ...]], words: dict[str, int],
-                        low: int) -> list[tuple[tuple[str, ...], int]]:
-    """(union, word) for each of ``unions`` whose flip word, the OR of its
-    curves' ``words``, has a pattern in RELABEL in every field that starts
-    at a bit of ``low``: there its bt bit equals its bm bit or its mt bit."""
-    word = words.__getitem__
-    return [(u, w) for u in unions
-            if not ((w := reduce(or_, map(word, u), 0)) ^ w >> 1)
-            & (w >> 1 ^ w >> 2) & low]
+def exchangeable_unions(candidates: Iterable[tuple], low: int) -> list[tuple]:
+    """The (union, word) ``candidates`` whose flip word, the OR of the words
+    of the union's curves, has a pattern in RELABEL in every field that
+    starts at a bit of ``low``: there its bt bit equals its bm bit or its mt
+    bit."""
+    return [c for c in candidates if not ((w := c[1]) ^ w >> 1) & (w >> 1 ^ w >> 2) & low]
 
 
 def flip_words(cx: SingularityComplex) -> tuple[dict[str, int], int, int]:

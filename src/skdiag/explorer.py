@@ -11,7 +11,6 @@ reach. Every report says so.
 
 from enum import Enum
 from functools import cache, cached_property
-from itertools import combinations, starmap
 from typing import NamedTuple
 
 from .crossing import changed_fingerprinter, exchangeable_unions, flip_words
@@ -101,10 +100,11 @@ class DuVerdict(NamedTuple):
 
 
 def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int):
-    """The low bits of the disk fields of the flip words, and the
-    exchangeable unions (curve-id tuples) of each size with their words,
-    smallest first, each in lexicographic order: checked at the call,
-    scanned when taken."""
+    """The curve ids in sorted order, the low bits of the disk fields of the
+    flip words, and the exchangeable unions (indices into the ids) of each
+    size with their words, smallest first, each in lexicographic order:
+    checked at the call, scanned when taken. Layer k extends the word of
+    each (k-1)-subset by each later curve's: one OR and one test each."""
     n = len(cx.curves)
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be non-negative, not {max_size}")
@@ -113,8 +113,18 @@ def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int)
             cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
             "pass max_size to bound the scan")
     words, low, disk_low = flip_words(cx)
-    return disk_low, (exchangeable_unions(combinations(words, k), words, low)
-                      for k in range((n if max_size is None else min(max_size, n)) + 1))
+    ids, words = list(words), list(words.values())
+    limit = n if max_size is None else min(max_size, n)
+
+    def walk():
+        prefixes = [((), 0)]  # every (k-1)-subset and its word, while a layer follows
+        for k in range(limit + 1):
+            layer = prefixes if not k else (((*u, j), w | words[j]) for u, w in prefixes
+                                            for j in range(u[-1] + 1 if u else 0, n))
+            if k < limit:
+                prefixes = layer = list(layer)
+            yield exchangeable_unions(layer, low)
+    return ids, disk_low, walk()
 
 
 def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
@@ -124,24 +134,24 @@ def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
 
     Refuses with the cap value when the candidate-subset count would
     exceed ``cap`` and no max_size was supplied. Each candidate ORs one
-    flip word per curve and tests every triple point at once."""
-    return [frozenset(gamma) for layer in _exchangeable_layers(cx, max_size, cap)[1]
-            for gamma, _ in layer]
+    flip word onto its prefix's and tests every triple point at once."""
+    ids, _, layers = _exchangeable_layers(cx, max_size, cap)
+    return [frozenset(map(ids.__getitem__, u)) for layer in layers for u, _ in layer]
 
 
-def _du_layers(cx: SingularityComplex, oracle: TrivialityOracle,
-               max_size: int | None, cap: int):
-    """The witnesses of each size layer, as ``_exchangeable_layers``. A
-    changed diagram depends on the flip word alone: each is hashed once."""
-    disk_low, layers = _exchangeable_layers(cx, max_size, cap)
+def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
+               max_size: int | None = None, cap: int = ENUMERATION_CAP):
+    """The curve ids, and the witness of each exchangeable union as its
+    (curve indices, dd flag, verdict), in the order of the layers of
+    ``_exchangeable_layers``, each scanned when taken. A changed diagram
+    depends on the flip word alone: each is hashed once."""
+    ids, disk_low, layers = _exchangeable_layers(cx, max_size, cap)
     changed = changed_fingerprinter(cx) if oracle.entries else None
     verdict_of = cache(lambda w: oracle.lookup(changed(w)))
-
-    def witness(gamma: tuple[str, ...], w: int) -> DuWitness:
-        dd = not (w ^ w >> 1) & disk_low  # each disk's two edge bits agree
-        verdict = verdict_of(w) if dd and changed else Verdict.UNKNOWN
-        return DuWitness(gamma, len(gamma), True, dd, verdict)
-    return (tuple(starmap(witness, layer)) for layer in layers)
+    # dd: each disk's two edge bits agree
+    return ids, ((u, dd, verdict_of(w) if dd and changed else Verdict.UNKNOWN)
+                 for layer in layers for u, w in layer
+                 for dd in [not (w ^ w >> 1) & disk_low])
 
 
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
@@ -156,8 +166,9 @@ def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
     Changed diagrams are fingerprinted without being built, and not at all
     when the oracle is empty (every verdict is then unknown).
     """
-    witnesses = tuple(w for layer in _du_layers(cx, oracle, max_size, cap)
-                      for w in layer)
+    ids, records = du_records(cx, oracle, max_size, cap)
+    witnesses = tuple(DuWitness(tuple(map(ids.__getitem__, u)), len(u), True, dd, verdict)
+                      for u, dd, verdict in records)
     best = min((w.size for w in witnesses
                 if w.dd and w.verdict is Verdict.TRIVIAL), default=None)
     return DuReport(witnesses, best)
@@ -169,10 +180,10 @@ def is_du_exchangeable(cx: SingularityComplex, oracle: TrivialityOracle,
     when some enumerated union (possibly the empty one) passes all three
     conditions, unknown otherwise. Never 'no'. The scan stops at the first
     size layer that holds a witness; the cap applies as to the full scan."""
-    for layer in _du_layers(cx, oracle, max_size, ENUMERATION_CAP):
-        witness = DuReport(layer, None).best_witness()
-        if witness is not None:
-            return DuVerdict(DuStatus.DU_EXCHANGEABLE, witness.gamma)
+    ids, records = du_records(cx, oracle, max_size)
+    for u, dd, verdict in records:
+        if dd and verdict is Verdict.TRIVIAL:
+            return DuVerdict(DuStatus.DU_EXCHANGEABLE, tuple(map(ids.__getitem__, u)))
     return DuVerdict(DuStatus.UNKNOWN)
 
 

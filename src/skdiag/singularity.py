@@ -548,10 +548,7 @@ def _curve_through(start: DoubleEdge, index: dict, edges: dict) -> DoubleCurve:
             if edge_id == start.id and entry == 0:
                 ids = _canonical_closed([start.id, *ids])
                 return DoubleCurve(ids[0], ids, CurveKind.CLOSED)
-            arc = edges[edge_id]
-            if type(arc) is not Arc:
-                raise StructuralError(f"endpoint {ref} leads to {edge_id!r}, "
-                                      "which is not an arc")
+            arc = edges[edge_id]  # the index holds arcs only (see _claims)
             ids.append(edge_id)
             ref = arc.end2 if entry == 0 else arc.end1
         halves.append((ids, ref))

@@ -81,7 +81,7 @@ def _loops(types):
 
 def _word_valid(w: int, low: int) -> bool:
     """The word test on a one-curve union whose word is ``w``."""
-    return exchangeable_unions([("c",)], {"c": w}, low) == [(("c",), w)]
+    return exchangeable_unions([(("c",), w)], low) == [(("c",), w)]
 
 
 def test_mask_rule_matches_role_permutation_on_all_eight():
@@ -92,7 +92,7 @@ def test_mask_rule_matches_role_permutation_on_all_eight():
         valid = role_permutation(flipped) is not None
         gamma = tuple(f"E{i}" for i in range(3) if g >> i & 1)
         assert reduce(or_, (words[c] for c in gamma), 0) == g
-        assert exchangeable_unions([gamma], words, low) == ([(gamma, g)] if valid else [])
+        assert exchangeable_unions([(gamma, g)], low) == ([(gamma, g)] if valid else [])
         assert (g in RELABEL) == valid
 
 
@@ -203,7 +203,8 @@ def test_first_invalid_flip_matches_the_compiled_masks_for_any_line_types(types)
     words, low, _ = flip_words(cx)
     for k in range(4):
         for gamma in combinations(["E0", "E1", "E2"], k):
-            valid = bool(exchangeable_unions([gamma], words, low))
+            word = reduce(or_, map(words.__getitem__, gamma), 0)
+            valid = bool(exchangeable_unions([(gamma, word)], low))
             found = first_invalid_flip(cx, gamma)
             assert (found is None) == valid, (types, gamma)
             if found is not None:

@@ -154,10 +154,10 @@ def test_is_du_exchangeable_stops_at_the_first_layer_with_a_witness(monkeypatch)
     oracle = TrivialityOracle.from_mapping({fingerprint(cx): "trivial"})
     checked, scan = [], explorer.exchangeable_unions
 
-    def counted(unions, words, low):
-        unions = list(unions)
-        checked.extend(unions)
-        return scan(unions, words, low)
+    def counted(candidates, low):
+        candidates = list(candidates)
+        checked.extend(union for union, _ in candidates)
+        return scan(candidates, low)
     monkeypatch.setattr(explorer, "exchangeable_unions", counted)
     assert is_du_exchangeable(cx, oracle).witness == ()
     assert checked == [()]

@@ -20,7 +20,7 @@ from skdiag import (
     serialize_canonical,
     export_schematic,
 )
-from skdiag import formats
+from skdiag import skm
 from skdiag.explorer import SizeBudget, generate_random_complex
 from skdiag.moves import MOVE_TYPES
 
@@ -277,7 +277,7 @@ def readme_skm_keys() -> dict[str, tuple[set[str], set[str]]]:
 
 def test_readme_gives_each_kind_the_keys_of_the_key_table():
     table = {}
-    for kind, rows in formats._MOVE_KEYS.items():
+    for kind, rows in skm._MOVE_KEYS.items():
         record = MOVE_TYPES[kind]
         assert len(rows) == len(record._fields), kind
         required, optional = set(), set()

@@ -1,5 +1,6 @@
 """Which modules a command loads, and the package's lazy exports."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -28,6 +29,11 @@ print(" ".join(sorted(set(sys.modules) - bare)))
 """
 
 SCAN_AND_MOVES = {"skdiag.moves", "skdiag.explorer", "skdiag.crossing"}
+# what only some commands run, each in a module of its own: the `.skm`
+# reader, the `.skd` rejection wording, and the schematic, the curve
+# summary and the file writer
+SKM_READER = "skdiag.skm"
+COLD_MODULES = {SKM_READER, "skdiag.diagnostics", "skdiag.output"}
 
 
 def probe(*argv: str) -> list[str]:
@@ -64,6 +70,35 @@ def test_read_path_commands_skip_the_move_engine_and_the_scan(command, trefoil_p
     loaded = loaded_by(command, trefoil_path)
     assert "skdiag.formats" in loaded
     assert not loaded & SCAN_AND_MOVES
+    assert SKM_READER not in loaded
+
+
+@pytest.fixture
+def du_bound_argv(trefoil_path):
+    return ["du-bound", trefoil_path, "--oracle",
+            str(SRC / "skdiag" / "fixtures" / "trefoil.oracle.skd"), "--json"]
+
+
+@pytest.mark.parametrize("command", ["du-bound", "enumerate"])
+def test_scan_commands_load_none_of_the_cold_modules(command, trefoil_path, du_bound_argv):
+    argv = du_bound_argv if command == "du-bound" else [command, trefoil_path, "--json"]
+    loaded = loaded_by(*argv)
+    assert {"skdiag.explorer", "skdiag.formats"} <= loaded
+    assert not loaded & COLD_MODULES
+
+
+def ast_nodes(module: str) -> int:
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_a_scan_compiles_at_most_12000_ast_nodes(du_bound_argv):
+    # without valid bytecode (PYTHONDONTWRITEBYTECODE, a fresh checkout)
+    # every module a command loads is compiled on each run, so the code a
+    # scan never runs lives in modules it does not load
+    loaded = loaded_by(*du_bound_argv)
+    assert sum(map(ast_nodes, loaded)) <= 12_000, sorted(loaded)
 
 
 # start-up cost: ``dataclasses`` loads ``inspect`` (and ``ast``, ``dis``,

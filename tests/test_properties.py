@@ -50,7 +50,7 @@ from skdiag import (
     serialize_canonical,
     validate,
 )
-from skdiag import formats, moves
+from skdiag import diagnostics, formats, moves
 from skdiag.crossing import (
     changed_fingerprinter,
     first_invalid_flip,
@@ -236,6 +236,43 @@ def test_changed_fingerprints_match_crossing_change(seed, budget, disks):
     assume(len(cx.curves) <= 10)
     assert_changed_fingerprints(cx, [g for g in enumerate_exchangeable(cx)
                                      if satisfies_dd_condition(cx, g)])
+
+
+def _first_flipped(cx, w: int) -> int | None:
+    """The index of the first triple point the flip word ``w`` flips."""
+    triple_bits = w & (1 << 3 * len(cx.triple_points)) - 1
+    return ((triple_bits & -triple_bits).bit_length() - 1) // 3 if triple_bits else None
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=scan_budgets,
+       disks=st.integers(min_value=0, max_value=3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_changed_fingerprinter_matches_crossing_change_wherever_its_flips_start(
+        seed, budget, disks, data):
+    """changed_fingerprinter(cx)(w) is the fingerprint of the changed diagram
+    for words whose first flipped triple point is the first one (the union
+    of all curves), the last one (ZT, added with each line the loop of its
+    own curve, sorts last) or none (the empty union, and the circles ZC1 and
+    ZC2, joined by a disk), and for drawn exchangeable unions."""
+    base = generate_random_complex(seed, budget, disks=disks)
+    loops = [Arc(f"ZE{i}", TripleSlot("ZT", i, "a"), TripleSlot("ZT", i, "b"))
+             for i in range(3)]
+    cx = SingularityComplex.build(
+        [*base.triple_points, TriplePoint("ZT", (LineType.BM, LineType.BT, LineType.MT))],
+        base.branch_points, [*base.edges, *loops, Circle("ZC1"), Circle("ZC2")],
+        [*base.disks, DescendentDisk("ZD", "ZC1", "ZC2", Pairing.CROSS, Level.UPPER,
+                                     Level.UPPER)])
+    words, changed = flip_words(cx)[0], changed_fingerprinter(cx)
+    last = len(cx.triple_points) - 1
+    starts = {tuple(sorted(cx.curves_by_id)): 0, ("ZE0",): last,  # ZE0 flips bm alone
+              (): None, ("ZC1",): None, ("ZC1", "ZC2"): None}
+    drawn = data.draw(st.lists(st.sampled_from(enumerate_exchangeable(cx, max_size=2)),
+                               max_size=4))
+    for gamma in [*starts, *(tuple(sorted(g)) for g in drawn)]:
+        w = reduce(or_, map(words.__getitem__, gamma), 0)
+        if gamma in starts:
+            assert _first_flipped(cx, w) == starts[gamma], gamma
+        assert changed(w) == fingerprint(crossing_change(cx, gamma)), gamma
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -780,9 +817,9 @@ CASE_FREE_KEYS = ("lines", "pair", "level1", "level2")
 # The reference reader reads one line at a time: it matches each line
 # against its kind's pattern (the grammar of formats._RULES, anchored to
 # the line), builds each record from the groups, and words a rejected line
-# with formats._rejections. parse_skd_document, which scans the whole text
+# with diagnostics.rejections. parse_skd_document, which scans the whole text
 # once per record kind, must read every text as it does.
-REFERENCE_PATTERNS = {kind: re.compile(rf"\s*{kind}\s+{rule[0]}\s*\Z")
+REFERENCE_PATTERNS = {kind: re.compile(rf"\s*{kind}\s+{rule}\s*\Z")
                       for kind, rule in formats._RULES.items()}
 REFERENCE_TYPES = {lt.value: lt for lt in LineType}
 
@@ -818,7 +855,7 @@ def reference_read(text: str, check: bool):
         m = REFERENCE_PATTERNS[kind].match(line) if kind in REFERENCE_PATTERNS else None
         if m is None:
             errors += [(lineno, column, message) for column, message in
-                       formats._rejections(line) or [(1, f"malformed {kind} record")]]
+                       diagnostics.rejections(line) or [(1, f"malformed {kind} record")]]
         elif kind == "oracle":
             fp, verdict = m.groups()
             if oracle.setdefault(fp, verdict) != verdict:

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import skdiag
-from skdiag import formats, moves
+from skdiag import moves, skm
 from skdiag.moves import MoveKind
 
 SOURCES = sorted(Path(skdiag.__file__).parent.glob("*.py"))
@@ -21,7 +21,7 @@ def test_no_assert_statements_in_the_package():
 # modules the scan, read and apply commands load: each of these imports at
 # module level costs those commands their start-up time
 START_UP_MODULES = ("cli", "errors", "formats", "singularity", "canonical",
-                    "crossing", "explorer", "moves")
+                    "crossing", "explorer", "moves", "skm", "diagnostics", "output")
 HEAVY_IMPORTS = {"dataclasses", "logging", "random"}
 
 
@@ -77,7 +77,7 @@ def test_only_the_cli_freezes_the_collector():
 def test_each_move_kind_has_one_applier_record_and_key_row():
     # a kind is applied, typed and read in one place each: every table is
     # keyed by exactly the kinds, and no applier or record serves two
-    for table in (moves._APPLIERS, moves.MOVE_TYPES, formats._MOVE_KEYS):
+    for table in (moves._APPLIERS, moves.MOVE_TYPES, skm._MOVE_KEYS):
         assert len(table) == len(MoveKind) and {MoveKind(k) for k in table} == set(MoveKind)
     assert len(set(moves._APPLIERS.values())) == len(set(moves.MOVE_TYPES.values())) \
         == len(MoveKind)
