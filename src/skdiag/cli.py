@@ -6,12 +6,11 @@ and structural errors. Every subcommand takes ``--json`` for a
 machine-readable report with a top-level ``format_version`` field.
 """
 
-import argparse
 import gc
 import json
+import re
 import sys
-from pathlib import Path
-from typing import Callable
+from types import SimpleNamespace
 
 from .errors import DiagramError, NotExchangeableError, ParseError, UnknownIdError
 
@@ -29,7 +28,8 @@ _JSON = {"sort_keys": True, "separators": (",", ":")}
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
@@ -77,7 +77,7 @@ def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
     return frozenset(out)
 
 
-def _emit(args, payload: dict, human: Callable[[], list[str]], rows=None) -> None:
+def _emit(args, payload: dict, human, rows=None) -> None:
     """Print the payload under --json, else the lines ``human()`` builds.
     ``rows``, a (key, JSON texts) pair, is an array written after the
     payload's keys, which its key must sort after."""
@@ -107,11 +107,9 @@ def _write_out(args, text: str, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _size(token: str) -> int:
-    if not token.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, not {token!r}")
-    return int(token)
+def _size(token: str, name) -> int:
+    return int(token) if token.isdecimal() else _usage(
+        name, f"argument --max-size: must be a non-negative integer, not {token!r}")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -309,64 +307,80 @@ def _cmd_fingerprint(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skdiag",
-        description="Surface-knot diagram singularity-set toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: each option's strings, default and help; every command takes -h and --json
+OPTIONS = {"help": ("-h/--help", None, "show this help and exit"),
+           "json": ("--json", False, "machine-readable output"),
+           "gamma": ("--gamma", "", "comma-separated curve or edge ids"),
+           "output": ("-o/--output", None, "output file (- or none: stdout)"),
+           "trail": ("--trail", None, "per-move trail file (JSON)"),
+           "oracle": ("--oracle", None, "triviality annotation file"),
+           "max_size": ("--max-size", None, "largest union size scanned")}
+#: each command's help line, positionals, and options besides -h and --json
+COMMANDS = {"validate": ("check structural invariants", "skd"),
+            "trace": ("list the traced double curves", "skd"),
+            "census": ("point/edge/curve counts", "skd"),
+            "check-exchangeable": ("is the union exchangeable?", "skd", "gamma"),
+            "check-dd": ("does the union satisfy the descendent disk condition?", "skd", "gamma"),
+            "crossing-change": ("crossing change along a union", "skd", "gamma", "output"),
+            "apply": ("apply a t-descendent move script", "skd skm", "gamma", "output", "trail"),
+            "enumerate": ("list exchangeable unions", "skd", "max_size"),
+            "du-bound": ("du-exchange-index bound from an oracle", "skd", "oracle", "max_size"),
+            "schematic": ("export a DOT schematic", "skd", "output"),
+            "fingerprint": ("canonical fingerprint", "skd")}
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("skd", help=".skd diagram file")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-        p.set_defaults(func=func)
-        return p
 
-    add("validate", _cmd_validate, help="check structural invariants")
-    add("trace", _cmd_trace, help="list the traced double curves")
-    add("census", _cmd_census, help="point/edge/curve counts")
+def _usage(name, text, code=ERROR):
+    """Print a usage line and the help ``text``, or on stderr argparse's error ``text``; exit."""
+    print(f"usage: skdiag {name or '<command>'} [options] {COMMANDS[name][1] if name else '...'}",
+          f"skdiag {name}".rstrip() + f": error: {text}" if code else text, sep="\n",
+          file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
 
-    p = add("check-exchangeable", _cmd_check_exchangeable,
-            help="is the union exchangeable?")
-    p.add_argument("--gamma", default="", help="comma-separated curve or edge ids")
 
-    p = add("check-dd", _cmd_check_dd,
-            help="does the union satisfy the descendent disk condition?")
-    p.add_argument("--gamma", default="")
+#: an option string or the start of one, and its attached value (-oV, -o=V, --opt=V)
+#: if any; no match for a value: -, a negative number, a word not starting with -
+_OPTION = re.compile(r"(?s)(?!-\d+$|-\d*\.\d+$)(--[^=]*|-[^-])(?:(?=.)=?(.*))?").match
 
-    p = add("crossing-change", _cmd_crossing_change,
-            help="apply the crossing change along a union")
-    p.add_argument("--gamma", default="")
-    p.add_argument("-o", "--output", default=None, help="output .skd path")
 
-    p = add("apply", _cmd_apply, help="apply a t-descendent move script")
-    p.add_argument("skm", help=".skm move script")
-    p.add_argument("--gamma", default="")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--trail", default=None, help="write the per-move trail (JSON)")
-
-    p = add("enumerate", _cmd_enumerate, help="list exchangeable unions")
-    p.add_argument("--max-size", type=_size, default=None)
-
-    p = add("du-bound", _cmd_du_bound,
-            help="du-exchange-index upper bound against an oracle")
-    p.add_argument("--oracle", default=None, help="triviality annotation file")
-    p.add_argument("--max-size", type=_size, default=None)
-
-    p = add("schematic", _cmd_schematic, help="export a DOT schematic")
-    p.add_argument("-o", "--output", default=None)
-
-    add("fingerprint", _cmd_fingerprint, help="canonical fingerprint")
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """``argv`` as argparse read it: the command, then its positionals and options in any
+    order until ``--``; an option takes its attached value or the next word; the last wins."""
+    name, opts, wanted, values, extras, rest = "", ["help"], ["command"], {}, [], iter(argv)
+    for arg in rest:
+        m = opts and _OPTION(arg)
+        o = m and next((o for o in opts if f"/{m[1]}" in "/" + OPTIONS[o][0]), None)
+        if arg == "--":
+            opts = []  # the rest are positionals
+        elif not m and wanted:
+            values[wanted.pop(0)] = arg
+            if not name:
+                if arg not in COMMANDS:
+                    _usage("", f"argument command: invalid choice: {arg!r} "
+                              f"(choose from {', '.join(map(repr, COMMANDS))})")
+                name, opts, wanted = (arg, ["help", "json", *COMMANDS[arg][2:]],
+                                      COMMANDS[arg][1].split())
+                values |= {o: OPTIONS[o][1] for o in opts[1:]}
+        elif not o:
+            extras.append(arg)
+        elif o == "help":
+            _usage(name, "\n".join(f"  {k:20}{v}" for k, v in [OPTIONS[o][::2] for o in opts] + [
+                (n, c[0]) for n, c in COMMANDS.items() if not name]), OK)
+        elif o != "json" and (value := m[2]) is None and _OPTION(value := next(rest, "--")):
+            _usage(name, f"argument {OPTIONS[o][0]}: expected one argument")
+        else:
+            values[o] = o == "json" or (_size(value, name) if o == "max_size" else value)
+    if wanted:
+        _usage(name, "the following arguments are required: " + ", ".join(wanted))
+    if extras:
+        _usage("", "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     frozen = gc.get_freeze_count()  # an in-process caller gets it back as it was
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else ERROR
     except DiagramError as exc:

@@ -204,13 +204,12 @@ def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> Singularity
         raise NotExchangeableError(
             fs.triple_id,
             f"flip set {types} at triple point {fs.triple_id} is not valid")
-    new_triples = [relabelled_triple(t, p) if (p := patterns.get(t.id)) else t
-                   for t in cx.triple_points]
     curve_of = cx.curve_of
-    new_disks = [flipped_disk(d, (curve_of(d.edge1) in gamma)
-                              | (curve_of(d.edge2) in gamma) << 1) for d in cx.disks]
-    return SingularityComplex.build(
-        new_triples, cx.branch_points, cx.edges, new_disks)
+    return SingularityComplex(  # each record keeps its id, so the parent's order holds
+        tuple(relabelled_triple(t, p) if (p := patterns.get(t.id)) else t
+              for t in cx.triple_points), cx.branch_points, cx.edges,
+        tuple(flipped_disk(d, (curve_of(d.edge1) in gamma) | (curve_of(d.edge2) in gamma) << 1)
+              for d in cx.disks))
 
 
 def changed_fingerprinter(cx: SingularityComplex) -> Callable[[int], str]:

@@ -2,8 +2,8 @@
 traced curves' summary lines, and output files written all or none."""
 
 import os
+from contextlib import suppress
 from itertools import combinations, product
-from pathlib import Path
 
 from .errors import DiagramError
 from .singularity import BranchRef, LineType, SingularityComplex, TripleSlot, census
@@ -79,7 +79,8 @@ def write_files(files: list[tuple[str, str]]) -> None:
                     os.path.isfile(target) and os.access(target, os.W_OK)
                     and os.access(os.path.dirname(target), os.W_OK)):
                 staged.append((path, f"{target}.{os.getpid()}.tmp", target))
-                Path(staged[-1][1]).write_text(text, encoding="utf-8")
+                with open(staged[-1][1], "w", encoding="utf-8") as file:
+                    file.write(text)
             else:
                 opened.append((path, text, open(os.open(path, os.O_WRONLY), "w", encoding="utf-8")))
         for path, text, file in opened:
@@ -91,7 +92,8 @@ def write_files(files: list[tuple[str, str]]) -> None:
             os.replace(temp, target)
     except OSError as exc:
         for _, temp, _ in staged:
-            Path(temp).unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(temp)
         reason = OSError(exc.errno, exc.strerror, path)  # naming the path, not a temporary
         raise DiagramError(f"cannot write {path}: {reason}") from exc
     finally:

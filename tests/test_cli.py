@@ -1,17 +1,21 @@
 """CLI subcommands, exit codes, JSON output."""
 
+import argparse
 import builtins
 import errno
 import gc
 import io
 import json
 import os
+import subprocess
+import sys
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
-from skdiag import crossing_change, fingerprint, parse_skd, serialize_canonical
-from skdiag.cli import main
+from skdiag import cli, crossing_change, fingerprint, parse_skd, serialize_canonical
+from skdiag.cli import COMMANDS, OPTIONS, main
 from skdiag.explorer import SizeBudget, generate_random_complex
 from skdiag.fixtures import fixture_text as bundled_text
 
@@ -506,3 +510,240 @@ def test_bounded_scans_at_scale_keep_their_golden_output(capsys, tmp_path):
         assert code == 0
         assert sha256(out.encode()).hexdigest() == T300_GOLDEN[command], command
     assert json.loads(out)["best_size"] == 2
+
+
+# -- the command table and its parser ----------------------------------------
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.parse_args`` replaced, kept as the
+    reference it is checked against."""
+    def _size(token: str) -> int:
+        if not token.isdecimal():
+            raise argparse.ArgumentTypeError(
+                f"must be a non-negative integer, not {token!r}")
+        return int(token)
+
+    parser = argparse.ArgumentParser(
+        prog="skdiag",
+        description="Surface-knot diagram singularity-set toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("skd", help=".skd diagram file")
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
+
+    add("validate", cli._cmd_validate, help="check structural invariants")
+    add("trace", cli._cmd_trace, help="list the traced double curves")
+    add("census", cli._cmd_census, help="point/edge/curve counts")
+
+    p = add("check-exchangeable", cli._cmd_check_exchangeable,
+            help="is the union exchangeable?")
+    p.add_argument("--gamma", default="", help="comma-separated curve or edge ids")
+
+    p = add("check-dd", cli._cmd_check_dd,
+            help="does the union satisfy the descendent disk condition?")
+    p.add_argument("--gamma", default="")
+
+    p = add("crossing-change", cli._cmd_crossing_change,
+            help="apply the crossing change along a union")
+    p.add_argument("--gamma", default="")
+    p.add_argument("-o", "--output", default=None, help="output .skd path")
+
+    p = add("apply", cli._cmd_apply, help="apply a t-descendent move script")
+    p.add_argument("skm", help=".skm move script")
+    p.add_argument("--gamma", default="")
+    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--trail", default=None, help="write the per-move trail (JSON)")
+
+    p = add("enumerate", cli._cmd_enumerate, help="list exchangeable unions")
+    p.add_argument("--max-size", type=_size, default=None)
+
+    p = add("du-bound", cli._cmd_du_bound,
+            help="du-exchange-index upper bound against an oracle")
+    p.add_argument("--oracle", default=None, help="triviality annotation file")
+    p.add_argument("--max-size", type=_size, default=None)
+
+    p = add("schematic", cli._cmd_schematic, help="export a DOT schematic")
+    p.add_argument("-o", "--output", default=None)
+
+    add("fingerprint", cli._cmd_fingerprint, help="canonical fingerprint")
+    return parser
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The words of each line of README's CLI block after ``skdiag``, its
+    comment dropped."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```", 2)[1]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.strip()]
+
+
+def readme_argvs() -> list[list[str]]:
+    """Each README CLI line as argv, once without and once with each
+    bracketed option."""
+    out = []
+    for words in readme_cli_lines():
+        words = [{"<skd>": "in.skd", "<skm>": "in.skm", "k]": "2]"}.get(w, w) for w in words]
+        required = [w for w in words if not w.startswith("[") and not w.endswith("]")]
+        optional = [w.strip("[]") for w in words if w.startswith("[") or w.endswith("]")]
+        out += [required, required + optional]
+    return out
+
+
+# each option in each spelling: its strings, the value attached, a unique prefix
+SPELLINGS = [
+    ["check-exchangeable", "a.skd", "--gamma", "c1,c2"],
+    ["check-exchangeable", "a.skd", "--gamma=c1"],
+    ["check-dd", "a.skd", "--gam", "e1"],
+    ["crossing-change", "a.skd", "--output", "o.skd"],
+    ["crossing-change", "a.skd", "--output=o.skd"],
+    ["crossing-change", "a.skd", "--out", "o.skd"],
+    ["crossing-change", "a.skd", "-o", "-"],
+    ["crossing-change", "a.skd", "-oFILE"],
+    ["apply", "a.skd", "b.skm", "--trail", "t.json"],
+    ["apply", "a.skd", "b.skm", "--trail=t.json"],
+    ["apply", "a.skd", "b.skm", "--tr", "t.json"],
+    ["enumerate", "a.skd", "--max-size", "3"],
+    ["enumerate", "a.skd", "--max-size=0"],
+    ["enumerate", "a.skd", "--max", "2"],
+    ["du-bound", "a.skd", "--oracle", "o.skd"],
+    ["du-bound", "a.skd", "--oracle=o.skd"],
+    ["du-bound", "a.skd", "--orac", "o.skd"],
+    ["validate", "a.skd", "--json"],
+    ["fingerprint", "a.skd", "--js"],
+    # options before and between positionals, repeats (the last wins)
+    ["apply", "--gamma", "g", "a.skd", "-o", "o.skd", "b.skm", "--json"],
+    ["du-bound", "--json", "a.skd", "--max-size", "1", "--max-size", "4"],
+    ["schematic", "a.skd", "-o", "x.dot", "--output", "y.dot"],
+    # - and negative numbers are values; -- ends the options
+    ["validate", "-"],
+    ["check-dd", "a.skd", "--gamma", "-1"],
+    ["check-dd", "a.skd", "--gamma=-x"],
+    ["validate", "--", "-x.skd"],
+    ["apply", "a.skd", "--", "-b.skm"],
+    ["census", "--json", "--", "--json"],
+]
+
+REJECTED = [
+    [],  # no command
+    ["valid", "a.skd"],  # an unknown command
+    ["--json", "validate", "a.skd"],  # an option before the command
+    ["validate"],  # a missing positional
+    ["apply", "a.skd"],
+    ["census", "a.skd", "b.skd"],  # an extra positional
+    ["trace", "a.skd", "--gamma", "c"],  # an unknown option
+    ["validate", "a.skd", "-x"],
+    ["crossing-change", "a.skd", "-o"],  # an option with no value
+    ["check-dd", "a.skd", "--gamma", "--json"],
+    ["du-bound", "a.skd", "--oracle"],
+    *(["du-bound", "a.skd", "--max-size", v] for v in ("-1", "x", "1.5")),
+    ["enumerate", "a.skd", "--max-size=-1"],
+    ["enumerate", "a.skd", "--oracle", "f"],
+    ["enumerate", "--oracle", "f", "a.skd"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """``parse(argv)``'s attributes but ``func``, or its exit code and, for
+    a rejection, the last line it wrote to stderr."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err.splitlines()
+        return exc.code, err[-1] if exc.code else None
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    *((argv, True) for argv in [*readme_argvs(), *SPELLINGS]),
+    *((argv, False) for argv in [*REJECTED, ["-h"], ["--he"], ["apply", "a.skd", "-h"]])])
+def test_the_parser_reads_argv_as_argparse_did(capsys, argv, accepted):
+    # an accepted line gives the same attributes; a rejected one exits 2
+    # with the same error line, and -h exits 0 (its text may differ)
+    reference = parsed(reference_parser().parse_args, argv, capsys)
+    assert isinstance(reference, dict) == accepted
+    assert parsed(cli.parse_args, argv, capsys) == reference
+
+
+def test_the_corpus_covers_each_command_and_option():
+    accepted = [*readme_argvs(), *SPELLINGS]
+    assert {argv[0] for argv in accepted} == set(COMMANDS)
+    flags = {w.split("=")[0] for argv in accepted for w in argv if w.startswith("--")}
+    assert {f"--{o.replace('_', '-')}" for o in OPTIONS if o != "help"} <= flags
+
+
+def test_each_command_is_dispatched_to_its_function():
+    # main calls _cmd_<name>, the function argparse dispatched each command to
+    for name in COMMANDS:
+        args = reference_parser().parse_args([name, "a.skd", "b.skm"][:2 + (name == "apply")])
+        assert args.func is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+
+def test_no_two_options_of_a_command_share_a_prefix():
+    # parse_args takes the first option a prefix names, which is the only
+    # one while no two of a command's options share a first letter
+    for name, (_, _, *options) in COMMANDS.items():
+        firsts = [o[0] for o in ("help", "json", *options)]
+        assert len(firsts) == len(set(firsts)), name
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["du-bound", "-h"],
+                                  ["apply", "a.skd", "--help"]])
+def test_help_prints_the_table_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if argv[0].startswith("-"):
+        assert all(f"  {name} " in out and help_line in out
+                   for name, (help_line, *_) in COMMANDS.items())
+    else:
+        _, positionals, *options = COMMANDS[argv[0]]
+        assert out.startswith(f"usage: skdiag {argv[0]} [options] {positionals}\n")
+        assert all(OPTIONS[o][0] in out and OPTIONS[o][2] in out
+                   for o in ("help", "json", *options))
+
+
+def test_a_rejection_prints_a_usage_line_then_the_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "a.skd"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: skdiag apply [options] skd skm\n"
+        "skdiag apply: error: the following arguments are required: skm\n")
+
+
+def test_readme_names_each_command_with_its_positionals_and_options():
+    table = {name: (positionals.split(), set(options))
+             for name, (_, positionals, *options) in COMMANDS.items()}
+    option_of = {flag: o for o, (flags, _, _) in OPTIONS.items() for flag in flags.split("/")}
+    readme = {}
+    for words in readme_cli_lines():
+        positionals = [w.strip("<>") for w in words[1:] if w.startswith("<")]
+        options = {option_of[w.strip("[")] for w in words if w.lstrip("[").startswith("-")}
+        readme[words[0]] = (positionals, options)
+    assert readme == table
+
+
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch, trefoil_path):
+    # the ``skdiag`` console script calls main() with no arguments
+    expected = run(capsys, "census", trefoil_path)
+    monkeypatch.setattr(sys, "argv", ["skdiag", "census", trefoil_path])
+    assert (main(), *capsys.readouterr()) == expected
+
+
+def test_module_help_exits_0_and_names_every_command():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "skdiag.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and not proc.stderr
+    assert all(name in proc.stdout for name in COMMANDS)

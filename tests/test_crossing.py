@@ -236,6 +236,20 @@ def test_involution_on_random_complexes():
             assert twice == cx
 
 
+def test_crossing_change_equals_its_records_built_again():
+    # the change keeps every id, hence the parent's order: built from its
+    # records by ``build``, which sorts and checks the ids, it is the same
+    # complex, with the same curves and the same canonical text
+    for seed in range(1, 21):
+        cx = generate_random_complex(seed, SizeBudget(triples=4, branches=2, circles=1),
+                                     disks=2)
+        for gamma in enumerate_exchangeable(cx):
+            changed = crossing_change(cx, gamma)
+            rebuilt = SingularityComplex.build(*changed)
+            assert changed == rebuilt and changed.curves == rebuilt.curves
+            assert serialize_canonical(changed) == serialize_canonical(rebuilt)
+
+
 def test_complementation(trefoil, r2, r3, r5):
     for cx in (trefoil, r2, r3, r5):
         curves = all_curves(cx)

@@ -23,7 +23,10 @@ import sys
 bare = set(sys.modules)
 import skdiag.cli
 if sys.argv[1:]:
-    skdiag.cli.main(sys.argv[1:])
+    try:
+        skdiag.cli.main(sys.argv[1:])
+    except SystemExit:  # --help
+        pass
 print(" ".join(sorted(m for m in sys.modules if m.startswith("skdiag"))))
 print(" ".join(sorted(set(sys.modules) - bare)))
 """
@@ -36,10 +39,10 @@ SKM_READER = "skdiag.skm"
 COLD_MODULES = {SKM_READER, "skdiag.diagnostics", "skdiag.output"}
 
 
-def probe(*argv: str) -> list[str]:
+def probe(*argv: str, flags=()) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()
 
@@ -48,9 +51,9 @@ def loaded_by(*argv: str) -> set[str]:
     return set(probe(*argv)[-2].split())
 
 
-def newly_loaded_by(*argv: str) -> set[str]:
+def newly_loaded_by(*argv: str, flags=()) -> set[str]:
     """Every module the command loads beyond those of a bare interpreter."""
-    return set(probe(*argv)[-1].split())
+    return set(probe(*argv, flags=flags)[-1].split())
 
 
 @pytest.fixture
@@ -119,6 +122,26 @@ def test_start_up_loads_only_what_the_command_needs(command, trefoil_path):
     assert not loaded & {"dataclasses", "inspect", "logging"}
     if command in NO_HASHING:
         assert "hashlib" not in loaded
+
+
+# about 17 ms for argparse (with gettext and locale) and 20 ms for pathlib
+# under -S, sharing some of their own imports; shutil comes with argparse
+STDLIB_START_UP = {"argparse", "gettext", "locale", "pathlib", "shutil"}
+
+
+@pytest.mark.parametrize("command", ["--help", "du-bound", "enumerate", "validate", "census",
+                                     "trace", "fingerprint", "schematic", "check-exchangeable",
+                                     "check-dd", "crossing-change", "apply"])
+def test_no_command_loads_argparse_or_pathlib(command, trefoil_path, tmp_path):
+    # -S skips ``site``, which loads pathlib and shutil itself, so what is
+    # loaded is what skdiag and the modules it imports pull in
+    argv = [command] if command == "--help" else [command, trefoil_path, "--json"]
+    if command == "apply":
+        argv[2:2] = [str(SRC.parent / "tests" / "fixtures" / "trefoil_seq.skm")]
+    if command in ("apply", "crossing-change", "schematic"):
+        argv += ["-o", str(tmp_path / "out")]
+    for args in (argv, [*argv, "--help"]):
+        assert not newly_loaded_by(*args, flags=["-S"]) & STDLIB_START_UP, args
 
 
 def test_every_export_resolves_to_its_defining_module():

@@ -22,7 +22,8 @@ def test_no_assert_statements_in_the_package():
 # module level costs those commands their start-up time
 START_UP_MODULES = ("cli", "errors", "formats", "singularity", "canonical",
                     "crossing", "explorer", "moves", "skm", "diagnostics", "output")
-HEAVY_IMPORTS = {"dataclasses", "logging", "random"}
+HEAVY_IMPORTS = {"dataclasses", "logging", "random",
+                 "argparse", "gettext", "locale", "pathlib", "shutil"}
 
 
 def module_level_imports(tree: ast.Module) -> set[str]:
