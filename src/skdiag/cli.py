@@ -2,12 +2,13 @@
 
 Exit codes: 0 for success and true verdicts, 1 for false verdicts (an
 invalid complex, a non-exchangeable union, a failed dd check), 2 for input
-and structural errors. Every subcommand takes ``--json`` for a
-machine-readable report with a top-level ``format_version`` field.
+and structural errors and a closed stdout. Every subcommand takes ``--json``
+for a machine-readable report with a top-level ``format_version`` field.
 """
 
 import gc
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -58,11 +59,9 @@ def _load_document(path: str):
     return _parsed(path, parse_skd_document)
 
 
-def _resolve_gamma(cx, selector: str | None) -> frozenset[str]:
+def _resolve_gamma(cx, selector: str) -> frozenset[str]:
     """Curve selection: comma-separated curve ids; an edge id selects the
     curve containing it. The empty string is the empty union."""
-    if not selector:
-        return frozenset()
     out = set()
     for token in selector.split(","):
         token = token.strip()
@@ -214,9 +213,7 @@ def _cmd_apply(args) -> int:
     moves = _parsed(args.skm, parse_skm)
     gamma = _resolve_gamma(cx, args.gamma)
     result = apply_sequence(cx, gamma, moves)
-    trail = [{"index": t.index, "kind": t.kind, "fingerprint": t.fingerprint,
-              "gamma": list(t.gamma), "exchangeable": t.exchangeable,
-              "dd": t.dd} for t in result.trail]
+    trail = [t._asdict() for t in result.trail]
     text = serialize_canonical(result.complex)
     fp = digest(text)
     payload = {"command": "apply", "moves": len(moves),
@@ -380,7 +377,13 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     frozen = gc.get_freeze_count()  # an in-process caller gets it back as it was
     try:
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered is written nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return ERROR
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else ERROR
     except DiagramError as exc:

@@ -4,8 +4,12 @@ document that fails loads this module."""
 
 import re
 
-from .formats import _ID_RE, _SKD_PATTERNS, ORACLE_VERDICTS, _disk_tags, _parse_kv
+from .formats import _ID, _SKD_PATTERNS, _disk_tags, _parse_kv
 from .singularity import LineType
+
+_ID_RE = re.compile(_ID + r"\Z")
+
+ORACLE_VERDICTS = ("trivial", "nontrivial")
 
 
 def _endpoint_error(token: str) -> str | None:

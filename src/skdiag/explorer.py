@@ -99,7 +99,7 @@ class DuVerdict(NamedTuple):
     witness: tuple[str, ...] | None = None
 
 
-def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int):
+def _exchangeable_layers(cx: SingularityComplex, max_size: int | None):
     """The curve ids in sorted order, the low bits of the disk fields of the
     flip words, and the exchangeable unions (indices into the ids) of each
     size with their words, smallest first, each in lexicographic order:
@@ -108,10 +108,10 @@ def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int)
     n = len(cx.curves)
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be non-negative, not {max_size}")
-    if max_size is None and 2 ** n > cap:
+    if max_size is None and 2 ** n > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            cap, f"2^{n} candidate subsets exceed the enumeration cap {cap}; "
-            "pass max_size to bound the scan")
+            ENUMERATION_CAP, f"2^{n} candidate subsets exceed the enumeration cap "
+            f"{ENUMERATION_CAP}; pass max_size to bound the scan")
     words, low, disk_low = flip_words(cx)
     ids, words = list(words), list(words.values())
     limit = n if max_size is None else min(max_size, n)
@@ -127,25 +127,25 @@ def _exchangeable_layers(cx: SingularityComplex, max_size: int | None, cap: int)
     return ids, disk_low, walk()
 
 
-def enumerate_exchangeable(cx: SingularityComplex, max_size: int | None = None,
-                           cap: int = ENUMERATION_CAP) -> list[frozenset[str]]:
+def enumerate_exchangeable(cx: SingularityComplex,
+                           max_size: int | None = None) -> list[frozenset[str]]:
     """All exchangeable unions of double curves, in size-then-lexicographic
     order (size bounded by max_size when given).
 
     Refuses with the cap value when the candidate-subset count would
-    exceed ``cap`` and no max_size was supplied. Each candidate ORs one
-    flip word onto its prefix's and tests every triple point at once."""
-    ids, _, layers = _exchangeable_layers(cx, max_size, cap)
+    exceed ENUMERATION_CAP and no max_size was supplied. Each candidate ORs
+    one flip word onto its prefix's and tests every triple point at once."""
+    ids, _, layers = _exchangeable_layers(cx, max_size)
     return [frozenset(map(ids.__getitem__, u)) for layer in layers for u, _ in layer]
 
 
 def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
-               max_size: int | None = None, cap: int = ENUMERATION_CAP):
+               max_size: int | None = None):
     """The curve ids, and the witness of each exchangeable union as its
     (curve indices, dd flag, verdict), in the order of the layers of
     ``_exchangeable_layers``, each scanned when taken. A changed diagram
     depends on the flip word alone: each is hashed once."""
-    ids, disk_low, layers = _exchangeable_layers(cx, max_size, cap)
+    ids, disk_low, layers = _exchangeable_layers(cx, max_size)
     changed = changed_fingerprinter(cx) if oracle.entries else None
     verdict_of = cache(lambda w: oracle.lookup(changed(w)))
     # dd: each disk's two edge bits agree
@@ -155,8 +155,7 @@ def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
 
 
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
-                         max_size: int | None = None,
-                         cap: int = ENUMERATION_CAP) -> DuReport:
+                         max_size: int | None = None) -> DuReport:
     """Filter exchangeable unions through the descendent disk condition,
     apply the crossing change, and look each result up in the oracle.
 
@@ -166,7 +165,7 @@ def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
     Changed diagrams are fingerprinted without being built, and not at all
     when the oracle is empty (every verdict is then unknown).
     """
-    ids, records = du_records(cx, oracle, max_size, cap)
+    ids, records = du_records(cx, oracle, max_size)
     witnesses = tuple(DuWitness(tuple(map(ids.__getitem__, u)), len(u), True, dd, verdict)
                       for u, dd, verdict in records)
     best = min((w.size for w in witnesses

@@ -21,7 +21,6 @@ too, from the modules that define them (PEP 562), so that reading a `.skd`
 file compiles neither the `.skm` reader nor the exports.
 """
 
-import gc
 import re
 from importlib import import_module
 from itertools import product
@@ -45,10 +44,6 @@ from .singularity import (
 )
 
 _ID = r"[A-Za-z0-9_.+-]+"
-_ID_RE = re.compile(_ID + r"\Z")
-
-ORACLE_VERDICTS = ("trivial", "nontrivial")
-
 _TYPES_OF = {",".join(types): types for types in product(LineType, repeat=3)}  # by lines= value
 _LINE_INDEX = {"0": 0, "1": 1, "2": 2}
 
@@ -128,10 +123,6 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
         flat = re.sub(r"#[^\n]*", "", flat)
     # without indentation and blank lines, each line starts with its keyword
     flat = re.sub(r"\n\s+", "\n", flat).strip()
-    # the records all stay alive, so a collection while they are built frees
-    # nothing: it is paused (and the CLI then freezes them, see cli._parsed)
-    gc_enabled = gc.isenabled()
-    gc.disable()
     try:
         # a record is built as its NamedTuple's own __new__ builds it, without
         # its frame; each findall list is released once its records are built
@@ -158,9 +149,6 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
               and SingularityComplex.build(triples, branches, edges, disks))
     except StructuralError:
         cx = None
-    finally:
-        if gc_enabled:
-            gc.enable()
     if cx and not (check and (violations := validate(cx).violations)):
         return SkdDocument(cx, oracle)
     from .diagnostics import located  # only a failing document is read by line

@@ -98,12 +98,13 @@ def _build_move(kind: MoveKind, kv: dict[str, str]) -> MoveInstance:
 def parse_skm(text: str) -> tuple[MoveInstance, ...]:
     """Parse a `.skm` move script.
 
-    Kind tokens are validated first (so a script naming a forbidden forward
-    move is rejected before any locus is interpreted), then the per-kind
-    key=value vocabulary is checked strictly.
+    Bad kind tokens are reported alone: a script naming a forbidden forward
+    move is rejected for that, whatever its loci say. Each kind's key=value
+    vocabulary is checked strictly.
     """
-    errors: list[tuple[int, int, str]] = []
-    staged: list[tuple[int, str, MoveKind, list[str]]] = []
+    kind_errors: list[tuple[int, int, str]] = []
+    key_errors: list[tuple[int, int, str]] = []
+    moves: list[MoveInstance] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.partition("#")[0].rstrip()
         if not line:
@@ -112,26 +113,21 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
         try:
             name = normalize_kind_token(tokens[0])
         except UnknownIdError:
-            errors.append((lineno, 1, f"unknown move kind token {tokens[0]!r}"))
+            kind_errors.append((lineno, 1, f"unknown move kind token {tokens[0]!r}"))
             continue
         if name in FORBIDDEN_KINDS:
-            errors.append((lineno, 1, f"move {name} violates the t-descendent "
-                           "condition (R2+, R3+ and R5+ are excluded)"))
+            kind_errors.append((lineno, 1, f"move {name} violates the t-descendent "
+                                "condition (R2+, R3+ and R5+ are excluded)"))
             continue
-        staged.append((lineno, line, MoveKind[name], tokens[1:]))
-    if errors:
-        raise ParseError(errors)
-    moves: list[MoveInstance] = []
-    for lineno, line, kind, args in staged:
-        kv, bad = _parse_kv(args)
+        kv, bad = _parse_kv(tokens[1:])
         if bad is not None:
-            errors.append((lineno, list(re.finditer(r"\S+", line))[1 + bad].start() + 1,
-                           f"bad or repeated key=value token {args[bad]!r}"))
+            key_errors.append((lineno, list(re.finditer(r"\S+", line))[1 + bad].start() + 1,
+                               f"bad or repeated key=value token {tokens[1 + bad]!r}"))
             continue
         try:
-            moves.append(_build_move(kind, kv))
+            moves.append(_build_move(MoveKind[name], kv))
         except ValueError as exc:
-            errors.append((lineno, 1, f"{kind.name}: {exc}"))
-    if errors:
-        raise ParseError(errors)
+            key_errors.append((lineno, 1, f"{name}: {exc}"))
+    if kind_errors or key_errors:
+        raise ParseError(kind_errors or key_errors)
     return tuple(moves)

@@ -56,6 +56,20 @@ def test_validate_invalid_complex_exits_1(capsys, tmp_path):
     assert "not used" in out
 
 
+def test_a_disk_on_one_edge_twice_is_reported_at_its_line(capsys, tmp_path):
+    # validate gives the violation as a false verdict; any other command
+    # refuses the input at the disk's line
+    p = tmp_path / "twice.skd"
+    p.write_text("circle C1\ndisk D1 e1=C1 e2=C1 pair=cross level1=upper level2=upper\n")
+    assert run(capsys, "validate", str(p)) == (
+        1, f"{p}: disk D1 references edge 'C1' twice\n", "")
+    code, out, _ = run(capsys, "validate", str(p), "--json")
+    assert code == 1 and json.loads(out)["diagnostics"] == [
+        {"code": "disk-edges-equal", "message": "disk D1 references edge 'C1' twice"}]
+    assert run(capsys, "census", str(p)) == (
+        2, "", f"{p}:2:1: disk D1 references edge 'C1' twice\n")
+
+
 def test_validate_syntax_error_exits_2(capsys, tmp_path):
     p = tmp_path / "broken.skd"
     p.write_text("whatnot X\n")
@@ -324,6 +338,14 @@ def test_gamma_unknown_token_exits_2(capsys, trefoil_path):
     assert "no curve or edge" in err
 
 
+def test_gamma_skips_empty_tokens(capsys, trefoil_path):
+    for selector in ("closed,,", ",closed", ","):
+        code, out, _ = run(capsys, "check-exchangeable", trefoil_path,
+                           "--gamma", selector, "--json")
+        assert code == 0
+        assert json.loads(out)["gamma"] == (["closed"] if "closed" in selector else [])
+
+
 def test_check_dd(capsys, trefoil_path):
     code, _, _ = run(capsys, "check-dd", trefoil_path, "--gamma", "closed")
     assert code == 0
@@ -339,6 +361,26 @@ def test_crossing_change_roundtrip(capsys, trefoil_path, tmp_path):
     assert code == 0
     changed = parse_skd(out_path.read_text())
     assert changed.triples_by_id["T1"].line_types[0].value == "bm"
+
+
+@pytest.mark.parametrize("command", ["crossing-change", "schematic", "apply"])
+def test_produced_text_goes_to_stdout_without_an_output_file(capsys, trefoil_path, tmp_path,
+                                                             command):
+    # with no -o, or with -o -, the text -o would write is printed; under
+    # --json it is the report's "text"
+    skm = tmp_path / "seq.skm"
+    skm.write_text(fixture_text("trefoil_seq.skm"))
+    argv = [command, trefoil_path, *([str(skm)] if command == "apply" else []),
+            *(["--gamma", "closed"] if command != "schematic" else [])]
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "-o", str(target))[0] == 0
+    text = target.read_text()
+    for flags in ([], ["-o", "-"]):
+        assert run(capsys, *argv, *flags) == (0, text, "")
+        code, out, err = run(capsys, *argv, *flags, "--json")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert payload["command"] == command and payload["text"] == text
 
 
 def test_crossing_change_non_exchangeable_exits_1(capsys, tmp_path):
@@ -747,3 +789,36 @@ def test_module_help_exits_0_and_names_every_command():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and not proc.stderr
     assert all(name in proc.stdout for name in COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def large_outputs(tmp_path_factory):
+    """Inputs whose output is larger than a 64 KiB pipe buffer: about 128 KB
+    of ``trace`` and 1.6 MB of ``schematic --json`` on 3000 triple points,
+    and 540 KB of ``enumerate --json`` on 13 free circles."""
+    root = tmp_path_factory.mktemp("large")
+    for name, budget in (("t3000.skd", SizeBudget(3000, 6000, 10)),
+                         ("c13.skd", SizeBudget(0, 0, 13))):
+        (root / name).write_text(serialize_canonical(generate_random_complex(1, budget)))
+    return root
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED: unset, set
+@pytest.mark.parametrize("argv, taken", [
+    (["trace", "t3000.skd"], 10), (["schematic", "t3000.skd", "--json"], 10),
+    (["enumerate", "c13.skd", "--json"], 10),
+    # closed before a byte is written: a buffered stdout fails at its last flush
+    (["census", "c13.skd"], 0)])
+def test_a_closed_stdout_exits_2_without_a_traceback(large_outputs, argv, taken, unbuffered):
+    # the reader takes a few bytes and closes the pipe, as `| head -c 10` does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "skdiag.cli", *argv], cwd=large_outputs,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert len(proc.stdout.read(taken)) == taken
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""  # no traceback, and nothing "ignored" at exit

@@ -20,6 +20,7 @@ from skdiag.crossing import changed_fingerprinter, flip_words
 from skdiag.explorer import (
     DuStatus,
     EMPTY_ORACLE,
+    ENUMERATION_CAP,
     SizeBudget,
     TrivialityOracle,
     Verdict,
@@ -76,11 +77,17 @@ def test_max_size_bound(r3):
 
 
 def test_cap_refusal():
-    cx = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(6)])
+    # 2^21 candidate subsets exceed ENUMERATION_CAP (2^20); the refusal comes
+    # at the call, before any union is scanned
+    cx = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(21)])
     with pytest.raises(EnumerationCapExceeded) as exc:
-        enumerate_exchangeable(cx, cap=2 ** 5)
-    assert exc.value.cap == 2 ** 5
-    assert len(enumerate_exchangeable(cx, max_size=1, cap=2 ** 5)) == 7
+        enumerate_exchangeable(cx)
+    assert exc.value.cap == ENUMERATION_CAP
+    assert len(enumerate_exchangeable(cx, max_size=1)) == 22
+    # 2^20 is at the cap, not past it: its (lazy) records are not refused
+    at_cap = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(20)])
+    ids, _ = explorer.du_records(at_cap, EMPTY_ORACLE)
+    assert ids == [f"C{i:02d}" for i in range(20)]
 
 
 def test_negative_max_size_rejected(trefoil, trefoil_oracle):

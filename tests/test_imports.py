@@ -155,6 +155,17 @@ def test_every_export_resolves_to_its_defining_module():
     assert set(dir(skdiag)) >= set(skdiag.__all__)
 
 
+def test_formats_resolves_the_names_it_hands_on_to_their_defining_functions():
+    # tools that wrap these functions reach them through skdiag.formats
+    from skdiag import formats, output, skm
+
+    for name, module in (("parse_skm", skm), ("export_schematic", output),
+                         ("curve_summary", output)):
+        assert getattr(formats, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        formats.no_such_name  # noqa: B018
+
+
 def test_unknown_attribute_and_submodules():
     with pytest.raises(AttributeError):
         skdiag.no_such_name  # noqa: B018

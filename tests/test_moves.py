@@ -260,6 +260,16 @@ def test_r6_replaces_disk_with_dual(r6):
     assert orig_pairs == back_pairs
 
 
+def test_r6_steps_past_a_taken_fresh_id():
+    # x1.1 is already an edge, so the exchanged half of x1 is minted as x1.2
+    cx = parse_skd(fixture_text("r6.skd") + "branch P5\nbranch P6\nedge x1.1 B:P5 B:P6\n")
+    new = apply_move(cx, r6_move())
+    assert sorted(new.edges_by_id) == ["x1.1", "x1.2", "x2.1"]
+    assert new.edges_by_id["x1.1"] == cx.edges_by_id["x1.1"]
+    dual = new.disks_by_id["DD"]
+    assert (dual.edge1, dual.edge2) == ("x1.2", "x2.1")
+
+
 def test_r6_parallel_pairing():
     text = fixture_text("r6.skd").replace("pair=cross", "pair=parallel")
     cx = parse_skd(text)

@@ -22,6 +22,7 @@ from skdiag import (
 from skdiag.cli import main
 from skdiag.explorer import (
     EMPTY_ORACLE,
+    ENUMERATION_CAP,
     SizeBudget,
     TrivialityOracle,
     Verdict,
@@ -115,13 +116,15 @@ def test_scan_rows_match_the_reference_envelope(capsys, tmp_path, curves, disks)
 
 
 def test_a_scan_past_the_cap_is_refused(capsys, tmp_path):
-    cx = complex_with(14, 2)
-    for scan in (enumerate_exchangeable, lambda cx, cap: du_index_upper_bound(
-            cx, EMPTY_ORACLE, cap=cap)):
+    # 21 curves, through two triple points and with two disks: 2^21
+    # candidate subsets exceed ENUMERATION_CAP (2^20)
+    cx = generate_random_complex(0, SizeBudget(2, 4, 18), disks=2)
+    assert len(cx.curves) == 21 and cx.triple_points and len(cx.disks) == 2
+    for scan in (enumerate_exchangeable, lambda cx: du_index_upper_bound(cx, EMPTY_ORACLE)):
         with pytest.raises(EnumerationCapExceeded) as exc:
-            scan(cx, cap=2 ** 13)
-        assert exc.value.cap == 2 ** 13
-    # the CLI's cap is ENUMERATION_CAP (2^20): 21 curves exceed it
+            scan(cx)
+        assert exc.value.cap == ENUMERATION_CAP
+    # the CLI's cap is the same: 21 curves exceed it
     skd = tmp_path / "big.skd"
     skd.write_text(serialize_canonical(generate_random_complex(0, SizeBudget(0, 0, 21))))
     for command in ("enumerate", "du-bound"):

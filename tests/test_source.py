@@ -61,11 +61,13 @@ def test_no_handler_catches_every_exception():
     assert SOURCES and not found, found
 
 
-def test_only_the_cli_freezes_the_collector():
-    # gc.freeze moves the whole heap out of the collector's reach; a library
-    # call that froze would freeze its caller's objects too, so only the
-    # CLI, which owns its process, may do it (and its main undoes it)
-    names = {"freeze", "unfreeze"}
+def test_only_the_cli_touches_the_collector():
+    # the collector's state is the process's: gc.freeze moves the whole heap
+    # out of its reach, and a library call that paused and then re-enabled it
+    # could re-enable a collector that another thread had disabled meanwhile.
+    # So only the CLI, which owns its process, may do either (and its main
+    # undoes the freeze)
+    names = {"freeze", "unfreeze", "disable", "enable"}
     found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "cli.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in names
