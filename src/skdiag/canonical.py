@@ -12,8 +12,7 @@ from .singularity import DescendentDisk, SingularityComplex, TriplePoint, patche
 
 
 def triple_line(t: TriplePoint) -> str:
-    types = ",".join(lt.value for lt in t.line_types)
-    return f"triple {t.id} lines={types}\n"
+    return f"triple {t.id} lines={','.join(t.line_types)}\n"  # each LineType is its str
 
 
 def disk_line(d: DescendentDisk) -> str:

@@ -7,7 +7,6 @@ for a machine-readable report with a top-level ``format_version`` field.
 """
 
 import gc
-import json
 import os
 import re
 import sys
@@ -23,8 +22,11 @@ FORMAT_VERSION = 1
 
 OK, FALSE_VERDICT, ERROR = 0, 1, 2
 
-# compact: without ``indent``, json runs its C encoder
-_JSON = {"sort_keys": True, "separators": (",", ":")}
+
+def _dumps(value) -> str:
+    """Compact JSON text with sorted keys: without ``indent``, json runs its C encoder."""
+    import json  # here, so that a command that writes no JSON never loads it
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _read(path: str) -> str:
@@ -81,7 +83,7 @@ def _emit(args, payload: dict, human, rows=None) -> None:
     ``rows``, a (key, JSON texts) pair, is an array written after the
     payload's keys, which its key must sort after."""
     if args.json:
-        text = json.dumps({"format_version": FORMAT_VERSION, **payload}, **_JSON)
+        text = _dumps({"format_version": FORMAT_VERSION, **payload})
         if rows is not None:
             text = f'{text[:-1]},"{rows[0]}":[{",".join(rows[1])}]}}'
         print(text)
@@ -91,7 +93,7 @@ def _emit(args, payload: dict, human, rows=None) -> None:
 
 
 def _to_file(args) -> bool:
-    return bool(args.output) and args.output != "-"
+    return args.output not in (None, "", "-")
 
 
 def _write_out(args, text: str, payload: dict) -> None:
@@ -221,8 +223,8 @@ def _cmd_apply(args) -> int:
     # -o and --trail are both written or neither, before anything prints
     files = [(args.output, text)] if _to_file(args) else []
     if args.trail:
-        files.append((args.trail, json.dumps(
-            {"format_version": FORMAT_VERSION, "trail": trail}, **_JSON) + "\n"))
+        files.append((args.trail, _dumps({"format_version": FORMAT_VERSION,
+                                          "trail": trail}) + "\n"))
     write_files(files)
     if not _to_file(args):
         _write_out(args, text, payload)
@@ -242,9 +244,9 @@ def _rows(ids, records, verdicts: bool):
     size, and the verdict when asked), each curve id quoted once."""
     from .explorer import Verdict
 
-    quoted = [json.dumps(c) for c in ids]
+    quoted = [_dumps(c) for c in ids]
     head = ('{"dd":false,"gamma":[', '{"dd":true,"gamma":[')
-    tail = {v: f',"verdict":{json.dumps(v.value)}}}' if verdicts else "}" for v in Verdict}
+    tail = {v: f',"verdict":{_dumps(v.value)}}}' if verdicts else "}" for v in Verdict}
     return (f'{head[dd]}{",".join(map(quoted.__getitem__, u))}],"size":{len(u)}{tail[v]}'
             for u, dd, v in records)
 
@@ -394,5 +396,24 @@ def main(argv=None) -> int:
             gc.unfreeze()
 
 
+def run() -> None:
+    """The process entry: ``main`` on ``sys.argv``, then flush stdout and stderr and end by
+    ``os._exit``, skipping the interpreter's teardown and any ``atexit`` handler. A closed
+    stdout exits 2, silently; a bug's exception propagates through the normal exit."""
+    # a buffered binary layer: under python -u a short write to a closed pipe passes unseen
+    sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                      errors=sys.stdout.errors, closefd=False)
+    try:
+        code = main()
+    except SystemExit as exc:  # -h, a rejected command line
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what is still buffered is written nowhere
+        code = ERROR
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -775,17 +775,29 @@ def test_readme_names_each_command_with_its_positionals_and_options():
 
 
 def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch, trefoil_path):
-    # the ``skdiag`` console script calls main() with no arguments
+    # the process entry, ``run`` (the ``skdiag`` console script and
+    # ``python -m skdiag.cli``), calls main() with no arguments
     expected = run(capsys, "census", trefoil_path)
     monkeypatch.setattr(sys, "argv", ["skdiag", "census", trefoil_path])
     assert (main(), *capsys.readouterr()) == expected
 
 
-def test_module_help_exits_0_and_names_every_command():
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as file:
+        scripts = tomllib.load(file)["project"]["scripts"]
+    assert scripts == {"skdiag": "skdiag.cli:run"}
+
+
+def module_env(**env) -> dict:
+    """The environment of a ``python -m skdiag.cli`` child that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "skdiag.cli", "--help"], env=env,
+
+
+def test_module_help_exits_0_and_names_every_command():
+    proc = subprocess.run([sys.executable, "-m", "skdiag.cli", "--help"], env=module_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and not proc.stderr
     assert all(name in proc.stdout for name in COMMANDS)
@@ -808,17 +820,83 @@ def large_outputs(tmp_path_factory):
     (["trace", "t3000.skd"], 10), (["schematic", "t3000.skd", "--json"], 10),
     (["enumerate", "c13.skd", "--json"], 10),
     # closed before a byte is written: a buffered stdout fails at its last flush
-    (["census", "c13.skd"], 0)])
+    (["census", "c13.skd"], 0), (["--help"], 0),
+    # one write of the whole text: unbuffered, a short count would pass unseen
+    (["schematic", "t3000.skd"], 10)])
 def test_a_closed_stdout_exits_2_without_a_traceback(large_outputs, argv, taken, unbuffered):
     # the reader takes a few bytes and closes the pipe, as `| head -c 10` does
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen([sys.executable, "-m", "skdiag.cli", *argv], cwd=large_outputs,
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+                            env=module_env(PYTHONUNBUFFERED=unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
     assert len(proc.stdout.read(taken)) == taken
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b""  # no traceback, and nothing "ignored" at exit
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["enumerate", "c13.skd", "--json"],
+                                  ["schematic", "t3000.skd", "--json"]])
+def test_a_large_output_reaches_its_reader_whole(capsys, monkeypatch, large_outputs, argv,
+                                                 unbuffered):
+    proc = subprocess.run([sys.executable, "-m", "skdiag.cli", *argv], cwd=large_outputs,
+                          env=module_env(PYTHONUNBUFFERED=unbuffered), capture_output=True,
+                          timeout=60)
+    monkeypatch.chdir(large_outputs)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+    assert code == 0 and len(out) > 500_000
+
+
+def run_both(capsys, monkeypatch, tmp_path, argv, inputs):
+    """``argv`` in a ``python -m skdiag.cli`` child and through in-process ``main``, each in
+    a directory of its own holding ``inputs`` (name: text): their exit codes, stdout,
+    stderr, and the files each left beside its inputs."""
+    results = []
+    for side in ("process", "main"):
+        work = tmp_path / side
+        work.mkdir()
+        for name, text in inputs.items():
+            (work / name).write_text(text)
+        if side == "process":
+            proc = subprocess.run([sys.executable, "-m", "skdiag.cli", *argv], cwd=work,
+                                  env=module_env(), capture_output=True, text=True,
+                                  timeout=60)
+            outcome = (proc.returncode, proc.stdout, proc.stderr)
+        else:
+            monkeypatch.chdir(work)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # -h, a rejected command line
+                code = exc.code
+            outcome = (code, *capsys.readouterr())
+        written = {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name not in inputs}
+        results.append((outcome, written))
+    return results
+
+
+BAD_SKD = "triple T1 lines=bm,bt,mt\n"
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["validate", "t.skd"], {"t.skd": bundled_text("trefoil.skd")}),
+    (["validate", "t.skd", "--json"], {"t.skd": BAD_SKD}),
+    (["validate", "t.skd"], {"t.skd": "whatnot X\n"}),
+    (["check-exchangeable", "t.skd", "--gamma", "closed"],
+     {"t.skd": bundled_text("trefoil.skd")}),
+    (["check-exchangeable", "r3.skd", "--gamma", "ek1"], {"r3.skd": fixture_text("r3.skd")}),
+    (["crossing-change", "t.skd", "--gamma", "closed", "-o", "out.skd"],
+     {"t.skd": bundled_text("trefoil.skd")}),
+    (["apply", "t.skd", "seq.skm", "--gamma", "closed", "-o", "out.skd",
+      "--trail", "trail.json"],
+     {"t.skd": bundled_text("trefoil.skd"), "seq.skm": fixture_text("trefoil_seq.skm")}),
+    (["du-bound", "t.skd", "--oracle", "o.skd", "--json"],
+     {"t.skd": bundled_text("trefoil.skd"), "o.skd": bundled_text("trefoil.oracle.skd")}),
+    (["du-bound", "--help"], {}),
+    (["census", "t.skd", "--no-such-option"], {"t.skd": bundled_text("trefoil.skd")})])
+def test_the_process_entry_gives_what_main_gives(capsys, monkeypatch, tmp_path, argv, inputs):
+    process, in_process = run_both(capsys, monkeypatch, tmp_path, argv, inputs)
+    assert process == in_process
+    assert process[0][1] or process[0][2]  # the command said something

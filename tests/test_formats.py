@@ -21,8 +21,10 @@ from skdiag import (
     export_schematic,
 )
 from skdiag import skm
+from skdiag.canonical import canonical_lines
 from skdiag.explorer import SizeBudget, generate_random_complex
 from skdiag.moves import MOVE_TYPES
+from skdiag.singularity import BranchRef, TripleSlot
 
 from tests.conftest import fixture_text
 
@@ -74,6 +76,26 @@ def test_round_trip_random_complexes():
     for seed in range(1, 11):
         cx = generate_random_complex(seed, SizeBudget(2, 2, 1), disks=1)
         assert parse_skd(serialize_canonical(cx)) == cx
+
+
+# each record kind's line as formatted through each field's own str(), one
+# Python call per line type and per edge end
+STR_LINE_FORMATS = (
+    lambda t: f"triple {t.id} lines={','.join(lt.value for lt in t.line_types)}\n",
+    lambda b: f"branch {b.id}\n",
+    lambda e: f"edge {e.id} {str(e.end1)} {str(e.end2)}\n",
+    lambda c: f"circle {c.id}\n",
+    lambda d: f"disk {d.id} e1={d.edge1} e2={d.edge2} pair={d.pair.value} "
+              f"level1={d.level1.value} level2={d.level2.value}\n")
+
+
+def test_canonical_lines_match_the_str_formatting_of_every_field():
+    for seed in range(1, 6):
+        cx = generate_random_complex(seed, SizeBudget(40, 80, 4), disks=3)
+        assert all(cx.kinds), seed  # every record kind, and edges ending at both kinds
+        assert {type(e.end1) for e in cx.kinds[2]} == {TripleSlot, BranchRef}, seed
+        assert canonical_lines(cx) == [tuple(map(fmt, records))
+                                       for records, fmt in zip(cx.kinds, STR_LINE_FORMATS)]
 
 
 def test_comment_and_blank_lines():

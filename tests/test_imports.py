@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import skdiag
+from skdiag.cli import COMMANDS
 from skdiag.fixtures import fixture_text as bundled_text
 
 SRC = Path(skdiag.__file__).resolve().parent.parent
@@ -39,10 +41,13 @@ SKM_READER = "skdiag.skm"
 COLD_MODULES = {SKM_READER, "skdiag.diagnostics", "skdiag.output"}
 
 
-def probe(*argv: str, flags=()) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def probe_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=env,
+
+
+def probe(*argv: str, flags=()) -> list[str]:
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=probe_env(),
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()
 
@@ -122,6 +127,37 @@ def test_start_up_loads_only_what_the_command_needs(command, trefoil_path):
     assert not loaded & {"dataclasses", "inspect", "logging"}
     if command in NO_HASHING:
         assert "hashlib" not in loaded
+
+
+# about 3 ms for json: only a command that writes JSON loads it (--json, apply --trail,
+# and enumerate and du-bound, whose rows quote curve ids as JSON)
+PLAIN_WITHOUT_JSON = ("validate", "census", "trace", "fingerprint", "schematic",
+                      "check-exchangeable", "check-dd", "crossing-change")
+
+
+@pytest.mark.parametrize("command", PLAIN_WITHOUT_JSON)
+def test_a_plain_command_does_not_load_json(command, trefoil_path):
+    assert "json" not in newly_loaded_by(command, trefoil_path)
+
+
+def test_every_command_that_writes_json_writes_it(trefoil_path, tmp_path):
+    oracle = str(SRC / "skdiag" / "fixtures" / "trefoil.oracle.skd")
+    skm = str(SRC.parent / "tests" / "fixtures" / "trefoil_seq.skm")
+    trail = tmp_path / "trail.json"
+    args = {"du-bound": ["--oracle", oracle], "apply": [skm, "--gamma", "closed"],
+            "check-exchangeable": ["--gamma", "closed"], "check-dd": ["--gamma", "closed"]}
+    for command in COMMANDS:
+        argv = [command, trefoil_path, *args.get(command, [])]
+        proc = subprocess.run([sys.executable, "-m", "skdiag.cli", *argv, "--json"],
+                              env=probe_env(), capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout)["command"] == command
+    for command, extra in (("enumerate", []), ("du-bound", ["--oracle", oracle]),
+                           ("apply", [skm, "--trail", str(trail)])):
+        proc = subprocess.run([sys.executable, "-m", "skdiag.cli", command, trefoil_path,
+                               *extra], env=probe_env(), capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout and not proc.stderr, command
+    assert json.loads(trail.read_text())["format_version"] == 1
 
 
 # about 17 ms for argparse (with gettext and locale) and 20 ms for pathlib

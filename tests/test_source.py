@@ -77,6 +77,19 @@ def test_only_the_cli_touches_the_collector():
     assert SOURCES and not found, found
 
 
+def test_no_module_registers_an_exit_hook():
+    # a command's process ends by os._exit (cli.run), which runs no atexit
+    # handler and no weakref finalizer, so the package must register none
+    hooks = {"atexit": "register", "weakref": "finalize"}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and hooks.get(node.value.id) == node.attr
+             or isinstance(node, ast.ImportFrom) and node.module in hooks
+             and hooks[node.module] in {alias.name for alias in node.names}]
+    assert SOURCES and not found, found
+
+
 def test_each_move_kind_has_one_applier_record_and_key_row():
     # a kind is applied, typed and read in one place each: every table is
     # keyed by exactly the kinds, and no applier or record serves two
