@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success and true verdicts, 1 for false verdicts (an
 invalid complex, a non-exchangeable union, a failed dd check), 2 for input
-and structural errors and a closed stdout. Every subcommand takes ``--json``
-for a machine-readable report with a top-level ``format_version`` field.
+and structural errors and failed reads or writes. ``--json`` gives every
+subcommand's machine-readable report, with a top-level ``format_version``.
 """
 
 import gc
@@ -32,8 +32,8 @@ def _dumps(value) -> str:
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as file:
-            return file.read()
-    except OSError as exc:
+            return file.read().removeprefix("\ufeff")  # a UTF-8 byte-order mark
+    except (OSError, UnicodeDecodeError) as exc:
         raise DiagramError(f"cannot read {path}: {exc}") from exc
 
 
@@ -263,7 +263,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_du_bound(args) -> int:
-    from .explorer import DIAGRAM_BOUND_NOTE, TrivialityOracle, Verdict, du_records
+    from .explorer import DIAGRAM_BOUND_NOTE, TrivialityOracle, Verdict, best_union, du_records
 
     doc = _load_document(args.skd)
     oracle = TrivialityOracle.from_mapping(doc.oracle)
@@ -272,8 +272,7 @@ def _cmd_du_bound(args) -> int:
         oracle = oracle.merged_with(TrivialityOracle.from_mapping(sidecar.oracle))
     ids, records = du_records(doc.complex, oracle, args.max_size)
     records = list(records)
-    # the first trivial one is the smallest, and the first of its size
-    best = next((u for u, dd, v in records if dd and v is Verdict.TRIVIAL), None)
+    best = best_union(records)
 
     def human():
         return [f"note: {DIAGRAM_BOUND_NOTE}",
@@ -379,13 +378,7 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     frozen = gc.get_freeze_count()  # an in-process caller gets it back as it was
     try:
-        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
-        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout: what is still buffered is written nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return ERROR
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else ERROR
     except DiagramError as exc:
@@ -398,18 +391,21 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry: ``main`` on ``sys.argv``, then flush stdout and stderr and end by
-    ``os._exit``, skipping the interpreter's teardown and any ``atexit`` handler. A closed
-    stdout exits 2, silently; a bug's exception propagates through the normal exit."""
+    ``os._exit``, skipping the interpreter's teardown and any ``atexit`` handler. It alone
+    handles a failed stdout; a bug's exception propagates through the normal exit."""
     # a buffered binary layer: under python -u a short write to a closed pipe passes unseen
     sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
                       errors=sys.stdout.errors, closefd=False)
     try:
-        code = main()
-    except SystemExit as exc:  # -h, a rejected command line
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # -h, a rejected command line
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:  # what is still buffered is written nowhere
+        code = ERROR
+    except OSError as exc:  # no space left, an I/O error
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         code = ERROR
     sys.stderr.flush()
     os._exit(code)

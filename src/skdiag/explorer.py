@@ -154,6 +154,12 @@ def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
                  for dd in [not (w ^ w >> 1) & disk_low])
 
 
+def best_union(records):
+    """The best witness among ``du_records``' records, taken up to it: the first dd-passing
+    union that the oracle marks trivial (the smallest, first of its size), or None."""
+    return next((u for u, dd, verdict in records if dd and verdict is Verdict.TRIVIAL), None)
+
+
 def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
                          max_size: int | None = None) -> DuReport:
     """Filter exchangeable unions through the descendent disk condition,
@@ -166,11 +172,10 @@ def du_index_upper_bound(cx: SingularityComplex, oracle: TrivialityOracle,
     when the oracle is empty (every verdict is then unknown).
     """
     ids, records = du_records(cx, oracle, max_size)
-    witnesses = tuple(DuWitness(tuple(map(ids.__getitem__, u)), len(u), True, dd, verdict)
-                      for u, dd, verdict in records)
-    best = min((w.size for w in witnesses
-                if w.dd and w.verdict is Verdict.TRIVIAL), default=None)
-    return DuReport(witnesses, best)
+    records = list(records)
+    best = best_union(records)
+    return DuReport(tuple(DuWitness(tuple(map(ids.__getitem__, u)), len(u), True, dd, verdict)
+                          for u, dd, verdict in records), None if best is None else len(best))
 
 
 def is_du_exchangeable(cx: SingularityComplex, oracle: TrivialityOracle,
@@ -180,10 +185,9 @@ def is_du_exchangeable(cx: SingularityComplex, oracle: TrivialityOracle,
     conditions, unknown otherwise. Never 'no'. The scan stops at the first
     size layer that holds a witness; the cap applies as to the full scan."""
     ids, records = du_records(cx, oracle, max_size)
-    for u, dd, verdict in records:
-        if dd and verdict is Verdict.TRIVIAL:
-            return DuVerdict(DuStatus.DU_EXCHANGEABLE, tuple(map(ids.__getitem__, u)))
-    return DuVerdict(DuStatus.UNKNOWN)
+    best = best_union(records)
+    return DuVerdict(DuStatus.UNKNOWN) if best is None else DuVerdict(
+        DuStatus.DU_EXCHANGEABLE, tuple(map(ids.__getitem__, best)))
 
 
 def __getattr__(name: str):

@@ -87,15 +87,15 @@ def write_files(files: list[tuple[str, str]]) -> None:
             if os.path.isfile(path):
                 file.truncate()
             file.write(text)
-            file.flush()
+            file.close()  # it flushes: a failure there is reported for this path
         for path, temp, target in staged:
             os.replace(temp, target)
     except OSError as exc:
+        for _, _, file in opened:
+            with suppress(OSError):  # the first failure is the one reported
+                file.close()
         for _, temp, _ in staged:
             with suppress(FileNotFoundError):
                 os.unlink(temp)
         reason = OSError(exc.errno, exc.strerror, path)  # naming the path, not a temporary
         raise DiagramError(f"cannot write {path}: {reason}") from exc
-    finally:
-        for _, _, file in opened:
-            file.close()

@@ -288,6 +288,21 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, text, code):
     assert gc.get_freeze_count() == frozen
 
 
+@pytest.mark.parametrize("error", [errno.EPIPE, errno.ENOSPC], ids=["closed-pipe", "full"])
+def test_main_hands_a_failed_stdout_to_its_caller(monkeypatch, trefoil_path, error):
+    # only the process entry (cli.run) handles a failed stdout: an
+    # in-process caller gets the error itself, and the collector back
+    class FailingStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(error, os.strerror(error))
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    frozen = gc.get_freeze_count()
+    with pytest.raises(OSError) as caught:
+        main(["trace", trefoil_path])
+    assert caught.value.errno == error
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
 def test_census_json(capsys, trefoil_path):
     code, out, _ = run(capsys, "census", trefoil_path, "--json")
     assert code == 0
@@ -852,14 +867,17 @@ def test_a_large_output_reaches_its_reader_whole(capsys, monkeypatch, large_outp
 
 def run_both(capsys, monkeypatch, tmp_path, argv, inputs):
     """``argv`` in a ``python -m skdiag.cli`` child and through in-process ``main``, each in
-    a directory of its own holding ``inputs`` (name: text): their exit codes, stdout,
-    stderr, and the files each left beside its inputs."""
+    a directory of its own holding ``inputs`` (name: text or bytes): their exit codes,
+    stdout, stderr, and the files each left beside its inputs."""
     results = []
     for side in ("process", "main"):
         work = tmp_path / side
         work.mkdir()
         for name, text in inputs.items():
-            (work / name).write_text(text)
+            if isinstance(text, bytes):
+                (work / name).write_bytes(text)
+            else:
+                (work / name).write_text(text)
         if side == "process":
             proc = subprocess.run([sys.executable, "-m", "skdiag.cli", *argv], cwd=work,
                                   env=module_env(), capture_output=True, text=True,
@@ -900,3 +918,74 @@ def test_the_process_entry_gives_what_main_gives(capsys, monkeypatch, tmp_path, 
     process, in_process = run_both(capsys, monkeypatch, tmp_path, argv, inputs)
     assert process == in_process
     assert process[0][1] or process[0][2]  # the command said something
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED: unset, set
+@pytest.mark.parametrize("argv", [
+    ["trace", "t3000.skd"],  # fails mid-command: about 128 KB of lines
+    ["census", "c13.skd"], ["--help"]])  # fail at the last flush
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_2_with_one_error_line(large_outputs, argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "skdiag.cli", *argv], cwd=large_outputs,
+                              env=module_env(PYTHONUNBUFFERED=unbuffered), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+SEQ_SKM = fixture_text("trefoil_seq.skm")
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["validate", "t.skd"], {"t.skd": b"branch B\xe9\n"}),
+    (["check-exchangeable", "t.skd", "--gamma", "closed"], {"t.skd": b"branch B\xe9\n"}),
+    (["apply", "t.skd", "seq.skm", "--gamma", "closed"],
+     {"t.skd": bundled_text("trefoil.skd"), "seq.skm": SEQ_SKM.encode() + b"# \xe9\n"}),
+    (["du-bound", "t.skd", "--oracle", "o.skd"],
+     {"t.skd": bundled_text("trefoil.skd"), "o.skd": b"oracle \xe9 trivial\n"})])
+def test_an_undecodable_input_exits_2(capsys, monkeypatch, tmp_path, argv, inputs):
+    # a byte that is not UTF-8 is an input error in every input role, not a
+    # false verdict and not a crash
+    bad = next(name for name, text in inputs.items() if isinstance(text, bytes))
+    process, in_process = run_both(capsys, monkeypatch, tmp_path, argv, inputs)
+    assert process == in_process
+    (code, out, err), written = process
+    assert (code, out, written) == (2, "", {})
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "t.skd"], ["fingerprint", "t.skd"],
+    ["du-bound", "t.skd", "--oracle", "o.skd"],
+    ["apply", "t.skd", "seq.skm", "--gamma", "closed"]])
+def test_a_byte_order_mark_is_not_a_record(capsys, monkeypatch, tmp_path, argv):
+    inputs = {"t.skd": bundled_text("trefoil.skd"), "o.skd": bundled_text("trefoil.oracle.skd"),
+              "seq.skm": SEQ_SKM}
+    results = []
+    for mark in ("", "\ufeff"):
+        work = tmp_path / f"mark{len(mark)}"
+        work.mkdir()
+        for name, text in inputs.items():
+            (work / name).write_text(mark + text, encoding="utf-8")
+        monkeypatch.chdir(work)
+        results.append(run(capsys, *argv))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["schematic", "t.skd", "-o", "/dev/full"],  # fails as the file is closed
+    ["schematic", "big.skd", "-o", "/dev/full"],  # fails at the write
+    ["apply", "t.skd", "seq.skm", "--gamma", "closed", "-o", "/dev/full",
+     "--trail", "t.json"]])
+def test_a_failed_in_place_write_exits_2_and_leaves_nothing(capsys, monkeypatch, tmp_path,
+                                                            argv):
+    big = serialize_canonical(generate_random_complex(1, SizeBudget(300, 600, 4)))
+    inputs = {"t.skd": bundled_text("trefoil.skd"), "big.skd": big, "seq.skm": SEQ_SKM}
+    process, in_process = run_both(capsys, monkeypatch, tmp_path, argv, inputs)
+    assert process == in_process
+    assert process == ((2, "", "error: cannot write /dev/full: [Errno 28] No space left on "
+                               "device: '/dev/full'\n"), {})  # no trail, no temporary
+

@@ -1,5 +1,6 @@
 """Enumeration, du-exchange bounds, oracle behavior, random generation."""
 
+import json
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -14,8 +15,10 @@ from skdiag import (
     crossing_change,
     fingerprint,
     is_exchangeable,
+    serialize_canonical,
 )
 from skdiag import crossing, explorer
+from skdiag.cli import main
 from skdiag.crossing import changed_fingerprinter, flip_words
 from skdiag.explorer import (
     DuStatus,
@@ -184,6 +187,27 @@ def test_is_du_exchangeable_names_the_smallest_witness_of_its_layer():
              and w.dd and w.verdict is Verdict.TRIVIAL]
     assert len(first) >= 2 and report.best_witness().gamma == first[0]
     assert is_du_exchangeable(cx, oracle).witness == first[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_best_witness_rule(capsys, tmp_path, seed):
+    # du-bound, du_index_upper_bound, is_du_exchangeable and
+    # DuReport.best_witness name one witness: the smallest trivial union
+    cx = generate_random_complex(seed, SizeBudget(4, 6, 2))
+    words = flip_words(cx)[0]
+    changed = changed_fingerprinter(cx)
+    fps = sorted({changed(reduce(or_, map(words.__getitem__, g), 0))
+                  for g in enumerate_exchangeable(cx)})
+    oracle = TrivialityOracle.from_mapping(dict.fromkeys(fps[seed % 3::3], "trivial"))
+    report = du_index_upper_bound(cx, oracle)
+    best = report.best_witness()
+    assert report.best_size == (best and best.size)
+    assert is_du_exchangeable(cx, oracle).witness == (best and best.gamma)
+    path = tmp_path / "cx.skd"
+    path.write_text(serialize_canonical(cx) + "".join(
+        f"oracle {fp} trivial\n" for fp, _ in oracle.entries))
+    assert main(["du-bound", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_size"] == report.best_size
 
 
 def test_du_bound_hashes_each_changed_diagram_once(monkeypatch):

@@ -90,6 +90,24 @@ def test_no_module_registers_an_exit_hook():
     assert SOURCES and not found, found
 
 
+def handles_broken_pipe(node) -> bool:
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(n, ast.Name) and n.id == "BrokenPipeError" for n in ast.walk(node.type))
+
+
+def test_only_the_process_entry_handles_a_closed_stdout():
+    # stdout's failures have one owner, cli.run: a second handler would
+    # answer for an output that the process entry still has to flush
+    everywhere = [f"{path.name}:{node.lineno}" for path in SOURCES
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if handles_broken_pipe(node)]
+    cli_tree = ast.parse(Path(skdiag.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    run = next(node for node in cli_tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert everywhere and everywhere == [f"cli.py:{node.lineno}" for node in ast.walk(run)
+                                         if handles_broken_pipe(node)]
+
+
 def test_each_move_kind_has_one_applier_record_and_key_row():
     # a kind is applied, typed and read in one place each: every table is
     # keyed by exactly the kinds, and no applier or record serves two
