@@ -16,6 +16,7 @@ _EXPORTS = {
     "canonical": "fingerprint serialize_canonical",
     "crossing": "ExchangeSet FlipSet all_curves crossing_change exchange_set "
                 "flip_sets is_exchangeable is_valid_flip satisfies_dd_condition",
+    "edit": "rebuilt",
     "errors": "DiagramError EnumerationCapExceeded MoveRejected "
               "NotExchangeableError OracleConflict ParseError SequenceAborted "
               "StructuralError UnknownIdError",

@@ -8,7 +8,7 @@ Oracle annotations are not part of the complex and never enter the
 fingerprint.
 """
 
-from .singularity import DescendentDisk, SingularityComplex, TriplePoint, patched
+from .singularity import DescendentDisk, SingularityComplex, TriplePoint
 
 
 def triple_line(t: TriplePoint) -> str:
@@ -28,20 +28,17 @@ LINE_FORMATS = (triple_line, lambda b: f"branch {b.id}\n",
 
 def canonical_lines(cx: SingularityComplex) -> list:
     """The canonical lines of each record kind, in text order. A complex
-    built by ``rebuilt`` keeps them, patching its parent's lines by the
-    edit that made it (a kind the edit leaves alone keeps its parent's
-    tuple). Any other complex formats every record on each call."""
+    built by ``edit.rebuilt`` keeps them, patching its parent's lines by the
+    edit that made it. Any other complex formats every record on each call."""
     lines = vars(cx).get("canonical_lines")
     if lines is not None:
         return lines
     lineage = vars(cx).get("lineage")
-    parent = lineage.views.pop("canonical_lines", None) if lineage else None
-    if parent is None:
+    if lineage is not None:
+        from .edit import patched_lines
+        lines = patched_lines(lineage, LINE_FORMATS)
+    if lines is None:
         lines = [tuple(map(fmt, records)) for records, fmt in zip(cx.kinds, LINE_FORMATS)]
-    else:
-        lines = [patched(own, removed, added, fmt, records)
-                 for own, records, (removed, added), fmt
-                 in zip(parent, lineage.records, lineage.edits, LINE_FORMATS)]
     if lineage is not None:
         vars(cx)["canonical_lines"] = lines
     return lines

@@ -390,9 +390,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry: ``main`` on ``sys.argv``, then flush stdout and stderr and end by
-    ``os._exit``, skipping the interpreter's teardown and any ``atexit`` handler. It alone
-    handles a failed stdout; a bug's exception propagates through the normal exit."""
+    """The process entry: ``main`` on ``sys.argv``, then flush stdout and end by ``os._exit``,
+    skipping the interpreter's teardown and any ``atexit`` handler. It alone handles a failed
+    or closed stdout or stderr (exit 2); a bug's exception propagates through the normal exit."""
+    if sys.stdout is None:  # fd 1 was closed: a closed pipe before the first write
+        os._exit(ERROR)
+    sys.stderr = sys.stderr or open(os.devnull)  # fd 2 closed: read-only, each write fails
     # a buffered binary layer: under python -u a short write to a closed pipe passes unseen
     sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
                       errors=sys.stdout.errors, closefd=False)
@@ -404,10 +407,12 @@ def run() -> None:
         sys.stdout.flush()
     except BrokenPipeError:  # what is still buffered is written nowhere
         code = ERROR
-    except OSError as exc:  # no space left, an I/O error
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    except OSError as exc:  # no space left, an I/O error, on stdout or on stderr
         code = ERROR
-    sys.stderr.flush()
+        try:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        except OSError:  # stderr fails too
+            pass
     os._exit(code)
 
 

@@ -33,6 +33,7 @@ from .crossing import (
     is_exchangeable,
     satisfies_dd_condition,
 )
+from .edit import rebuilt
 from .errors import (
     DiagramError,
     MoveRejected,
@@ -349,10 +350,10 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     old_disks, new_disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
     dead_branches = sorted({end.branch_id for eid in dead_edges
                             for end in cx.edges_by_id[eid][1:] if type(end) is BranchRef})
-    new_cx = cx.rebuilt(
-        [*(cx.triples_by_id[t] for t in sorted(dead_triples)),
-         *(cx.branches_by_id[b] for b in dead_branches),
-         *(cx.edges_by_id[e] for e in descent), *old_disks],
+    new_cx = rebuilt(
+        cx, [*(cx.triples_by_id[t] for t in sorted(dead_triples)),
+             *(cx.branches_by_id[b] for b in dead_branches),
+             *(cx.edges_by_id[e] for e in descent), *old_disks],
         new_edges + new_disks)
     return _Outcome(new_cx, descent, tuple(e.id for e in new_edges))
 
@@ -363,7 +364,7 @@ def _apply_r1_plus(cx: SingularityComplex, m: R1Plus) -> _Outcome:
     added = [Circle(m.circle_id)]
     if m.disk is not None:
         added.append(_validate_disk_declaration(cx, m.disk, m.circle_id))
-    return _Outcome(cx.rebuilt((), added), {}, (m.circle_id,))
+    return _Outcome(rebuilt(cx, (), added), {}, (m.circle_id,))
 
 
 def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
@@ -386,7 +387,7 @@ def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
              Arc(m.edge_id, BranchRef(m.branch1), BranchRef(m.branch2))]
     if m.disk is not None:
         added.append(_validate_disk_declaration(cx, m.disk, m.edge_id))
-    return _Outcome(cx.rebuilt((), added), {}, (m.edge_id,))
+    return _Outcome(rebuilt(cx, (), added), {}, (m.edge_id,))
 
 
 def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
@@ -527,7 +528,7 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
         new_id = _fresh_id(cx, min(e1.id, e2.id), minted)
         added = [(e1 if type(e1) is Arc else e2)._replace(id=new_id)]
         new_ids = (new_id, new_id)
-    new_cx = cx.rebuilt([e1, e2, disk], added)
+    new_cx = rebuilt(cx, [e1, e2, disk], added)
     _require(len(new_cx.curves) - len(cx.curves) in (-1, 0, 1), "postcondition",
              "double curve count changed by more than one")
     return _Outcome(new_cx, {}, new_ids)

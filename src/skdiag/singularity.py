@@ -11,7 +11,6 @@ opposite slots of the same line. Tracing yields a partition of the edge set;
 all higher operations (crossing changes, moves) are defined on top of it.
 """
 
-from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -224,43 +223,6 @@ class SingularityComplex(_ComplexRecords):
     def empty(cls) -> "SingularityComplex":
         return cls.build()
 
-    def rebuilt(self, removed=(), added=()) -> "SingularityComplex":
-        """This complex's records less the ``removed`` ones, plus the ``added``
-        ones, at the edit's cost: every view this one has computed is handed
-        on, patched by the edit if it covers an edited kind (the slot index,
-        curves, curve maps and lines on first use). Raises StructuralError when
-        the edit removes a record this complex lacks or one record twice, or
-        adds an id a survivor or another added record has."""
-        edits, gone = tuple(([], []) for _ in KIND_OF), set()
-        for record in removed:
-            kind = KIND_OF[type(record)]
-            if getattr(self, HELD_IN[kind]).get(record.id) != record:
-                raise StructuralError(f"the edit removes {type(record).__name__} "
-                                      f"{record.id!r}, which the complex does not hold")
-            edits[kind][0].append(record)
-            gone.add((HELD_IN[kind], record.id))
-        for record in added:
-            edits[KIND_OF[type(record)]][1].append(record)
-        if len(gone) != sum(len(out) for out, _ in edits):
-            raise StructuralError("the edit removes a record twice")
-        kinds, records = self.kinds, []
-        views = {name: patched(kinds[k], *edits[k])
-                 for name, k in (("arcs", ARCS), ("circles", CIRCLES))}
-        for name, by_id, held_kinds, noun in TABLES:
-            out, into = ([r for k in held_kinds for r in edits[k][side]] for side in (0, 1))
-            new = sorted(r.id for r in into)
-            dups = [a for a, b in zip(new, new[1:]) if a == b] + [
-                i for i in new if i in getattr(self, by_id) and (by_id, i) not in gone]
-            if dups:
-                raise StructuralError(f"duplicate {noun} id {min(dups)!r}")
-            records.append(patched(getattr(self, name), out, into))
-            if by_id in vars(self):
-                views[by_id] = patched(vars(self)[by_id], out, into)
-        child = type(self)(*records)
-        vars(child).update(views, lineage=Lineage(
-            kinds, {k: v for k, v in vars(self).items() if k in Lineage.VIEWS}, edits))
-        return child
-
     # -- indexed views -------------------------------------------------
 
     @cached_property
@@ -298,26 +260,15 @@ class SingularityComplex(_ComplexRecords):
         """The endpoint index, mapping each endpoint to the (edge id, end
         index) attached there (a contested one to the list of all its
         claims), and the structural violations met building it, in
-        validate's order. A complex built by ``rebuilt`` from a well-formed
-        parent patches the parent's index by the arcs removed and added, any
-        other indexes every arc end at C speed; only an index that breaks a
-        rule claims every arc end afresh, so that its report is complete."""
+        validate's order. A complex built by ``edit.rebuilt`` from a well-formed
+        parent patches its index, any other indexes every arc end at C speed;
+        only an index that breaks a rule claims every arc end afresh, so its report is complete."""
         lineage = self.__dict__.get("lineage")
-        parent = lineage.views.pop("_claims", None) if lineage else None
-        every = 6 * len(self.triples_by_id) + len(self.branches_by_id)
-        if parent is not None and not parent[1]:
-            index = parent[0].copy()  # a clone, as in patched
-            removed, added = lineage.edits[ARCS]
-            for arc in removed:
-                del index[arc.end1], index[arc.end2]
-            dead = endpoints(
-                [t for t in lineage.edits[TRIPLES][0] if t.id not in self.triples_by_id],
-                [b for b in lineage.edits[BRANCHES][0] if b.id not in self.branches_by_id])
-            # with every key a real endpoint, a full index of one claim per
-            # arc end is one with each endpoint claimed once
-            if (not _claim(self, added, index) and len(index) == every == 2 * len(self.arcs)
-                    and not any(ref in index for ref in dead)):
+        if lineage is not None:
+            from .edit import patched_index
+            if (index := patched_index(self, lineage)) is not None:
                 return index, ()
+        every = 6 * len(self.triples_by_id) + len(self.branches_by_id)
         arcs, ids = self.arcs, list(map(BY_ID, self.arcs))
         index = dict(zip(map(itemgetter(1), arcs), zip(ids, repeat(0))))
         index.update(zip(map(itemgetter(2), arcs), zip(ids, repeat(1))))
@@ -327,7 +278,7 @@ class SingularityComplex(_ComplexRecords):
                 and set(map(type, index)) <= {TripleSlot, BranchRef}):
             return index, ()
         index = {}
-        return index, (*_claim(self, arcs, index), *_coverage_violations(self, index))
+        return index, (*claim_ends(self, arcs, index), *_coverage_violations(self, index))
 
     @property
     def slot_index(self) -> dict[EndpointRef, tuple[str, int]]:
@@ -381,52 +332,7 @@ class SingularityComplex(_ComplexRecords):
 #: indices of the record kinds in SingularityComplex.kinds
 TRIPLES, BRANCHES, ARCS, CIRCLES, DISKS = range(5)
 
-#: each record tuple of a complex: its by-id view, its kinds, and its noun
-TABLES = (("triple_points", "triples_by_id", (TRIPLES,), "triple point"),
-          ("branch_points", "branches_by_id", (BRANCHES,), "branch point"),
-          ("edges", "edges_by_id", (ARCS, CIRCLES), "edge"),
-          ("disks", "disks_by_id", (DISKS,), "disk"))
-#: the kind of each record type, and the view holding its records by id
-KIND_OF = {TriplePoint: TRIPLES, BranchPoint: BRANCHES, Arc: ARCS, Circle: CIRCLES,
-           DescendentDisk: DISKS}
-HELD_IN = {kind: by_id for _, by_id, kinds, _ in TABLES for kind in kinds}
 BY_ID = attrgetter("id")
-
-
-class Lineage(NamedTuple):
-    """What a complex built by ``rebuilt`` patches on first use: its
-    parent's records per kind and VIEWS (each popped by its first use), and
-    per kind the records (removed, added) by the edit that made it."""
-
-    records: tuple[tuple, ...]
-    views: dict
-    edits: tuple[tuple[list, list], ...]
-
-    VIEWS = ("_claims", "curves", "curve_by_edge", "curves_by_id", "canonical_lines")
-
-
-def patched(items, removed, added, entry=None, old=None):
-    """``items`` less the entries of the ``removed`` records, plus an entry
-    for each ``added`` record (itself, or ``entry(record)``): a copy of a
-    by-id map, or a tuple (sorted by id, or one for one with the id-sorted
-    records ``old``) with each entry at its place; ``items`` for no edit."""
-    if not removed and not added:
-        return items
-    if type(items) is dict:
-        items = items.copy()  # a clone: dict(items) re-inserts once a key was deleted
-        for r in removed:
-            del items[r.id]
-        items.update((r.id, r) for r in added)
-        return items
-    old = items if old is None else old
-    gone = sorted(bisect_left(old, r.id, key=BY_ID) for r in removed)
-    out = list(items)
-    for pos in reversed(gone):
-        del out[pos]
-    for n, r in enumerate(sorted(added, key=BY_ID)):
-        at = bisect_left(old, r.id, key=BY_ID)
-        out.insert(at - bisect_left(gone, at) + n, r if entry is None else entry(r))
-    return tuple(out)
 
 
 def endpoints(triples, branches):
@@ -437,7 +343,7 @@ def endpoints(triples, branches):
     yield from (BranchRef(b.id) for b in branches)
 
 
-def _claim(cx: SingularityComplex, arcs, index: dict) -> list[Violation]:
+def claim_ends(cx: SingularityComplex, arcs, index: dict) -> list[Violation]:
     """Claim both ends of each arc in ``index``, a contested endpoint
     keeping the list of all its claims. Returns the broken references and
     self-slots met, in arc order."""
@@ -562,32 +468,23 @@ def _curve_through(start: DoubleEdge, index: dict, edges: dict) -> DoubleCurve:
 def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
     """Partition the edges into maximal double curves.
 
-    Traversal continues through a triple point on the opposite slot of the
-    same line; a curve is open iff both of its ends are branch points.
-    Raises StructuralError (with validate's first structural violation)
-    when the complex is malformed. Under ``rebuilt`` the parent's curves
-    that lost an edge are deleted, walks start only from added edges and
-    those curves' survivors, and the new curves are inserted by id. Stores
-    the edge-to-curve map as ``cx.curve_by_edge`` (and any parent's
-    ``curves_by_id``, patched, as ``cx.curves_by_id``).
+    Traversal continues through a triple point on the opposite slot of the same line;
+    a curve is open iff both of its ends are branch points. Raises StructuralError (with
+    validate's first structural violation) when the complex is malformed. A complex built
+    by ``edit.rebuilt`` patches its parent's curves. Stores ``cx.curve_by_edge``.
     """
-    index, edges = cx.slot_index, cx.edges_by_id
     lineage = cx.__dict__.get("lineage")
-    views = lineage.views if lineage else {}
-    old, by_edge = views.pop("curves", None), views.pop("curve_by_edge", None)
-    if old is None or by_edge is None:
-        old, by_edge, seeds = None, {}, cx.edges
-    else:
-        arcs, circles = lineage.edits[ARCS], lineage.edits[CIRCLES]
-        by_edge = by_edge.copy()  # a clone, as in patched
-        dirty = [old[bisect_left(old, cid, key=BY_ID)]
-                 for cid in sorted({by_edge[e.id] for e in arcs[0] + circles[0]})]
-        seeds = arcs[1] + circles[1]
-        for curve in dirty:
-            for eid in curve.edges:
-                del by_edge[eid]
-                if eid in edges:
-                    seeds.append(edges[eid])
+    if lineage is not None:
+        from .edit import patched_curves
+        if (curves := patched_curves(cx, lineage)) is not None:
+            return curves
+    return tuple(sorted(trace_from(cx, cx.edges, {}), key=BY_ID))
+
+
+def trace_from(cx: SingularityComplex, seeds, by_edge: dict) -> list[DoubleCurve]:
+    """The curves through those ``seeds`` that ``by_edge``, a map from edge ids to curve
+    ids, lacks, each added to it; stores it as ``cx.curve_by_edge``."""
+    index, edges = cx.slot_index, cx.edges_by_id
     new = []
     for edge in seeds:
         if edge.id not in by_edge:
@@ -595,11 +492,7 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
             by_edge.update(dict.fromkeys(curve.edges, curve.id))
             new.append(curve)
     cx.__dict__["curve_by_edge"] = by_edge
-    if old is None:
-        return tuple(sorted(new, key=BY_ID))
-    if "curves_by_id" in views:
-        cx.__dict__["curves_by_id"] = patched(views.pop("curves_by_id"), dirty, new)
-    return patched(old, dirty, new)
+    return new
 
 
 def census(cx: SingularityComplex) -> CensusRecord:

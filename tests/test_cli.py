@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from pathlib import Path
 
@@ -989,3 +990,73 @@ def test_a_failed_in_place_write_exits_2_and_leaves_nothing(capsys, monkeypatch,
     assert process == ((2, "", "error: cannot write /dev/full: [Errno 28] No space left on "
                                "device: '/dev/full'\n"), {})  # no trail, no temporary
 
+
+
+# every command, a false verdict of each kind, and the failed read of a missing file and
+# of a non-UTF-8 one, each of which prints its one line on stderr
+STREAM_ARGVS = [
+    *([name, "t.skd", *extra] for name, extra in {
+        "validate": [], "trace": [], "census": [], "fingerprint": [], "schematic": [],
+        "check-exchangeable": ["--gamma", "closed"], "check-dd": ["--gamma", "closed"],
+        "crossing-change": ["--gamma", "closed"], "apply": ["seq.skm", "--gamma", "closed"],
+        "enumerate": ["--json"], "du-bound": ["--oracle", "o.skd"]}.items()),
+    ["validate", "invalid.skd"], ["check-exchangeable", "r3.skd", "--gamma", "ek1"],
+    ["crossing-change", "r3.skd", "--gamma", "ek1"], ["--help"],
+    ["census", "missing.skd"], ["check-exchangeable", "bad.skd", "--gamma", "x"]]
+
+
+# the fds each closed or on /dev/full; with fd 0 closed too, python starts with no
+# sys.stderr at all, where a closed fd 2 alone leaves it one whose writes fail
+STREAM_STATES = [*((fds, state) for fds in [(0,), (1,), (2,), (1, 2)]
+                   for state in ("closed", "full")), ((0, 2), "closed")]
+
+
+@pytest.fixture(scope="module")
+def stream_work(tmp_path_factory):
+    """A directory holding the inputs of STREAM_ARGVS, and each one's exit code and
+    stdout with working streams."""
+    work = tmp_path_factory.mktemp("streams")
+    for name, text in {"t.skd": bundled_text("trefoil.skd"), "seq.skm": SEQ_SKM,
+                       "o.skd": bundled_text("trefoil.oracle.skd"), "invalid.skd": BAD_SKD,
+                       "r3.skd": fixture_text("r3.skd")}.items():
+        (work / name).write_text(text)
+    (work / "bad.skd").write_bytes(b"branch B\xe9\n")
+    plain = [subprocess.run([sys.executable, "-m", "skdiag.cli", *argv], cwd=work,
+                            env=module_env(), capture_output=True, timeout=60)
+             for argv in STREAM_ARGVS]
+    assert {proc.returncode for proc in plain} == {0, 1, 2}
+    return work, plain
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])  # PYTHONUNBUFFERED: unset, set
+@pytest.mark.parametrize("fds, state", STREAM_STATES, ids=[
+    f"fd{','.join(map(str, fds))}-{state}" for fds, state in STREAM_STATES])
+def test_no_stream_state_reads_as_a_false_verdict(stream_work, fds, state, unbuffered):
+    # exit 1 is a false verdict: a closed or failing stdin, stdout or stderr exits 0 or
+    # 2, or 1 where the command with working streams does, and never with a traceback;
+    # a working stdout gets what it gets then, and no line meant for stderr
+    work, plain = stream_work
+    # sh closes the fds (n>&-) and execs the command; two run at a time
+    closed = " ".join(f"{fd}>&-" for fd in fds) if state == "closed" else ""
+    with open("/dev/full", "r+b") as full:
+        streams = [subprocess.DEVNULL, subprocess.PIPE, subprocess.PIPE]
+        for fd in fds if state == "full" else ():
+            streams[fd] = full
+
+        def child(argv):
+            return subprocess.run(
+                ["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m", "skdiag.cli",
+                 *argv], cwd=work, env=module_env(PYTHONUNBUFFERED=unbuffered),
+                stdin=streams[0], stdout=streams[1], stderr=streams[2], timeout=60)
+
+        with ThreadPoolExecutor(2) as pool:
+            procs = list(pool.map(child, STREAM_ARGVS))
+    for argv, proc, expected in zip(STREAM_ARGVS, procs, plain):
+        assert proc.returncode in (0, 2) or proc.returncode == expected.returncode == 1, argv
+        if fds == (0,):  # no command reads stdin
+            assert proc.returncode == expected.returncode, argv
+        if 1 not in fds:
+            assert proc.stdout == expected.stdout, argv
+        seen = (proc.stdout or b"") + (proc.stderr or b"")
+        assert b"Traceback" not in seen and b"Exception ignored" not in seen, argv

@@ -34,6 +34,8 @@ print(" ".join(sorted(set(sys.modules) - bare)))
 """
 
 SCAN_AND_MOVES = {"skdiag.moves", "skdiag.explorer", "skdiag.crossing"}
+# how a complex derived by a move patches its parent's views: only a move loads it
+EDIT = "skdiag.edit"
 # what only some commands run, each in a module of its own: the `.skm`
 # reader, the `.skd` rejection wording, and the schematic, the curve
 # summary and the file writer
@@ -78,7 +80,7 @@ def test_read_path_commands_skip_the_move_engine_and_the_scan(command, trefoil_p
     loaded = loaded_by(command, trefoil_path)
     assert "skdiag.formats" in loaded
     assert not loaded & SCAN_AND_MOVES
-    assert SKM_READER not in loaded
+    assert SKM_READER not in loaded and EDIT not in loaded
 
 
 @pytest.fixture
@@ -92,7 +94,12 @@ def test_scan_commands_load_none_of_the_cold_modules(command, trefoil_path, du_b
     argv = du_bound_argv if command == "du-bound" else [command, trefoil_path, "--json"]
     loaded = loaded_by(*argv)
     assert {"skdiag.explorer", "skdiag.formats"} <= loaded
-    assert not loaded & COLD_MODULES
+    assert not loaded & COLD_MODULES and EDIT not in loaded
+
+
+def test_apply_loads_the_edit_module(trefoil_path):
+    skm = str(SRC.parent / "tests" / "fixtures" / "trefoil_seq.skm")
+    assert {EDIT, "skdiag.moves"} <= loaded_by("apply", trefoil_path, skm)
 
 
 def ast_nodes(module: str) -> int:

@@ -45,6 +45,7 @@ from skdiag import (
     is_valid_flip,
     parse_skd,
     parse_skd_document,
+    rebuilt,
     relabel_locus_for_change,
     satisfies_dd_condition,
     serialize_canonical,
@@ -397,7 +398,7 @@ def test_slot_index_raises_exactly_on_the_structural_violations(seed, budget, da
     assume(cx.arcs)
     removed, added = damage(cx, data)
     cx.slot_index  # so that the child patches the parent's index
-    child = cx.rebuilt(removed, added)
+    child = rebuilt(cx, removed, added)
     fresh = SingularityComplex.build(child.triple_points, child.branch_points,
                                      child.edges, child.disks)
     for damaged in (child, fresh):

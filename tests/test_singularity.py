@@ -16,6 +16,7 @@ from skdiag import (
     TripleSlot,
     UnknownIdError,
     census,
+    rebuilt,
     trace_curves,
     validate,
 )
@@ -266,7 +267,7 @@ def test_generator_circles_only():
 def test_rebuilt_rejects_a_double_claimed_slot(r2):
     r2.curves
     extra = Arc("X", TripleSlot("T1", 0, "a"), BranchRef("Bx"))
-    child = r2.rebuilt((), [BranchPoint("Bx"), extra])
+    child = rebuilt(r2, (), [BranchPoint("Bx"), extra])
     with pytest.raises(StructuralError, match=r"slot T:T1\.0\.a claimed by edges X, s1"):
         child.curves
     assert "slot-conflict" in {v.code for v in validate(child).violations}
@@ -274,7 +275,7 @@ def test_rebuilt_rejects_a_double_claimed_slot(r2):
 
 def test_rebuilt_rejects_a_deleted_triples_claimed_slot(r2):
     r2.curves
-    child = r2.rebuilt([r2.triples_by_id["T1"]], ())
+    child = rebuilt(r2, [r2.triples_by_id["T1"]], ())
     with pytest.raises(StructuralError, match="edge s1: unknown triple point 'T1'"):
         child.slot_index
     assert "dangling-ref" in {v.code for v in validate(child).violations}
@@ -284,7 +285,7 @@ def test_rebuilt_from_a_malformed_parent_indexes_afresh(r2):
     broken = SingularityComplex.build(r2.triple_points, r2.branch_points,
                                       [e for e in r2.edges if e.id != "s1"])
     assert not validate(broken).ok
-    fixed = broken.rebuilt((), [r2.edges_by_id["s1"]])
+    fixed = rebuilt(broken, (), [r2.edges_by_id["s1"]])
     assert fixed.slot_index == r2.slot_index
     assert fixed.curves == r2.curves
 
@@ -294,18 +295,18 @@ def test_rebuilt_rejects_an_edit_removing_what_the_complex_lacks(r2):
     for removed in ([Circle("s1")], [s1._replace(end2=TripleSlot("T2", 0, "a"))],
                     [BranchPoint("Bx")], [s1, s1]):
         with pytest.raises(StructuralError, match=r"the edit removes"):
-            r2.rebuilt(removed, ())
+            rebuilt(r2, removed, ())
 
 
 def test_rebuilt_rejects_an_added_id_that_survives(r2):
     with pytest.raises(StructuralError, match=r"duplicate edge id 's1'"):
-        r2.rebuilt((), [Circle("s1")])
+        rebuilt(r2, (), [Circle("s1")])
 
 
 def test_rebuilt_rejects_a_record_removed_twice(r2):
     s1 = r2.edges_by_id["s1"]
     with pytest.raises(StructuralError, match=r"^the edit removes a record twice$"):
-        r2.rebuilt([s1, r2.edges_by_id["u1"], s1], [Circle("s1")])
+        rebuilt(r2, [s1, r2.edges_by_id["u1"], s1], [Circle("s1")])
 
 
 def build_error(records):
@@ -326,7 +327,7 @@ def build_error(records):
 ])
 def test_rebuilt_rejects_two_added_records_with_one_id(r2, added, message):
     with pytest.raises(StructuralError, match=f"^{message}$"):
-        r2.rebuilt((), added)
+        rebuilt(r2, (), added)
     assert build_error([*r2.triple_points, *r2.branch_points, *r2.edges, *added]) == message
 
 
@@ -337,10 +338,10 @@ def test_rebuilt_rejects_two_added_records_with_one_id(r2, added, message):
 def test_rebuilt_rejects_an_added_circle_with_a_surviving_arcs_id(r2, added, message):
     """u2 and v2 are arcs of r2; an arc removed by the same edit frees its id."""
     with pytest.raises(StructuralError, match=f"^{message}$"):
-        r2.rebuilt((), added)
+        rebuilt(r2, (), added)
     assert build_error([*r2.edges, *added]) == message
-    freed = r2.rebuilt([r2.edges_by_id["u2"], r2.edges_by_id["v2"]],
-                       [Circle("u2"), Circle("v2")])
+    freed = rebuilt(r2, [r2.edges_by_id["u2"], r2.edges_by_id["v2"]],
+                    [Circle("u2"), Circle("v2")])
     assert freed.edges_by_id["u2"] == Circle("u2")
 
 

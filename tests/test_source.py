@@ -21,7 +21,7 @@ def test_no_assert_statements_in_the_package():
 # modules the scan, read and apply commands load: each of these imports at
 # module level costs those commands their start-up time
 START_UP_MODULES = ("cli", "errors", "formats", "singularity", "canonical",
-                    "crossing", "explorer", "moves", "skm", "diagnostics", "output")
+                    "crossing", "explorer", "moves", "edit", "skm", "diagnostics", "output")
 HEAVY_IMPORTS = {"dataclasses", "logging", "random",
                  "argparse", "gettext", "locale", "pathlib", "shutil"}
 
@@ -106,6 +106,44 @@ def test_only_the_process_entry_handles_a_closed_stdout():
                if isinstance(node, ast.FunctionDef) and node.name == "run")
     assert everywhere and everywhere == [f"cli.py:{node.lineno}" for node in ast.walk(run)
                                          if handles_broken_pipe(node)]
+
+
+def test_only_the_edit_module_knows_how_a_derived_complex_patches_its_views():
+    # a complex's lineage is written and read in skdiag.edit alone: every other
+    # reader asks it for a patched view, so a parsed complex never loads it
+    owned = {"patched", "Lineage"}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "edit.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in owned
+             or isinstance(node, ast.ImportFrom) and owned & {a.name for a in node.names}
+             or isinstance(node, ast.Attribute) and node.attr in ("views", "edits", "records")]
+    assert SOURCES and not found, found
+
+
+def returned_names(function: ast.FunctionDef) -> set[str]:
+    """The bare names in the function's return values, its nested functions' left out."""
+    found, todo = set(), list(function.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None:
+            found.update(n.id for n in ast.walk(node.value) if isinstance(n, ast.Name))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_the_verdict_commands_exit_1():
+    # exit 1 reads as a false verdict, so only a command that reports one returns it
+    tree = ast.parse(Path(skdiag.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    verdicts = sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                      and "FALSE_VERDICT" in returned_names(node))
+    assert verdicts == ["_cmd_check_dd", "_cmd_check_exchangeable", "_cmd_crossing_change",
+                        "_cmd_validate"]
+    # nor is it kept anywhere to be returned later, or returned as a bare 1
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "FALSE_VERDICT"]
+    assert len(uses) == 1 + len(verdicts)  # its definition, and one return each
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Return)
+                and isinstance(n.value, ast.Constant) and n.value.value == 1]
 
 
 def test_each_move_kind_has_one_applier_record_and_key_row():
