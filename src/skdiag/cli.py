@@ -39,20 +39,13 @@ def _read(path: str) -> str:
 
 def _parsed(path: str, parse, **kw):
     """``parse`` of the file's text; its diagnostics print as
-    ``path:line:col: message``, and the command exits 2. Inputs live until
-    it exits, so they are read with the collector paused, then frozen."""
-    enabled = gc.isenabled()
-    gc.disable()
+    ``path:line:col: message``, and the command exits 2."""
     try:
         return parse(_read(path), **kw)
     except ParseError as exc:
         for line, col, message in exc.diagnostics:
             print(f"{path}:{line}:{col}: {message}", file=sys.stderr)
         raise SystemExit(ERROR) from exc
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
 
 
 def _load_document(path: str):
@@ -376,7 +369,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    frozen = gc.get_freeze_count()  # an in-process caller gets it back as it was
     try:
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:
@@ -384,9 +376,6 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    finally:
-        if not frozen:
-            gc.unfreeze()
 
 
 def run() -> None:
@@ -399,6 +388,7 @@ def run() -> None:
     # a buffered binary layer: under python -u a short write to a closed pipe passes unseen
     sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
                       errors=sys.stdout.errors, closefd=False)
+    gc.disable()  # a command's objects live until os._exit: nothing for it to reclaim
     try:
         try:
             code = main()

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
 from pathlib import Path
 
@@ -277,16 +278,32 @@ def test_output_and_trail_may_both_be_a_device(capsys, trefoil_path, tmp_path):
     ("triple T1 lines=bm,bt,mt\n", 1),  # a false verdict
     ("whatnot X\n", 2),  # a parse error
     (None, 2)])  # a missing file
-def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, text, code):
-    # the CLI reads with the collector paused and freezes what it read; an
-    # in-process call must hand the collector back as it found it
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, text, code):
+    # the collector is the process's, and only cli.run turns it off: an in-process
+    # call leaves it as its caller had it, with live objects frozen or the collector off
     path = tmp_path / "in.skd"
     if text is not None:
         path.write_text(text)
-    frozen = gc.get_freeze_count()
-    assert run(capsys, "validate", str(path))[0] == code
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == frozen
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+
+    def restore():
+        if not frozen:
+            gc.unfreeze()
+        (gc.enable if enabled else gc.disable)()
+    try:
+        for caller in (lambda: None, gc.freeze, gc.disable):  # as is, pre-frozen, off
+            caller()
+            # young objects of the caller's that outlive the call, and plain StringIOs:
+            # a write to pytest's capture stream frees a frozen object of its own
+            out, err = io.StringIO(), io.StringIO()
+            on, count = gc.isenabled(), gc.get_freeze_count()  # untracked: no count change
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["validate", str(path)]) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (on, count), caller
+            assert out.getvalue() or err.getvalue()
+            restore()
+    finally:
+        restore()
 
 
 @pytest.mark.parametrize("error", [errno.EPIPE, errno.ENOSPC], ids=["closed-pipe", "full"])
@@ -810,6 +827,16 @@ def module_env(**env) -> dict:
     src = str(Path(cli.__file__).resolve().parents[1])
     return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_run_turns_the_collector_off_for_the_command():
+    # a command's objects live until os._exit, so its process runs main with no collector
+    probe = ("import gc, skdiag.cli as cli\n"
+             "cli.main = lambda: print(gc.isenabled()) or 0\n"
+             "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=module_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_module_help_exits_0_and_names_every_command():

@@ -65,16 +65,22 @@ def test_only_the_cli_touches_the_collector():
     # the collector's state is the process's: gc.freeze moves the whole heap
     # out of its reach, and a library call that paused and then re-enabled it
     # could re-enable a collector that another thread had disabled meanwhile.
-    # So only the CLI, which owns its process, may do either (and its main
-    # undoes the freeze)
-    names = {"freeze", "unfreeze", "disable", "enable"}
-    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "cli.py"
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr in names
-             and isinstance(node.value, ast.Name) and node.value.id == "gc"
-             or isinstance(node, ast.ImportFrom) and node.module == "gc"
-             and names & {alias.name for alias in node.names}]
-    assert SOURCES and not found, found
+    # So the one collector call is cli.run's gc.disable(), in the process it owns
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        gc_names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names if a.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in gc_names:
+                scope = max((f for f in defs if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append((path.name, scope and scope.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append((path.name, None, "from gc import"))
+    assert found == [("cli.py", "run", "disable")], found
 
 
 def test_no_module_registers_an_exit_hook():
