@@ -131,24 +131,21 @@ def flip_words(cx: SingularityComplex) -> tuple[dict[str, int], int, int]:
     return words, low, (4 ** len(cx.disks) - 1) // 3 << at
 
 
-def _flip_set(cx: SingularityComplex, t: TriplePoint, gamma: ExchangeSet) -> FlipSet:
-    lines = frozenset(i for i in range(3) if cx.line_curve(t.id, i) in gamma)
-    return FlipSet(t.id, lines, frozenset(t.line_types[i] for i in lines))
-
-
 def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
     """One FlipSet per triple point: a line flips iff its through-curve
     belongs to gamma."""
     gamma = exchange_set(cx, gamma)
-    return [_flip_set(cx, t, gamma) for t in cx.triple_points]
+    return [FlipSet(t.id, lines, frozenset(t.line_types[i] for i in lines))
+            for t in cx.triple_points
+            for lines in [frozenset(i for i in range(3) if cx.line_curve(t.id, i) in gamma)]]
 
 
 def _flips(cx: SingularityComplex,
            gamma: ExchangeSet) -> tuple[dict[str, int], FlipSet | None]:
     """The flip pattern of each triple point gamma touches, and the invalid
     flip set at the first of them in id order, or None. A line flips
-    exactly when one of gamma's arcs ends on it, so the flipped lines are
-    read from those ends, and only their triple points visited."""
+    exactly when one of gamma's arcs ends on it, so the patterns and the
+    flip set are read from those ends, and only their triple points visited."""
     edges, curves, triples = cx.edges_by_id, cx.curves_by_id, cx.triples_by_id
     flipped: dict[str, int] = {}  # triple id -> bitmask of its flipped lines
     for c in gamma:
@@ -160,7 +157,10 @@ def _flips(cx: SingularityComplex,
     patterns = {tid: PATTERN_OF_LINES[triples[tid].line_types][lines]
                 for tid, lines in flipped.items()}
     bad = [tid for tid, p in patterns.items() if p not in RELABEL]
-    return patterns, _flip_set(cx, triples[min(bad)], gamma) if bad else None
+    if not bad:
+        return patterns, None
+    lines = frozenset(i for i in range(3) if flipped[tid := min(bad)] >> i & 1)
+    return patterns, FlipSet(tid, lines, frozenset(triples[tid].line_types[i] for i in lines))
 
 
 def first_invalid_flip(cx: SingularityComplex, gamma: Iterable[str]) -> FlipSet | None:

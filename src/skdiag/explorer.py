@@ -99,12 +99,24 @@ class DuVerdict(NamedTuple):
     witness: tuple[str, ...] | None = None
 
 
-def _exchangeable_layers(cx: SingularityComplex, max_size: int | None):
-    """The curve ids in sorted order, the low bits of the disk fields of the
-    flip words, and the exchangeable unions (indices into the ids) of each
-    size with their words, smallest first, each in lexicographic order:
-    checked at the call, scanned when taken. Layer k extends the word of
-    each (k-1)-subset by each later curve's: one OR and one test each."""
+def enumerate_exchangeable(cx: SingularityComplex,
+                           max_size: int | None = None) -> list[frozenset[str]]:
+    """All exchangeable unions of double curves, in size-then-lexicographic
+    order (size bounded by max_size when given): the unions of the records
+    of ``du_records`` with no oracle, which refuses a scan past the cap."""
+    ids, records = du_records(cx, EMPTY_ORACLE, max_size)
+    return [frozenset(map(ids.__getitem__, u)) for u, _, _ in records]
+
+
+def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
+               max_size: int | None = None):
+    """The curve ids in sorted order, and the witness of each exchangeable
+    union as its (curve indices, dd flag, verdict), smallest size first,
+    each size in lexicographic order. The cap and max_size are checked at
+    the call, and the unions scanned when taken: layer k extends the flip
+    word of each (k-1)-subset by each later curve's, one OR and one test
+    each. A changed diagram depends on the flip word alone: each is hashed
+    once."""
     n = len(cx.curves)
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be non-negative, not {max_size}")
@@ -115,43 +127,20 @@ def _exchangeable_layers(cx: SingularityComplex, max_size: int | None):
     words, low, disk_low = flip_words(cx)
     ids, words = list(words), list(words.values())
     limit = n if max_size is None else min(max_size, n)
+    changed = changed_fingerprinter(cx) if oracle.entries else None
+    verdict_of = cache(lambda w: oracle.lookup(changed(w)))
 
-    def walk():
+    def records():
         prefixes = [((), 0)]  # every (k-1)-subset and its word, while a layer follows
         for k in range(limit + 1):
             layer = prefixes if not k else (((*u, j), w | words[j]) for u, w in prefixes
                                             for j in range(u[-1] + 1 if u else 0, n))
             if k < limit:
                 prefixes = layer = list(layer)
-            yield exchangeable_unions(layer, low)
-    return ids, disk_low, walk()
-
-
-def enumerate_exchangeable(cx: SingularityComplex,
-                           max_size: int | None = None) -> list[frozenset[str]]:
-    """All exchangeable unions of double curves, in size-then-lexicographic
-    order (size bounded by max_size when given).
-
-    Refuses with the cap value when the candidate-subset count would
-    exceed ENUMERATION_CAP and no max_size was supplied. Each candidate ORs
-    one flip word onto its prefix's and tests every triple point at once."""
-    ids, _, layers = _exchangeable_layers(cx, max_size)
-    return [frozenset(map(ids.__getitem__, u)) for layer in layers for u, _ in layer]
-
-
-def du_records(cx: SingularityComplex, oracle: TrivialityOracle,
-               max_size: int | None = None):
-    """The curve ids, and the witness of each exchangeable union as its
-    (curve indices, dd flag, verdict), in the order of the layers of
-    ``_exchangeable_layers``, each scanned when taken. A changed diagram
-    depends on the flip word alone: each is hashed once."""
-    ids, disk_low, layers = _exchangeable_layers(cx, max_size)
-    changed = changed_fingerprinter(cx) if oracle.entries else None
-    verdict_of = cache(lambda w: oracle.lookup(changed(w)))
-    # dd: each disk's two edge bits agree
-    return ids, ((u, dd, verdict_of(w) if dd and changed else Verdict.UNKNOWN)
-                 for layer in layers for u, w in layer
-                 for dd in [not (w ^ w >> 1) & disk_low])
+            for u, w in exchangeable_unions(layer, low):
+                dd = not (w ^ w >> 1) & disk_low  # each disk's two edge bits agree
+                yield u, dd, verdict_of(w) if dd and changed else Verdict.UNKNOWN
+    return ids, records()
 
 
 def best_union(records):

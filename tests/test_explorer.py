@@ -86,11 +86,26 @@ def test_cap_refusal():
     with pytest.raises(EnumerationCapExceeded) as exc:
         enumerate_exchangeable(cx)
     assert exc.value.cap == ENUMERATION_CAP
+    # du_records refuses at its call too, before its stream is taken
+    with pytest.raises(EnumerationCapExceeded):
+        explorer.du_records(cx, EMPTY_ORACLE)
     assert len(enumerate_exchangeable(cx, max_size=1)) == 22
     # 2^20 is at the cap, not past it: its (lazy) records are not refused
     at_cap = SingularityComplex.build(edges=[Circle(f"C{i:02d}") for i in range(20)])
     ids, _ = explorer.du_records(at_cap, EMPTY_ORACLE)
     assert ids == [f"C{i:02d}" for i in range(20)]
+
+
+@pytest.mark.parametrize("disks", [0, 3])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_enumeration_is_the_du_report_gammas(seed, disks):
+    # one record stream: the same unions in the same order at every size bound
+    cx = generate_random_complex(seed, SizeBudget(3, 2, 2), disks=disks)
+    assert len(cx.disks) == disks
+    for k in (0, 1, len(cx.curves), None):
+        witnesses = du_index_upper_bound(cx, EMPTY_ORACLE, k).witnesses
+        assert [tuple(sorted(g)) for g in enumerate_exchangeable(cx, k)] == \
+            [w.gamma for w in witnesses]
 
 
 def test_negative_max_size_rejected(trefoil, trefoil_oracle):
