@@ -1,104 +1,95 @@
 """Where a `.skd` text goes wrong: its lines read one at a time to place each
-diagnostic, and the token checks that word why a line is rejected. Only a
-document that fails loads this module."""
+diagnostic, and the wording of why a line is rejected, its tokens checked with
+the patterns ``formats`` reads them with. Only a document that fails loads it."""
 
 import re
 
-from .formats import _ID, _SKD_PATTERNS, _disk_tags, _parse_kv
-from .singularity import LineType
+from .formats import (_DISK_KEYS, _END, _ENDPOINTS, _FIELDS, _FINGERPRINT, _LINE_TYPE, _LINES,
+                      _LINES_KEY, _RID, _SKD_PATTERNS, _TAGS, _VERDICT, ORACLE_VERDICTS,
+                      _disk_tags, _parse_kv)
 
-_ID_RE = re.compile(_ID + r"\Z")
-
-ORACLE_VERDICTS = ("trivial", "nontrivial")
-
-
-def _endpoint_error(token: str) -> str | None:
-    if token.startswith("B:"):
-        return None if _ID_RE.match(token[2:]) else f"bad branch id in endpoint {token!r}"
-    if not token.startswith("T:"):
-        return f"endpoint {token!r} must start with B: or T:"
-    parts = token[2:].rsplit(".", 2)
-    if len(parts) != 3:
-        return f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>"
-    tid, line_s, slot = parts
-    if not _ID_RE.match(tid):
-        return f"bad triple point id in endpoint {token!r}"
-    if line_s not in ("0", "1", "2"):
-        return f"endpoint {token!r}: line index must be 0, 1 or 2"
-    if slot not in ("a", "b"):
-        return f"endpoint {token!r}: slot must be a or b"
-    return None
+# each endpoint prefix's wording of its first bad part, in the order of its parts
+_ENDPOINT_PARTS = {"B:": ("bad branch id in endpoint {!r}",),
+                   "T:": ("bad triple point id in endpoint {!r}",
+                          "endpoint {!r}: line index must be 0, 1 or 2",
+                          "endpoint {!r}: slot must be a or b")}
 
 
-def _triple_fields(args: list[str], cols: list[int]):
-    good, at = 0, cols[1] + len("lines=")
-    for tok in args[1][len("lines="):].split(","):
-        if tok.lower() in {lt.value for lt in LineType}:
-            good += 1
-        else:
-            yield at, f"unknown line type {tok!r} (expected bm, bt or mt)"
-        at += len(tok) + 1
-    if good != 3:
-        yield 1, "a triple point has exactly three lines"
+def _endpoint(token: str, col: int):
+    prefix = next((p for p in _ENDPOINTS if token.startswith(p)), None)
+    if prefix is None:
+        return [(col, f"endpoint {token!r} must start with B: or T:")]
+    patterns = _ENDPOINTS[prefix]
+    parts = token[len(prefix):].rsplit(".", len(patterns) - 1)
+    if len(parts) != len(patterns):
+        return [(col, f"endpoint {token!r} is not of the form T:<id>.<line>.<a|b>")]
+    return [(col, why.format(token)) for part, pattern, why in
+            zip(parts, patterns, _ENDPOINT_PARTS[prefix]) if not re.fullmatch(pattern, part)][:1]
 
 
-def _edge_fields(args: list[str], cols: list[int]):
-    for tok, col in zip(args[1:], cols[1:]):
-        if err := _endpoint_error(tok):
-            yield col, err
+def _lines(token: str, col: int):
+    if not token.startswith(_LINES_KEY):
+        return None
+    problems, at = [], col + len(_LINES_KEY)
+    for item in token[len(_LINES_KEY):].split(","):
+        if not re.fullmatch(_LINE_TYPE, item):
+            problems.append((at, f"unknown line type {item!r} (expected bm, bt or mt)"))
+        at += len(item) + 1
+    return problems + [(1, "a triple point has exactly three lines")]
 
 
-def _disk_fields(args: list[str], cols: list[int]):
-    kv, bad = _parse_kv(args[1:])
-    if bad is not None:
-        yield cols[1 + bad], f"bad or repeated key=value token {args[1 + bad]!r}"
-        return
-    required = {"e1", "e2", "pair", "level1", "level2"}
-    parts = [f"{word} {', '.join(sorted(keys))}" for word, keys in
-             (("missing", required - set(kv)), ("unknown", set(kv) - required)) if keys]
-    if parts:
-        yield 1, "disk record: " + "; ".join(parts)
-        return
-    try:
-        _disk_tags(kv)
-    except ValueError as exc:
-        yield 1, f"disk record: {exc}"
-
-
-# Per record kind of formats._RULES, to word a line its pattern rejects: a
-# test of the token count and shape, the usage message when it fails, and
-# the field checks.
-_SHAPES = {
-    "triple": (lambda args: len(args) == 2 and args[1].startswith("lines="),
-               "triple record needs: triple <id> lines=<t>,<t>,<t>", _triple_fields),
-    "branch": (lambda args: len(args) == 1,
-               "branch record needs: branch <id>", lambda args, cols: ()),
-    "edge": (lambda args: len(args) == 3,
-             "edge record needs: edge <id> <endpoint> <endpoint>", _edge_fields),
-    "circle": (lambda args: len(args) == 1,
-               "circle record needs: circle <id>", lambda args, cols: ()),
-    "disk": (lambda args: len(args) >= 1, "disk record needs an id", _disk_fields),
-    "oracle": (lambda args: len(args) == 2 and args[1] in ORACLE_VERDICTS,
-               "oracle record needs: oracle <fingerprint> trivial|nontrivial",
-               lambda args, cols: [(cols[0], f"oracle fingerprint {args[0]!r} "
-                                    "is not 64 lowercase hex digits")]),
+# Each token pattern of formats._FIELDS: how a usage writes it, and why a
+# token does not match it, as (column, message) pairs (None: the line is
+# worded by its usage alone).
+_TOKENS = {
+    _RID: ("<id>", lambda token, col: [(col, f"bad id {token!r}")]),
+    _LINES: (f"{_LINES_KEY}<t>,<t>,<t>", _lines),
+    _END: ("<endpoint>", _endpoint),
+    _FINGERPRINT: ("<fingerprint>", lambda token, col: [
+        (col, f"oracle fingerprint {token!r} is not 64 lowercase hex digits")]),
+    _VERDICT: ("|".join(ORACLE_VERDICTS), lambda token, col: None),
 }
 
 
+def _disk_fields(args: list[str], cols: list[int]):
+    kv, bad = _parse_kv(args)
+    if bad is not None:
+        return [(cols[bad], f"bad or repeated key=value token {args[bad]!r}")]
+    keys, given = set(_DISK_KEYS), set(kv)
+    parts = [f"{word} {', '.join(sorted(found))}" for word, found in
+             (("missing", keys - given), ("unknown", given - keys)) if found]
+    if parts:
+        return [(1, "disk record: " + "; ".join(parts))]
+    try:
+        _disk_tags(kv[key] for key in _TAGS)
+    except ValueError as exc:
+        return [(1, f"disk record: {exc}")]
+    return []
+
+
 def rejections(line: str):
-    """Why a `.skd` line fails its record pattern, as (column, message)
-    pairs: its usage when its tokens have the wrong count or shape, else
-    the problems its field checks find, in order, else a bad id."""
+    """Why a `.skd` line fails its record pattern, as (column, message) pairs:
+    its usage when its tokens have the wrong count or shape, else the
+    problems of those after the id, in order, else a bad id."""
     tokens = list(re.finditer(r"\S+", line))  # those of str.split, and their columns
     (record, *args), (_, *cols) = [m[0] for m in tokens], [m.start() + 1 for m in tokens]
-    if record not in _SHAPES:
+    if record not in _SKD_PATTERNS:
         return [(1, f"unknown record kind {record!r}")]
-    shape, usage, fields = _SHAPES[record]
-    if not shape(args):
-        return [(1, usage)]
-    problems = list(fields(args, cols))
-    if not problems and not _ID_RE.match(args[0]):
-        problems.append((cols[0], f"bad id {args[0]!r}"))
+    fields = _FIELDS.get(record, (_RID,))  # a disk's key=value tokens follow its id
+    usage = [(1, "disk record needs an id" if record == "disk" else f"{record} record "
+              f"needs: {' '.join([record, *(_TOKENS[field][0] for field in fields)])}")]
+    if record == "disk" and args:
+        problems = _disk_fields(args[1:], cols[1:])
+    elif len(args) != len(fields):
+        return usage
+    else:
+        whys = [_TOKENS[field][1](token, col) for field, token, col
+                in zip(fields[1:], args[1:], cols[1:]) if not re.fullmatch(field, token)]
+        if None in whys:
+            return usage
+        problems = [problem for why in whys for problem in why]
+    if not problems and not re.fullmatch(fields[0], args[0]):
+        problems = _TOKENS[fields[0]][1](args[0], cols[0])
     return problems
 
 

@@ -70,38 +70,45 @@ def _parse_kv(tokens: list[str]):
     return out, None
 
 
-def _disk_tags(kv: dict[str, str]) -> tuple[Pairing, Level, Level]:
-    """The pairing and the two levels of a disk's key=value tokens; raises
-    ValueError naming the first bad one."""
-    return (Pairing(kv["pair"].lower()), Level(kv["level1"].lower()),
-            Level(kv["level2"].lower()))
+def _disk_tags(values) -> tuple[Pairing, Level, Level]:
+    """A disk's pairing and two levels, from their values in ``_TAGS`` order;
+    raises ValueError naming the first bad one."""
+    return tuple(tag(value.lower()) for tag, value in zip(_TAGS.values(), values))
 
 
-# The grammar of each `.skd` record kind, written once: its pattern (after
-# the keyword) alone accepts a record and yields its fields, the id first
-# (an oracle's fingerprint), then the rest. ``diagnostics`` words why a line
-# is rejected. ``[^\S\n]`` is the whitespace str.split splits on, less the
-# line break; ``(?ai:...)`` ignores ASCII case only, as ``str.lower`` does.
-# In a triple slot (an endpoint's, or a `.skm` splice map's), the line and
-# slot are the last two dot-separated fields.
+# Every token of the `.skd` format, written once. ``_RULES`` joins each kind's
+# into the pattern (after the keyword) that alone accepts a record and yields
+# its fields, the id (an oracle's fingerprint) first; ``diagnostics`` words a
+# rejected line by matching each token against its own pattern. ``[^\S\n]`` is
+# the whitespace str.split splits on, less the line break; ``(?ai:...)``
+# ignores ASCII case only, as ``str.lower`` does.
 _S = r"[^\S\n]"
-_SLOT = rf"({_ID})\.([012])\.([ab])"
-_END = rf"(?:B:({_ID})|T:{_SLOT})"
-_LINE_TYPE = r"(?ai:bm|bt|mt)"
-_LEVEL = r"(?ai:(upper|lower))(?!\S)"
-_RULES = {
-    "triple": rf"({_ID}){_S}+lines=({_LINE_TYPE},{_LINE_TYPE},{_LINE_TYPE})",
-    "branch": rf"({_ID})",
-    "edge": rf"({_ID}){_S}+{_END}{_S}+{_END}",
-    "circle": rf"({_ID})",
-    # five key=value tokens in any order, each key present: so each once
-    "disk": rf"({_ID})(?=.*{_S}e1=(\S*))(?=.*{_S}e2=(\S*))"
-            rf"(?=.*{_S}pair=(?ai:(cross|parallel))(?!\S))"
-            rf"(?=.*{_S}level1={_LEVEL})(?=.*{_S}level2={_LEVEL})"
-            rf"(?:{_S}+(?:e1|e2|pair|level1|level2)=\S*){{5}}",
-    # a fingerprint is a SHA-256 digest: 64 lowercase hex digits
-    "oracle": rf"([0-9a-f]{{64}}){_S}+(trivial|nontrivial)",
-}
+_FIELD = "({})".format  # a token part the pattern yields
+_RID = _FIELD(_ID)
+# an endpoint: B:<id>, or a triple slot T:<id>.<line>.<a|b>, whose line and
+# slot are its last two "."-separated parts (as in a `.skm` splice map's slots)
+_ENDPOINTS = {"B:": (_ID,), "T:": (_ID, "[012]", "[ab]")}
+_SLOT = r"\.".join(map(_FIELD, _ENDPOINTS["T:"]))
+_END = "(?:" + "|".join(prefix + r"\.".join(map(_FIELD, parts))
+                        for prefix, parts in _ENDPOINTS.items()) + ")"
+_LINE_TYPE = f"(?ai:{'|'.join(LineType)})"
+_LINES_KEY = "lines="  # then a triple point's three line types, ","-separated
+_LINES = _LINES_KEY + _FIELD(",".join([_LINE_TYPE] * 3))
+_FINGERPRINT = _FIELD("[0-9a-f]{64}")  # a SHA-256 digest: 64 lowercase hex digits
+ORACLE_VERDICTS = ("trivial", "nontrivial")  # explorer.Verdict's, bound by a test
+_VERDICT = _FIELD("|".join(ORACLE_VERDICTS))
+# a disk's tags by key; its five keys are its two edges', then the tags'
+_TAGS = {"pair": Pairing, "level1": Level, "level2": Level}
+_DISK_VALUES = {"e1": r"(\S*)", "e2": r"(\S*)"} | {
+    key: rf"(?ai:({'|'.join(tag)}))(?!\S)" for key, tag in _TAGS.items()}
+_DISK_KEYS = tuple(_DISK_VALUES)
+# each positional kind's tokens after its keyword
+_FIELDS = {"triple": (_RID, _LINES), "branch": (_RID,), "edge": (_RID, _END, _END),
+           "circle": (_RID,), "oracle": (_FINGERPRINT, _VERDICT)}
+_RULES = {kind: f"{_S}+".join(fields) for kind, fields in _FIELDS.items()}
+# a disk's key=value tokens in any order, each key present: so each once
+_RULES["disk"] = (_RID + "".join(f"(?=.*{_S}{key}={value})" for key, value in _DISK_VALUES.items())
+                  + rf"(?:{_S}+(?:{'|'.join(_DISK_KEYS)})=\S*){{{len(_DISK_KEYS)}}}")
 # A record is a whole line, its keyword at the start of the text or of a line
 # (the lookbehind): keyword first, so that a scan searches for it in C.
 _SKD_PATTERNS = {kind: re.compile(rf"{kind}(?<![^\n]{kind}){_S}+{rule}{_S}*(?![^\n])")
@@ -136,9 +143,8 @@ def parse_skd_document(text: str, check: bool = True) -> SkdDocument:
                            new(TripleSlot, (t2, index[l2], s2))))
                  for rid, b1, t1, l1, s1, b2, t2, l2, s2 in scan["edge"].findall(flat)]
         edges += [new(Circle, (rid,)) for rid in scan["circle"].findall(flat)]
-        disks = [new(DescendentDisk, (rid, e1, e2, Pairing(pair.lower()),
-                                      Level(level1.lower()), Level(level2.lower())))
-                 for rid, e1, e2, pair, level1, level2 in scan["disk"].findall(flat)]
+        disks = [new(DescendentDisk, (rid, e1, e2, *_disk_tags(tags)))
+                 for rid, e1, e2, *tags in scan["disk"].findall(flat)]
         verdicts = scan["oracle"].findall(flat)
         oracle = dict(verdicts)
         found = len(triples) + len(branches) + len(edges) + len(disks) + len(verdicts)

@@ -74,9 +74,10 @@ def write_files(files: list[tuple[str, str]]) -> None:
     staged, opened = [], []  # (path, temporary, target), (path, text, file)
     try:
         for path, text in files:
+            # the path as given (/dev/stdout on a pipe too); its target places a temporary
             target = os.path.realpath(path)
-            if not os.path.exists(target) or (
-                    os.path.isfile(target) and os.access(target, os.W_OK)
+            if not os.path.exists(path) or (
+                    os.path.isfile(path) and os.access(path, os.W_OK)
                     and os.access(os.path.dirname(target), os.W_OK)):
                 staged.append((path, f"{target}.{os.getpid()}.tmp", target))
                 with open(staged[-1][1], "w", encoding="utf-8") as file:

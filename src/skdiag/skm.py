@@ -5,7 +5,7 @@ reading a `.skd` file never loads this module or the move engine."""
 import re
 
 from .errors import ParseError, UnknownIdError
-from .formats import _LINE_INDEX, _SLOT, _disk_tags, _parse_kv
+from .formats import _LINE_INDEX, _SLOT, _TAGS, _disk_tags, _parse_kv
 from .moves import (FORBIDDEN_KINDS, MOVE_TYPES, DiskDeclaration, MoveInstance, MoveKind,
                     normalize_kind_token)
 from .singularity import TripleSlot
@@ -42,7 +42,7 @@ def _ids(count: int | None = None, wrong: str = ""):
     return parse
 
 
-_DISK_KEYS = ("disk", "partner", "pair", "level1", "level2")
+_DISK_KEYS = ("disk", "partner", *_TAGS)  # the disk, its partner, then the `.skd` tags
 
 
 def _declaration(kv: dict[str, str]) -> DiskDeclaration:
@@ -50,7 +50,7 @@ def _declaration(kv: dict[str, str]) -> DiskDeclaration:
     naming the missing keys, or the first bad pair or level."""
     if missing := [k for k in _DISK_KEYS if k not in kv]:
         raise ValueError("incomplete disk declaration: missing " + ", ".join(missing))
-    return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv))
+    return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv[key] for key in _TAGS))
 
 
 # Each kind's keys, in the order of its record's fields (moves.MOVE_TYPES),

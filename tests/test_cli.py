@@ -1018,6 +1018,31 @@ def test_a_failed_in_place_write_exits_2_and_leaves_nothing(capsys, monkeypatch,
                                "device: '/dev/full'\n"), {})  # no trail, no temporary
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("argv", [
+    ["crossing-change", "t.skd", "--gamma", "closed", "-o", "{}"],
+    ["schematic", "t.skd", "-o", "{}"],
+    ["apply", "t.skd", "seq.skm", "--gamma", "closed", "--trail", "{}"]])
+def test_dev_stdout_into_a_pipe_is_written_in_place(tmp_path, argv):
+    # /dev/stdout on a pipe resolves to /proc/<pid>/fd/pipe:[N], which names no
+    # file: the path as given is opened and written, not a temporary beside it
+    (tmp_path / "t.skd").write_text(bundled_text("trefoil.skd"))
+    (tmp_path / "seq.skm").write_text(SEQ_SKM)
+
+    def child(target: str):
+        return subprocess.run([sys.executable, "-m", "skdiag.cli",
+                               *(arg.format(target) for arg in argv)], cwd=tmp_path,
+                              env=module_env(), capture_output=True, text=True, timeout=60)
+
+    to_file, piped = child("out"), child("/dev/stdout")
+    written = (tmp_path / "out").read_text()
+    assert (to_file.returncode, to_file.stderr, piped.returncode, piped.stderr) == (0, "", 0, "")
+    # the file is written before the command prints its report
+    report = to_file.stdout.replace("wrote out", "wrote /dev/stdout")
+    assert written and piped.stdout == written + report
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "seq.skm", "t.skd"]
+
+
 
 # every command, a false verdict of each kind, and the failed read of a missing file and
 # of a non-UTF-8 one, each of which prints its one line on stderr

@@ -20,9 +20,9 @@ from skdiag import (
     serialize_canonical,
     export_schematic,
 )
-from skdiag import skm
+from skdiag import formats, skm
 from skdiag.canonical import canonical_lines
-from skdiag.explorer import SizeBudget, generate_random_complex
+from skdiag.explorer import SizeBudget, Verdict, generate_random_complex
 from skdiag.moves import MOVE_TYPES
 from skdiag.singularity import BranchRef, TripleSlot
 
@@ -399,6 +399,12 @@ def test_oracle_fingerprint_must_be_lowercase_hex(token):
         parse_skd_document(f"oracle {token} trivial\n")
 
 
+def test_the_oracle_verdict_words_are_the_scan_verdicts():
+    # bound here, not by an import: a read command does not load the scan module
+    assert formats.ORACLE_VERDICTS == (Verdict.TRIVIAL, Verdict.NONTRIVIAL)
+    assert all(type(word) is str for word in formats.ORACLE_VERDICTS)
+
+
 DISK_TEXT = ("edge E1 B:b1 B:b2\nedge E2 B:b3 B:b4\nbranch b1\nbranch b2\n"
              "branch b3\nbranch b4\n")
 
@@ -479,6 +485,16 @@ GOLDEN_DIAGNOSTICS = [
     ("edge e T:e.0.a e", [(2, 16, "endpoint 'e' must start with B: or T:")]),
     ("circle C1\n  circle C1", [(3, 10, "duplicate edge id 'C1' (first defined on line 2)")]),
 ]
+
+
+def test_a_fourth_line_type_is_also_worded_as_too_many_lines():
+    # the lines= token is checked against the reader's own pattern, so a bad
+    # fourth item does not hide that a triple point has three lines
+    with pytest.raises(ParseError) as info:
+        parse_skd_document("triple T1 lines=bm,bt,xx,mt\n")
+    assert info.value.diagnostics == (
+        (1, 23, "unknown line type 'xx' (expected bm, bt or mt)"),
+        (1, 1, "a triple point has exactly three lines"))
 
 
 @pytest.mark.parametrize("text, diagnostics", GOLDEN_DIAGNOSTICS)

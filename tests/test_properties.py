@@ -969,6 +969,54 @@ def test_mutated_text_raises_only_located_parse_errors(seed, budget, data):
     assert_reads_as_the_reference(text)
 
 
+# one accepted line per `.skd` record kind, and what a single token of one
+# may be corrupted into: dropped, doubled, another token of some kind, random
+# text, or an edit of a few characters (a space splits it)
+VALID_LINES = {"triple": "triple T1 lines=bm,BT,mt", "branch": "branch B1",
+               "edge": "edge E1 B:B1 T:T1.0.a", "circle": "circle C1",
+               "disk": "disk D1 e1=E1 e2=E2 pair=cross level1=upper level2=LOWER",
+               "oracle": f"oracle {'ab' * 32} trivial"}
+TOKEN_POOL = sorted({token for line in VALID_LINES.values() for token in line.split()})
+CORRUPTION_ALPHABET = "abdeilmnoprstuvBMTE012_.+-:,=\u017f\u212a\u00a0 \t"
+
+
+def corrupted(token: str, data) -> str:
+    op = data.draw(st.integers(min_value=0, max_value=4))
+    if op < 2:
+        return ("", f"{token} {token}")[op]
+    if op == 2:
+        return data.draw(st.sampled_from(TOKEN_POOL))
+    edit = data.draw(st.text(CORRUPTION_ALPHABET, max_size=3))
+    if op == 3:
+        return edit
+    at = data.draw(st.integers(min_value=0, max_value=len(token)))
+    return token[:at] + edit + token[at + data.draw(st.integers(0, 2)):]
+
+
+def accepted(line: str) -> bool:
+    """Whether the reader's pattern for the line's keyword accepts it, as
+    ``diagnostics.located`` matches it."""
+    pattern = formats._SKD_PATTERNS.get(line.split()[0])
+    return bool(pattern and pattern.match(line.strip()))
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_LINES))
+def test_an_accepted_line_has_no_rejection(kind):
+    assert accepted(VALID_LINES[kind]) and diagnostics.rejections(VALID_LINES[kind]) == []
+
+
+@given(kind=st.sampled_from(sorted(VALID_LINES)), data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_the_wording_rejects_exactly_what_the_reader_rejects(kind, data):
+    tokens = VALID_LINES[kind].split()
+    at = data.draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+    tokens[at] = corrupted(tokens[at], data)
+    line = " ".join(tokens)
+    assume(line.strip())
+    # a line the reader rejects is worded, and a line it accepts is not
+    assert (diagnostics.rejections(line) == []) == accepted(line), line
+
+
 RECORD_TYPES = {"triple_points": TriplePoint, "branch_points": BranchPoint,
                 "disks": DescendentDisk}
 
