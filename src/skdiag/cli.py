@@ -72,11 +72,11 @@ def _resolve_gamma(cx, selector: str) -> frozenset[str]:
 
 
 def _emit(args, payload: dict, human, rows=None) -> None:
-    """Print the payload under --json, else the lines ``human()`` builds.
-    ``rows``, a (key, JSON texts) pair, is an array written after the
-    payload's keys, which its key must sort after."""
+    """Print the payload under --json, after its ``format_version`` and ``command``, else
+    the lines ``human()`` builds. ``rows``, a (key, JSON texts) pair, is an array written
+    after the payload's keys, which its key must sort after."""
     if args.json:
-        text = _dumps({"format_version": FORMAT_VERSION, **payload})
+        text = _dumps({"format_version": FORMAT_VERSION, "command": args.command, **payload})
         if rows is not None:
             text = f'{text[:-1]},"{rows[0]}":[{",".join(rows[1])}]}}'
         print(text)
@@ -85,20 +85,23 @@ def _emit(args, payload: dict, human, rows=None) -> None:
             print(line)
 
 
-def _to_file(args) -> bool:
-    return args.output not in (None, "", "-")
-
-
-def _write_out(args, text: str, payload: dict) -> None:
-    """Write produced text to -o, or to stdout (embedded under --json)."""
-    if _to_file(args):
+def _produce(args, payload: dict, text: str, human, *files) -> None:
+    """Route a command's produced ``text`` to -o, else to stdout (under --json, into the
+    payload). The other ``files`` (path, text), such as --trail's, are written with -o's,
+    all or none, before anything prints. The report follows, whose ``human`` lines
+    print only when the text went to -o."""
+    to_file = args.output not in (None, "", "-")
+    if to_file or files:
         from .output import write_files
 
-        write_files([(args.output, text)])
-    elif args.json:
-        payload["text"] = text
-    else:
-        sys.stdout.write(text)
+        write_files([(args.output, text), *files] if to_file else [*files])
+    if not to_file:
+        if args.json:
+            payload["text"] = text
+        else:
+            sys.stdout.write(text)
+        human = list  # with the text on stdout, the report has no lines
+    _emit(args, payload, human)
 
 
 def _size(token: str, name) -> int:
@@ -116,10 +119,8 @@ def _cmd_validate(args) -> int:
     # syntax problems are input errors (exit 2); a parseable complex that
     # violates invariants is a false verdict (exit 1)
     report = validate(_parsed(args.skd, parse_skd_document, check=False).complex)
-    _emit(args,
-          {"command": "validate", "ok": report.ok,
-           "diagnostics": [{"code": v.code, "message": v.message}
-                           for v in report.violations]},
+    _emit(args, {"ok": report.ok, "diagnostics": [{"code": v.code, "message": v.message}
+                                                 for v in report.violations]},
           lambda: [f"{args.skd}: well-formed complex"] if report.ok
           else [f"{args.skd}: {v.message}" for v in report.violations])
     return OK if report.ok else FALSE_VERDICT
@@ -131,7 +132,7 @@ def _cmd_trace(args) -> int:
     cx = _load_document(args.skd).complex
     curves = [{"id": c.id, "kind": c.kind.value, "edges": list(c.edges)}
               for c in cx.curves]
-    _emit(args, {"command": "trace", "curves": curves}, lambda: curve_summary(cx))
+    _emit(args, {"curves": curves}, lambda: curve_summary(cx))
     return OK
 
 
@@ -140,8 +141,7 @@ def _cmd_census(args) -> int:
 
     cx = _load_document(args.skd).complex
     counts = census(cx)._asdict()
-    _emit(args, {"command": "census", "counts": counts},
-          lambda: [f"{k}: {v}" for k, v in counts.items()])
+    _emit(args, {"counts": counts}, lambda: [f"{k}: {v}" for k, v in counts.items()])
     return OK
 
 
@@ -152,9 +152,6 @@ def _cmd_check_exchangeable(args) -> int:
     gamma = _resolve_gamma(cx, args.gamma)
     bad = first_invalid_flip(cx, gamma)
     ok = bad is None
-    payload = {"command": "check-exchangeable", "gamma": sorted(gamma),
-               "exchangeable": ok,
-               "failing_triple": None if ok else bad.triple_id}
 
     def human():
         if ok:
@@ -162,7 +159,8 @@ def _cmd_check_exchangeable(args) -> int:
         types = ", ".join(sorted(t.value for t in bad.flipped_types))
         return [f"exchangeable: no (flip set {{{types}}} at triple point "
                 f"{bad.triple_id} is invalid)"]
-    _emit(args, payload, human)
+    _emit(args, {"gamma": sorted(gamma), "exchangeable": ok,
+                 "failing_triple": None if ok else bad.triple_id}, human)
     return OK if ok else FALSE_VERDICT
 
 
@@ -172,7 +170,7 @@ def _cmd_check_dd(args) -> int:
     cx = _load_document(args.skd).complex
     gamma = _resolve_gamma(cx, args.gamma)
     ok = satisfies_dd_condition(cx, gamma)
-    _emit(args, {"command": "check-dd", "gamma": sorted(gamma), "dd": ok},
+    _emit(args, {"gamma": sorted(gamma), "dd": ok},
           lambda: [f"descendent disk condition: {'yes' if ok else 'no'}"])
     return OK if ok else FALSE_VERDICT
 
@@ -191,17 +189,14 @@ def _cmd_crossing_change(args) -> int:
     # serialized once: the fingerprint is the digest of the written text
     text = serialize_canonical(changed)
     fp = digest(text)
-    payload = {"command": "crossing-change", "gamma": sorted(gamma),
-               "output": args.output, "fingerprint": fp}
-    _write_out(args, text, payload)
-    _emit(args, payload, lambda: [f"fingerprint: {fp}"] if _to_file(args) else [])
+    _produce(args, {"gamma": sorted(gamma), "output": args.output, "fingerprint": fp}, text,
+             lambda: [f"fingerprint: {fp}"])
     return OK
 
 
 def _cmd_apply(args) -> int:
     from .canonical import digest, serialize_canonical
     from .moves import apply_sequence
-    from .output import write_files
     from .skm import parse_skm
 
     cx = _load_document(args.skd).complex
@@ -211,20 +206,13 @@ def _cmd_apply(args) -> int:
     trail = [t._asdict() for t in result.trail]
     text = serialize_canonical(result.complex)
     fp = digest(text)
-    payload = {"command": "apply", "moves": len(moves),
-               "gamma": sorted(result.gamma), "fingerprint": fp, "trail": trail}
-    # -o and --trail are both written or neither, before anything prints
-    files = [(args.output, text)] if _to_file(args) else []
-    if args.trail:
-        files.append((args.trail, _dumps({"format_version": FORMAT_VERSION,
-                                          "trail": trail}) + "\n"))
-    write_files(files)
-    if not _to_file(args):
-        _write_out(args, text, payload)
-    _emit(args, payload, lambda: [
-        f"applied {len(moves)} move(s); gamma: "
-        + (",".join(sorted(result.gamma)) or "(empty)"),
-        f"fingerprint: {fp}"] if _to_file(args) else [])
+    files = ([(args.trail, _dumps({"format_version": FORMAT_VERSION, "trail": trail}) + "\n")]
+             if args.trail else [])
+    _produce(args, {"moves": len(moves), "gamma": sorted(result.gamma), "fingerprint": fp,
+                    "trail": trail}, text,
+             lambda: [f"applied {len(moves)} move(s); gamma: "
+                      + (",".join(sorted(result.gamma)) or "(empty)"), f"fingerprint: {fp}"],
+             *files)
     return OK
 
 
@@ -249,7 +237,7 @@ def _cmd_enumerate(args) -> int:
 
     # no oracle: verdicts are du-bound's, so the scan never fingerprints
     ids, records = du_records(_load_document(args.skd).complex, EMPTY_ORACLE, args.max_size)
-    _emit(args, {"command": "enumerate"}, lambda: [
+    _emit(args, {}, lambda: [
         f"size={len(u)} gamma={_named(ids, u)} dd={'yes' if dd else 'no'}"
         for u, dd, _ in records], ("unions", _rows(ids, records, verdicts=False)))
     return OK
@@ -273,7 +261,7 @@ def _cmd_du_bound(args) -> int:
                 else f"best_size: {len(best)} (gamma={_named(ids, best)})"] + [
             f"  size={len(u)} gamma={_named(ids, u)} -> {v.value}"
             for u, dd, v in records if dd and v is not Verdict.UNKNOWN]
-    _emit(args, {"command": "du-bound", "best_size": None if best is None else len(best),
+    _emit(args, {"best_size": None if best is None else len(best),
                  "note": DIAGRAM_BOUND_NOTE}, human,
           ("witnesses", _rows(ids, records, verdicts=True)))
     return OK
@@ -283,9 +271,7 @@ def _cmd_schematic(args) -> int:
     from .output import export_schematic
 
     cx = _load_document(args.skd).complex
-    payload = {"command": "schematic", "output": args.output}
-    _write_out(args, export_schematic(cx), payload)
-    _emit(args, payload, lambda: [f"wrote {args.output}"] if _to_file(args) else [])
+    _produce(args, {"output": args.output}, export_schematic(cx), lambda: [f"wrote {args.output}"])
     return OK
 
 
@@ -294,7 +280,7 @@ def _cmd_fingerprint(args) -> int:
 
     cx = _load_document(args.skd).complex
     fp = fingerprint(cx)
-    _emit(args, {"command": "fingerprint", "fingerprint": fp}, lambda: [fp])
+    _emit(args, {"fingerprint": fp}, lambda: [fp])
     return OK
 
 
@@ -303,7 +289,7 @@ OPTIONS = {"help": ("-h/--help", None, "show this help and exit"),
            "json": ("--json", False, "machine-readable output"),
            "gamma": ("--gamma", "", "comma-separated curve or edge ids"),
            "output": ("-o/--output", None, "output file (- or none: stdout)"),
-           "trail": ("--trail", None, "per-move trail file (JSON)"),
+           "trail": ("--trail", None, "per-move trail file (JSON; -: stdout)"),
            "oracle": ("--oracle", None, "triviality annotation file"),
            "max_size": ("--max-size", None, "largest union size scanned")}
 #: each command's help line, positionals, and options besides -h and --json
@@ -353,7 +339,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 values |= {o: OPTIONS[o][1] for o in opts[1:]}
         elif not o:
             extras.append(arg)
-        elif o == "help":
+        elif o in ("help", "json") and arg.startswith(f"{m[1]}="):  # a flag given =V
+            _usage(name, f"argument {OPTIONS[o][0]}: ignored explicit argument {m[2]!r}")
+        elif o == "help":  # -hV too: Python 3.13 reads it as -h -V, 3.10-3.12 reject it
             _usage(name, "\n".join(f"  {k:20}{v}" for k, v in [OPTIONS[o][::2] for o in opts] + [
                 (n, c[0]) for n, c in COMMANDS.items() if not name]), OK)
         elif o != "json" and (value := m[2]) is None and _OPTION(value := next(rest, "--")):

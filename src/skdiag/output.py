@@ -2,6 +2,7 @@
 traced curves' summary lines, and output files written all or none."""
 
 import os
+import sys
 from contextlib import suppress
 from itertools import combinations, product
 
@@ -61,22 +62,34 @@ def curve_summary(cx: SingularityComplex) -> list[str]:
     return [f"{c.kind.value} curve {c.id}: " + " ".join(c.edges) for c in cx.curves]
 
 
+def _own_stream(path: str):
+    """sys.stdout for ``-`` or a path to the file fd 1 is on, sys.stderr for fd 2's; never
+    a read-only stream, such as the stand-in ``cli.run`` opens for a closed fd 2."""
+    with suppress(OSError):  # no such file, or the fd is closed
+        return sys.stdout if path == "-" else next(
+            (stream for fd, stream in ((1, sys.stdout), (2, sys.stderr))
+             if os.path.samestat(os.stat(path), os.fstat(fd)) and stream.writable()), None)
+
+
 def write_files(files: list[tuple[str, str]]) -> None:
     """Write each (path, text), all or none, refusing two paths to one regular
     file, old or new: each to a temporary file beside it, renamed over it once
     all are written. A path there that is not a writable file (a directory,
     /dev/null), or whose directory is not writable, is opened in turn and
-    written in place once all are open, truncating only a regular file."""
-    for (a, _), (b, _) in combinations(files, 2):
+    written in place once all are open, truncating only a regular file. Paths to the
+    process's own stdout (or ``-``) or stderr, repeated or not, go to that stream."""
+    for (a, _), (b, _) in combinations([f for f in files if not _own_stream(f[0])], 2):
         if (os.path.isfile(a) and os.path.exists(b) and os.path.samefile(a, b)
                 or not os.path.exists(a) and os.path.realpath(a) == os.path.realpath(b)):
             raise DiagramError(f"cannot write {a} and {b}: they name one file")
-    staged, opened = [], []  # (path, temporary, target), (path, text, file)
+    staged, opened, own = [], [], []  # (path, temporary, target), (path, text, file or stream)
     try:
         for path, text in files:
             # the path as given (/dev/stdout on a pipe too); its target places a temporary
             target = os.path.realpath(path)
-            if not os.path.exists(path) or (
+            if stream := _own_stream(path):
+                own.append((path, text, stream))
+            elif not os.path.exists(path) or (
                     os.path.isfile(path) and os.access(path, os.W_OK)
                     and os.access(os.path.dirname(target), os.W_OK)):
                 staged.append((path, f"{target}.{os.getpid()}.tmp", target))
@@ -89,6 +102,8 @@ def write_files(files: list[tuple[str, str]]) -> None:
                 file.truncate()
             file.write(text)
             file.close()  # it flushes: a failure there is reported for this path
+        for path, text, stream in own:  # flushed, neither truncated nor closed
+            print(text, end="", file=stream, flush=True)
         for path, temp, target in staged:
             os.replace(temp, target)
     except OSError as exc:

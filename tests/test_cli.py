@@ -722,6 +722,9 @@ REJECTED = [
     ["enumerate", "a.skd", "--max-size=-1"],
     ["enumerate", "a.skd", "--oracle", "f"],
     ["enumerate", "--oracle", "f", "a.skd"],
+    # a flag given a value
+    *(["census", "a.skd", flag] for flag in ("--json=x", "--json=", "--js=1", "-h=x",
+                                            "--help=x")),
 ]
 
 
@@ -1041,6 +1044,71 @@ def test_dev_stdout_into_a_pipe_is_written_in_place(tmp_path, argv):
     report = to_file.stdout.replace("wrote out", "wrote /dev/stdout")
     assert written and piped.stdout == written + report
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "seq.skm", "t.skd"]
+
+    # with stdout on a regular file, the text is written through the stream, and the
+    # report follows it; a temporary renamed over the file would lose the report
+    command = [sys.executable, "-m", "skdiag.cli", *argv]
+    for flags, named in (([], ("wrote out", "wrote /dev/stdout")),
+                         (["--json"], ('"output":"out"', '"output":"/dev/stdout"'))):
+        to_file = subprocess.run([a.format("out") for a in command] + flags, cwd=tmp_path,
+                                 env=module_env(), capture_output=True, text=True, timeout=60)
+        with open(tmp_path / "stdout.txt", "w") as stdout:
+            in_file = subprocess.run([a.format("/dev/stdout") for a in command] + flags,
+                                     cwd=tmp_path, env=module_env(), stdout=stdout,
+                                     stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (to_file.returncode, to_file.stderr, in_file.returncode, in_file.stderr) == (
+            0, "", 0, "")
+        written = (tmp_path / "out").read_text()
+        assert (tmp_path / "stdout.txt").read_text() == written + to_file.stdout.replace(*named)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "seq.skm", "stdout.txt", "t.skd"]
+
+
+def test_a_trail_of_dash_is_written_to_stdout(tmp_path):
+    # --trail - is the process's stdout, as -o - is: no file named - is made
+    (tmp_path / "t.skd").write_text(bundled_text("trefoil.skd"))
+    (tmp_path / "seq.skm").write_text(SEQ_SKM)
+
+    def child(*extra: str):
+        return subprocess.run([sys.executable, "-m", "skdiag.cli", "apply", "t.skd", "seq.skm",
+                               "--gamma", "closed", *extra], cwd=tmp_path, env=module_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    for extra in ([], ["-o", "out.skd"]):
+        dash, dev_stdout, to_file = (child("--trail", t, *extra)
+                                     for t in ("-", "/dev/stdout", "trail.json"))
+        assert (dash.returncode, dash.stderr) == (0, "")
+        assert dash.stdout == dev_stdout.stdout
+        assert dash.stdout == (tmp_path / "trail.json").read_text() + to_file.stdout
+        assert not (tmp_path / "-").exists()
+    # nor is it the file named - that -o ./- writes
+    (tmp_path / "-").write_text("")
+    dash, to_file = child("--trail", "-", "-o", "./-"), child("--trail", "-", "-o", "out.skd")
+    assert (dash.returncode, dash.stderr) == (0, "")
+    assert dash.stdout == to_file.stdout
+    assert (tmp_path / "-").read_text() == (tmp_path / "out.skd").read_text()
+    # and two paths to stdout are both written to it, into a pipe or a regular file
+    twice = child("-o", "/dev/stdout", "--trail", "-")
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        in_file = subprocess.run(twice.args[:-1] + ["/dev/stdout"], cwd=tmp_path,
+                                 env=module_env(), stdout=stdout, timeout=60)
+    assert (twice.returncode, twice.stderr, in_file.returncode) == (0, "", 0)
+    assert twice.stdout == (tmp_path / "stdout.txt").read_text() == (
+        (tmp_path / "out.skd").read_text() + to_file.stdout)
+
+
+def test_a_closed_stderr_is_no_stream_to_write_through(tmp_path):
+    # with fd 2 closed, run stands a read-only /dev/null in for stderr on fd 2:
+    # -o /dev/null is written in place, not through that stand-in
+    (tmp_path / "t.skd").write_text(bundled_text("trefoil.skd"))
+
+    def child(output: str, closed: str):
+        return subprocess.run(["sh", "-c", f'exec "$@" {closed}', "sh", sys.executable, "-m",
+                               "skdiag.cli", "crossing-change", "t.skd", "--gamma", "closed",
+                               "-o", output], cwd=tmp_path, env=module_env(),
+                              stdout=subprocess.PIPE, text=True, timeout=60)
+
+    closed, to_file = child("/dev/null", "2>&-"), child("out", "")
+    assert (closed.returncode, closed.stdout) == (0, to_file.stdout)
 
 
 

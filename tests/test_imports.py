@@ -102,6 +102,13 @@ def test_apply_loads_the_edit_module(trefoil_path):
     assert {EDIT, "skdiag.moves"} <= loaded_by("apply", trefoil_path, skm)
 
 
+def test_apply_loads_the_file_writer_only_to_write_a_file(trefoil_path, tmp_path):
+    skm = str(SRC.parent / "tests" / "fixtures" / "trefoil_seq.skm")
+    assert "skdiag.output" not in loaded_by("apply", trefoil_path, skm)
+    for flags in (["-o", str(tmp_path / "out.skd")], ["--trail", str(tmp_path / "t.json")]):
+        assert "skdiag.output" in loaded_by("apply", trefoil_path, skm, *flags)
+
+
 def ast_nodes(module: str) -> int:
     path = SRC.joinpath(*module.split("."))
     path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
