@@ -321,14 +321,17 @@ _OPTION = re.compile(r"(?s)(?!-\d+$|-\d*\.\d+$)(--[^=]*|-[^-])(?:(?=.)=?(.*))?")
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """``argv`` as argparse read it: the command, then its positionals and options in any
-    order until ``--``; an option takes its attached value or the next word; the last wins."""
+    order to the first ``--``; an option takes its attached value or the next word; last wins."""
     name, opts, wanted, values, extras, rest = "", ["help"], ["command"], {}, [], iter(argv)
+    took = False
     for arg in rest:
         m = opts and _OPTION(arg)
         o = m and next((o for o in opts if f"/{m[1]}" in "/" + OPTIONS[o][0]), None)
-        if arg == "--":
-            opts = []  # the rest are positionals
-        elif not m and wanted:
+        before, took = took, not m and bool(wanted)  # whether a positional takes arg
+        if arg == "--" and opts:
+            opts = []  # the rest are positionals, a later -- too
+            extras += [] if before or wanted else [arg]  # dropped beside a positional
+        elif took:
             values[wanted.pop(0)] = arg
             if not name:
                 if arg not in COMMANDS:
@@ -339,6 +342,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 values |= {o: OPTIONS[o][1] for o in opts[1:]}
         elif not o:
             extras.append(arg)
+        elif m[1] == "--" and len(opts) > 1:  # --=V: a bare -- prefixes each long option
+            _usage(name, f"ambiguous option: {arg} could match "
+                   + ", ".join(OPTIONS[k][0].split("/")[-1] for k in opts))
         elif o in ("help", "json") and arg.startswith(f"{m[1]}="):  # a flag given =V
             _usage(name, f"argument {OPTIONS[o][0]}: ignored explicit argument {m[2]!r}")
         elif o == "help":  # -hV too: Python 3.13 reads it as -h -V, 3.10-3.12 reject it

@@ -205,18 +205,6 @@ def _require(cond: bool, check: str, message: str) -> None:
         raise MoveRejected(check, message)
 
 
-def _validate_disk_declaration(cx: SingularityComplex, decl: DiskDeclaration,
-                               new_edge_id: str) -> DescendentDisk:
-    _require(decl.disk_id not in cx.disks_by_id, "fresh-id",
-             f"disk id {decl.disk_id!r} already exists")
-    _require(decl.partner_edge in cx.edges_by_id, "disk-partner",
-             f"declared disk partner edge {decl.partner_edge!r} does not exist")
-    _require(decl.partner_edge != new_edge_id, "disk-partner",
-             "declared disk cannot pair the new edge with itself")
-    return DescendentDisk(decl.disk_id, new_edge_id, decl.partner_edge,
-                          decl.pair, decl.level1, decl.level2)
-
-
 def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
                   dead_edges: set[str], splice: tuple[SplicePair, ...],
                   minted: set[str]):
@@ -241,7 +229,6 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
                      f"splice slot {r} has no surviving edge to reconnect")
             _require(r not in seen, "splice", f"splice slot {r} used twice")
             seen.add(r)
-        _require(r1 != r2, "splice", f"splice pairs slot {r1} with itself")
         partner[orphans[r1]] = orphans[r2]
         partner[orphans[r2]] = orphans[r1]
     missing = sorted(str(r) for r in set(orphans) - seen)
@@ -358,13 +345,24 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     return _Outcome(new_cx, descent, tuple(e.id for e in new_edges))
 
 
+def _birth(cx: SingularityComplex, decl: DiskDeclaration | None, new_edge_id: str,
+           added: list) -> _Outcome:
+    """The complex with ``added``, whose new edge's id is fresh, and the disk ``decl``
+    declares between that edge and its partner. The partner is an edge of ``cx``, so
+    never the new edge."""
+    if decl is not None:
+        _require(decl.disk_id not in cx.disks_by_id, "fresh-id",
+                 f"disk id {decl.disk_id!r} already exists")
+        _require(decl.partner_edge in cx.edges_by_id, "disk-partner",
+                 f"declared disk partner edge {decl.partner_edge!r} does not exist")
+        added.append(DescendentDisk(decl.disk_id, new_edge_id, *decl[1:]))
+    return _Outcome(rebuilt(cx, (), added), {}, (new_edge_id,))
+
+
 def _apply_r1_plus(cx: SingularityComplex, m: R1Plus) -> _Outcome:
     _require(m.circle_id not in cx.edges_by_id, "fresh-id",
              f"edge id {m.circle_id!r} already exists")
-    added = [Circle(m.circle_id)]
-    if m.disk is not None:
-        added.append(_validate_disk_declaration(cx, m.disk, m.circle_id))
-    return _Outcome(rebuilt(cx, (), added), {}, (m.circle_id,))
+    return _birth(cx, m.disk, m.circle_id, [Circle(m.circle_id)])
 
 
 def _apply_r1_minus(cx: SingularityComplex, m: R1Minus) -> _Outcome:
@@ -385,9 +383,7 @@ def _apply_r4_plus(cx: SingularityComplex, m: R4Plus) -> _Outcome:
              "the two new branch points must be distinct")
     added = [BranchPoint(m.branch1), BranchPoint(m.branch2),
              Arc(m.edge_id, BranchRef(m.branch1), BranchRef(m.branch2))]
-    if m.disk is not None:
-        added.append(_validate_disk_declaration(cx, m.disk, m.edge_id))
-    return _Outcome(rebuilt(cx, (), added), {}, (m.edge_id,))
+    return _birth(cx, m.disk, m.edge_id, added)
 
 
 def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
@@ -483,9 +479,7 @@ def _apply_r5_minus(cx: SingularityComplex, m: R5Minus) -> _Outcome:
              f"edge {m.edge_id!r} is not an arc")
     refs = {type(r) for r in edge.ends}
     slot_end = next((r for r in edge.ends if isinstance(r, TripleSlot)), None)
-    _require(refs == {BranchRef, TripleSlot}
-             and slot_end is not None and slot_end.triple_id == m.triple,
-             "locus",
+    _require(refs == {BranchRef, TripleSlot} and slot_end.triple_id == m.triple, "locus",
              f"edge {m.edge_id!r} does not join a branch point to {m.triple}")
     gamma_s = cx.curve_of(m.edge_id)
     out = _cancel_move(cx, {m.triple}, (), m.splice, m.drop_disks)
@@ -534,16 +528,8 @@ def _apply_r6(cx: SingularityComplex, m: R6) -> _Outcome:
     return _Outcome(new_cx, {}, new_ids)
 
 
-_APPLIERS = {
-    MoveKind.R1_PLUS: _apply_r1_plus,
-    MoveKind.R1_MINUS: _apply_r1_minus,
-    MoveKind.R2_MINUS: _apply_r2_minus,
-    MoveKind.R3_MINUS: _apply_r3_minus,
-    MoveKind.R4_PLUS: _apply_r4_plus,
-    MoveKind.R4_MINUS: _apply_r4_minus,
-    MoveKind.R5_MINUS: _apply_r5_minus,
-    MoveKind.R6: _apply_r6,
-}
+#: each kind's applier, ``_apply_<kind>``
+_APPLIERS = {kind: globals()["_apply_" + kind.name.lower()] for kind in MoveKind}
 
 
 def _apply(cx: SingularityComplex, move: MoveInstance) -> _Outcome:

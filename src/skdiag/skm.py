@@ -112,8 +112,8 @@ def parse_skm(text: str) -> tuple[MoveInstance, ...]:
         tokens = line.split()
         try:
             name = normalize_kind_token(tokens[0])
-        except UnknownIdError:
-            kind_errors.append((lineno, 1, f"unknown move kind token {tokens[0]!r}"))
+        except UnknownIdError as exc:
+            kind_errors.append((lineno, 1, str(exc)))
             continue
         if name in FORBIDDEN_KINDS:
             kind_errors.append((lineno, 1, f"move {name} violates the t-descendent "

@@ -705,6 +705,11 @@ SPELLINGS = [
     ["apply", "a.skd", "--", "-b.skm"],
     ["census", "--json", "--", "--json"],
 ]
+#: accepted spellings parametrized after the rejected lines, so that adding
+#: one leaves each earlier case's id as it was
+LATER_SPELLINGS = [
+    ["validate", "--", "--"],  # only the first -- ends the options
+]
 
 REJECTED = [
     [],  # no command
@@ -725,6 +730,13 @@ REJECTED = [
     # a flag given a value
     *(["census", "a.skd", flag] for flag in ("--json=x", "--json=", "--js=1", "-h=x",
                                             "--help=x")),
+    # a later -- is a plain word; the first is dropped only beside a positional
+    ["validate", "--", "--", "a.skd"],
+    ["apply", "a.skd", "--", "--", "b.skm"],
+    ["validate", "a.skd", "-x", "--", "y"],
+    ["enumerate", "a.skd", "-j", "--"],
+    ["check-exchangeable", "-j", "--", "--"],
+    ["census", "a.skd", "--=x"],  # a bare -- prefix is ambiguous
 ]
 
 
@@ -741,7 +753,8 @@ def parsed(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv, accepted", [
     *((argv, True) for argv in [*readme_argvs(), *SPELLINGS]),
-    *((argv, False) for argv in [*REJECTED, ["-h"], ["--he"], ["apply", "a.skd", "-h"]])])
+    *((argv, False) for argv in [*REJECTED, ["-h"], ["--he"], ["apply", "a.skd", "-h"]]),
+    *((argv, True) for argv in LATER_SPELLINGS)])
 def test_the_parser_reads_argv_as_argparse_did(capsys, argv, accepted):
     # an accepted line gives the same attributes; a rejected one exits 2
     # with the same error line, and -h exits 0 (its text may differ)

@@ -542,6 +542,53 @@ def test_each_cancellation_site_rule_rejects_with_its_check(label, names, move, 
     assert (info.value.check, str(info.value)) == (check, message)
 
 
+#: each birth rule broken once on the trefoil: the move, and the check and
+#: message that reject it. The new edge, then (R4+) its branch points, then
+#: the declared disk are checked, in that order.
+BIRTH_RULES = [
+    ("r1 edge exists", R1Plus("closed"), "fresh-id", "edge id 'closed' already exists"),
+    ("r4 edge exists", R4Plus("open1", "Q1", "Q2"),
+     "fresh-id", "edge id 'open1' already exists"),
+    ("r4 branch exists", R4Plus("arc9", "Q1", "B2"),
+     "fresh-id", "branch point id 'B2' already exists"),
+    ("r4 equal branches", R4Plus("arc9", "Q1", "Q1"),
+     "locus", "the two new branch points must be distinct"),
+    ("r4 edge and branch exist", R4Plus("open1", "B1", "Q2"),
+     "fresh-id", "edge id 'open1' already exists"),
+    ("r1 disk exists", R1Plus("bub", P9._replace(disk_id="D1")),
+     "fresh-id", "disk id 'D1' already exists"),
+    ("r4 disk exists", R4Plus("arc9", "Q1", "Q2", Q9._replace(disk_id="D1")),
+     "fresh-id", "disk id 'D1' already exists"),
+    ("r1 disk exists and partner missing",
+     R1Plus("bub", P9._replace(disk_id="D1", partner_edge="nope")),
+     "fresh-id", "disk id 'D1' already exists"),
+    ("r1 partner missing", R1Plus("bub", P9._replace(partner_edge="nope")),
+     "disk-partner", "declared disk partner edge 'nope' does not exist"),
+    ("r4 partner missing", R4Plus("arc9", "Q1", "Q2", Q9._replace(partner_edge="nope")),
+     "disk-partner", "declared disk partner edge 'nope' does not exist"),
+    # the new edge is no edge of the complex yet
+    ("r1 partner is the new edge", R1Plus("bub", P9._replace(partner_edge="bub")),
+     "disk-partner", "declared disk partner edge 'bub' does not exist"),
+    ("r4 partner is the new edge", R4Plus("arc9", "Q1", "Q2", Q9._replace(partner_edge="arc9")),
+     "disk-partner", "declared disk partner edge 'arc9' does not exist"),
+]
+
+
+@pytest.mark.parametrize("label, move, check, message", BIRTH_RULES,
+                         ids=[row[0] for row in BIRTH_RULES])
+def test_each_birth_rule_rejects_with_its_check(trefoil, label, move, check, message):
+    with pytest.raises(MoveRejected) as info:
+        apply_move(trefoil, move)
+    assert (info.value.check, str(info.value)) == (check, message)
+
+
+def test_a_splice_pairing_a_slot_with_itself_uses_it_twice(r2):
+    slot = TripleSlot("T1", 0, "a")
+    with pytest.raises(MoveRejected) as info:
+        apply_move(r2, r2_move()._replace(splice=((slot, slot),)))
+    assert (info.value.check, str(info.value)) == ("splice", "splice slot T:T1.0.a used twice")
+
+
 def test_apply_sequence_aborts_on_an_r2_minus_naming_three_curves(r2):
     move = r2_move()._replace(curves=("u1", "v1", "s1"))
     with pytest.raises(SequenceAborted) as info:
