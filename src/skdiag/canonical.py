@@ -27,20 +27,11 @@ LINE_FORMATS = (triple_line, lambda b: f"branch {b.id}\n",
 
 
 def canonical_lines(cx: SingularityComplex) -> list:
-    """The canonical lines of each record kind, in text order. A complex
-    built by ``edit.rebuilt`` keeps them, patching its parent's lines by the
-    edit that made it. Any other complex formats every record on each call."""
+    """The canonical lines of each record kind, in text order: those the
+    complex holds, or else every record formatted afresh on each call."""
     lines = vars(cx).get("canonical_lines")
-    if lines is not None:
-        return lines
-    lineage = vars(cx).get("lineage")
-    if lineage is not None:
-        from .edit import patched_lines
-        lines = patched_lines(lineage, LINE_FORMATS)
     if lines is None:
         lines = [tuple(map(fmt, records)) for records, fmt in zip(cx.kinds, LINE_FORMATS)]
-    if lineage is not None:
-        vars(cx)["canonical_lines"] = lines
     return lines
 
 

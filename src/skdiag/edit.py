@@ -1,12 +1,12 @@
 """How a move's result is derived: ``rebuilt`` makes a complex from another at the
-edit's cost and hands on the parent's views, patched by the edit. The child keeps
-a ``lineage``, and only then do the readers of the views it patches on first use
-(the slot index, the curves, the canonical lines) load this module.
+edit's cost and hands it each view the parent holds (the by-id maps, the slot index,
+the curves and the canonical lines), patched by the edit, when it makes it. A reader
+of a view finds it on the complex and never asks how the complex was made.
 """
 
 from bisect import bisect_left
-from typing import NamedTuple
 
+from .canonical import LINE_FORMATS, canonical_lines
 from .errors import StructuralError
 from .singularity import (ARCS, BRANCHES, BY_ID, CIRCLES, DISKS, TRIPLES, Arc, BranchPoint,
                           Circle, DescendentDisk, SingularityComplex, TriplePoint, claim_ends,
@@ -21,17 +21,6 @@ TABLES = (("triple_points", "triples_by_id", (TRIPLES,), "triple point"),
 KIND_OF = {TriplePoint: TRIPLES, BranchPoint: BRANCHES, Arc: ARCS, Circle: CIRCLES,
            DescendentDisk: DISKS}
 HELD_IN = {kind: by_id for _, by_id, kinds, _ in TABLES for kind in kinds}
-
-
-class Lineage(NamedTuple):
-    """A child's parent's records per kind and VIEWS (each popped by its first
-    use), and per kind the records (removed, added) by the edit that made it."""
-
-    records: tuple[tuple, ...]
-    views: dict
-    edits: tuple[tuple[list, list], ...]
-
-    VIEWS = ("_claims", "curves", "curve_by_edge", "curves_by_id", "canonical_lines")
 
 
 def patched(items, removed, added, entry=None, old=None):
@@ -58,9 +47,10 @@ def patched(items, removed, added, entry=None, old=None):
 
 
 def rebuilt(cx: SingularityComplex, removed=(), added=()) -> SingularityComplex:
-    """``cx``'s records less the ``removed`` ones, plus the ``added`` ones, with its views
-    handed on, patched by the edit. Raises StructuralError when the edit removes a record
-    ``cx`` lacks or one record twice, or adds an id a survivor or another added one has."""
+    """``cx``'s records less the ``removed`` ones, plus the ``added`` ones, holding each
+    view ``cx`` holds, patched by the edit; its own canonical lines when ``cx`` holds none.
+    Raises StructuralError when the edit removes a record ``cx`` lacks or one record twice,
+    or adds an id a survivor or another added one has."""
     edits, gone = tuple(([], []) for _ in KIND_OF), set()
     for record in removed:
         kind = KIND_OF[type(record)]
@@ -73,7 +63,7 @@ def rebuilt(cx: SingularityComplex, removed=(), added=()) -> SingularityComplex:
         edits[KIND_OF[type(record)]][1].append(record)
     if len(gone) != sum(len(out) for out, _ in edits):
         raise StructuralError("the edit removes a record twice")
-    kinds, records = cx.kinds, []
+    kinds, records, held = cx.kinds, [], vars(cx)
     views = {name: patched(kinds[k], *edits[k])
              for name, k in (("arcs", ARCS), ("circles", CIRCLES))}
     for name, by_id, held_kinds, noun in TABLES:
@@ -84,42 +74,48 @@ def rebuilt(cx: SingularityComplex, removed=(), added=()) -> SingularityComplex:
         if dups:
             raise StructuralError(f"duplicate {noun} id {min(dups)!r}")
         records.append(patched(getattr(cx, name), out, into))
-        if by_id in vars(cx):
-            views[by_id] = patched(vars(cx)[by_id], out, into)
+        if by_id in held:
+            views[by_id] = patched(held[by_id], out, into)
     child = type(cx)(*records)
-    vars(child).update(views, lineage=Lineage(
-        kinds, {k: v for k, v in vars(cx).items() if k in Lineage.VIEWS}, edits))
+    own = vars(child)
+    own.update(views)
+    # the curves are walked on the patched index: a child whose index breaks a
+    # rule holds neither, and indexes afresh so that it reports every violation
+    if (index := patched_index(child, held, edits)) is not None:
+        own["_claims"] = index, ()
+        if "curves" in held:
+            patched_curves(child, held, edits)
+    lines = held.get("canonical_lines")
+    own["canonical_lines"] = canonical_lines(child) if lines is None else [
+        patched(mine, out, into, fmt, old)
+        for mine, old, (out, into), fmt in zip(lines, kinds, edits, LINE_FORMATS)]
     return child
 
 
-def patched_index(cx: SingularityComplex, lineage: Lineage) -> dict | None:
-    """The parent's slot index patched by the arcs removed and added; None when the parent
-    has none or either index breaks a rule, so that the complex indexes afresh."""
-    parent = lineage.views.pop("_claims", None)
+def patched_index(cx: SingularityComplex, held: dict, edits) -> dict | None:
+    """The parent's slot index, from its views ``held``, patched by the arcs ``edits``
+    removed and added; None when the parent has none or either index breaks a rule."""
+    parent = held.get("_claims")
     if parent is None or parent[1]:
         return None
     index = parent[0].copy()  # a clone, as in patched
-    removed, added = lineage.edits[ARCS]
+    removed, added = edits[ARCS]
     for arc in removed:
         del index[arc.end1], index[arc.end2]
-    dead = endpoints(
-        [t for t in lineage.edits[TRIPLES][0] if t.id not in cx.triples_by_id],
-        [b for b in lineage.edits[BRANCHES][0] if b.id not in cx.branches_by_id])
+    dead = endpoints([t for t in edits[TRIPLES][0] if t.id not in cx.triples_by_id],
+                     [b for b in edits[BRANCHES][0] if b.id not in cx.branches_by_id])
     every = 6 * len(cx.triples_by_id) + len(cx.branches_by_id)
     # a full index of real endpoints with one claim per arc end claims each endpoint once
     return index if (not claim_ends(cx, added, index) and len(index) == every == 2 * len(cx.arcs)
                      and not any(ref in index for ref in dead)) else None
 
 
-def patched_curves(cx: SingularityComplex, lineage: Lineage) -> tuple | None:
-    """The parent's curves less those that lost an edge, plus those walked from
-    the added edges and their survivors; None if the parent traced none. Stores
-    the patched edge-to-curve map (and any parent's ``curves_by_id``) on ``cx``."""
-    old, by_edge = (lineage.views.pop(name, None) for name in ("curves", "curve_by_edge"))
-    if old is None or by_edge is None:
-        return None
-    edges, arcs, circles = cx.edges_by_id, lineage.edits[ARCS], lineage.edits[CIRCLES]
-    by_edge = by_edge.copy()  # a clone, as in patched
+def patched_curves(cx: SingularityComplex, held: dict, edits) -> None:
+    """Stores on ``cx`` the parent's curves, from its views ``held``, less those that lost
+    an edge, plus those walked from the added edges and their survivors, with the patched
+    edge-to-curve map and, if the parent holds one, curve-by-id map."""
+    old, by_edge = held["curves"], held["curve_by_edge"].copy()  # a clone, as in patched
+    edges, arcs, circles = cx.edges_by_id, edits[ARCS], edits[CIRCLES]
     dirty = [old[bisect_left(old, cid, key=BY_ID)]
              for cid in sorted({by_edge[e.id] for e in arcs[0] + circles[0]})]
     seeds = arcs[1] + circles[1]
@@ -129,15 +125,6 @@ def patched_curves(cx: SingularityComplex, lineage: Lineage) -> tuple | None:
             if eid in edges:
                 seeds.append(edges[eid])
     new = trace_from(cx, seeds, by_edge)
-    if "curves_by_id" in lineage.views:
-        vars(cx)["curves_by_id"] = patched(lineage.views.pop("curves_by_id"), dirty, new)
-    return patched(old, dirty, new)
-
-
-def patched_lines(lineage: Lineage, formats) -> list | None:
-    """The parent's canonical lines patched by the edit (a kind it leaves alone
-    keeps its parent's tuple), in ``formats``; None when the parent has none."""
-    parent = lineage.views.pop("canonical_lines", None)
-    return None if parent is None else [
-        patched(own, removed, added, fmt, records) for own, records, (removed, added), fmt
-        in zip(parent, lineage.records, lineage.edits, formats)]
+    vars(cx)["curves"] = patched(old, dirty, new)
+    if "curves_by_id" in held:
+        vars(cx)["curves_by_id"] = patched(held["curves_by_id"], dirty, new)

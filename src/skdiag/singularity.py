@@ -260,14 +260,8 @@ class SingularityComplex(_ComplexRecords):
         """The endpoint index, mapping each endpoint to the (edge id, end
         index) attached there (a contested one to the list of all its
         claims), and the structural violations met building it, in
-        validate's order. A complex built by ``edit.rebuilt`` from a well-formed
-        parent patches its index, any other indexes every arc end at C speed;
-        only an index that breaks a rule claims every arc end afresh, so its report is complete."""
-        lineage = self.__dict__.get("lineage")
-        if lineage is not None:
-            from .edit import patched_index
-            if (index := patched_index(self, lineage)) is not None:
-                return index, ()
+        validate's order. Every arc end is indexed at C speed; only an index
+        that breaks a rule claims every arc end afresh, so its report is complete."""
         every = 6 * len(self.triples_by_id) + len(self.branches_by_id)
         arcs, ids = self.arcs, list(map(BY_ID, self.arcs))
         index = dict(zip(map(itemgetter(1), arcs), zip(ids, repeat(0))))
@@ -308,8 +302,7 @@ class SingularityComplex(_ComplexRecords):
 
     @cached_property
     def curves_by_id(self) -> dict[str, DoubleCurve]:
-        self.curves  # trace_curves stores the map it patches, if any
-        return vars(self).get("curves_by_id") or {c.id: c for c in self.curves}
+        return {c.id: c for c in self.curves}
 
     @cached_property
     def curve_by_edge(self) -> dict[str, str]:
@@ -470,14 +463,9 @@ def trace_curves(cx: SingularityComplex) -> tuple[DoubleCurve, ...]:
 
     Traversal continues through a triple point on the opposite slot of the same line;
     a curve is open iff both of its ends are branch points. Raises StructuralError (with
-    validate's first structural violation) when the complex is malformed. A complex built
-    by ``edit.rebuilt`` patches its parent's curves. Stores ``cx.curve_by_edge``.
+    validate's first structural violation) when the complex is malformed. Stores
+    ``cx.curve_by_edge``.
     """
-    lineage = cx.__dict__.get("lineage")
-    if lineage is not None:
-        from .edit import patched_curves
-        if (curves := patched_curves(cx, lineage)) is not None:
-            return curves
     return tuple(sorted(trace_from(cx, cx.edges, {}), key=BY_ID))
 
 

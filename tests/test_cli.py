@@ -751,6 +751,14 @@ def parsed(parse, argv, capsys):
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+def invalid_choice(word: str, quote=repr) -> tuple[int, str]:
+    """The exit code and error line of an unknown command ``word``: skdiag's
+    own, each choice quoted, or with ``quote=str`` that of a later argparse
+    (3.13.13 lists the choices bare)."""
+    return 2, (f"skdiag: error: argument command: invalid choice: {word!r} "
+               f"(choose from {', '.join(map(quote, COMMANDS))})")
+
+
 @pytest.mark.parametrize("argv, accepted", [
     *((argv, True) for argv in [*readme_argvs(), *SPELLINGS]),
     *((argv, False) for argv in [*REJECTED, ["-h"], ["--he"], ["apply", "a.skd", "-h"]]),
@@ -760,7 +768,12 @@ def test_the_parser_reads_argv_as_argparse_did(capsys, argv, accepted):
     # with the same error line, and -h exits 0 (its text may differ)
     reference = parsed(reference_parser().parse_args, argv, capsys)
     assert isinstance(reference, dict) == accepted
-    assert parsed(cli.parse_args, argv, capsys) == reference
+    ours = parsed(cli.parse_args, argv, capsys)
+    if argv and argv[0][:1] != "-" and argv[0] not in COMMANDS:
+        assert ours == invalid_choice(argv[0])
+        assert reference in (ours, invalid_choice(argv[0], str))
+    else:
+        assert ours == reference
 
 
 def test_the_corpus_covers_each_command_and_option():

@@ -58,6 +58,7 @@ from skdiag.crossing import (
     flip_words,
     role_permutation,
 )
+from skdiag.canonical import canonical_lines
 from skdiag.singularity import endpoints
 from skdiag.explorer import (
     DuStatus,
@@ -414,6 +415,44 @@ def test_slot_index_raises_exactly_on_the_structural_violations(seed, budget, da
         assert raised == bool(found)
 
 
+#: the views rebuilt hands on from a parent that holds each of them
+HANDED_ON = ("_claims", "curves", "curve_by_edge", "curves_by_id", "canonical_lines")
+
+
+def holding_every_view(cx):
+    fingerprint(cx)
+    cx.curves_by_id  # traces the curves too
+    return cx
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rebuilt_hands_the_child_each_view_when_it_makes_it(seed, budget, data):
+    cx = holding_every_view(generate_random_complex(seed, budget, disks=2))
+    renamed = data.draw(st.lists(st.sampled_from(cx.edges), unique=True, max_size=3)
+                        if cx.edges else st.just([]))
+    dropped = cx.disks[:data.draw(st.integers(0, len(cx.disks)))]
+    added = [e._replace(id=f"new{n}") for n, e in enumerate(renamed)]
+    child = rebuilt(cx, [*renamed, *dropped], added + [Circle("newc")] * data.draw(st.booleans()))
+    held = {name: vars(child).get(name) for name in HANDED_ON}  # before any reader runs
+    fresh = SingularityComplex.build(*child)
+    assert held == {name: getattr(fresh, name) for name in HANDED_ON[:-1]} | {
+        "canonical_lines": canonical_lines(fresh)}
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_child_whose_index_breaks_a_rule_is_handed_no_index_or_curves(seed, budget, data):
+    cx = holding_every_view(generate_random_complex(seed, budget, disks=1))
+    assume(cx.arcs)
+    child = rebuilt(cx, *damage(cx, data))
+    clean = not SingularityComplex.build(*child)._claims[1]
+    assert {"_claims", "curves"} & vars(child).keys() == ({"_claims", "curves"} if clean
+                                                            else set())
+
+
 # -- complexes a move derives from their parent -----------------------------
 
 
@@ -422,7 +461,7 @@ def assert_matches_fresh_build(cx):
     curves, curve maps and fingerprint a derived complex inherited equal
     those of the same records built and traced afresh, and the complex is
     well formed."""
-    assert "lineage" in vars(cx)
+    assert {"_claims", "canonical_lines"} <= vars(cx).keys()
     assert validate(cx).ok
     fresh = SingularityComplex.build(cx.triple_points, cx.branch_points,
                                      cx.edges, cx.disks)
