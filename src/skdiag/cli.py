@@ -152,15 +152,10 @@ def _cmd_check_exchangeable(args) -> int:
     gamma = _resolve_gamma(cx, args.gamma)
     bad = first_invalid_flip(cx, gamma)
     ok = bad is None
-
-    def human():
-        if ok:
-            return [f"exchangeable: yes ({len(gamma)} curve(s))"]
-        types = ", ".join(sorted(t.value for t in bad.flipped_types))
-        return [f"exchangeable: no (flip set {{{types}}} at triple point "
-                f"{bad.triple_id} is invalid)"]
     _emit(args, {"gamma": sorted(gamma), "exchangeable": ok,
-                 "failing_triple": None if ok else bad.triple_id}, human)
+                 "failing_triple": None if ok else bad.triple_id},
+          lambda: [f"exchangeable: yes ({len(gamma)} curve(s))" if ok
+                   else f"exchangeable: no ({bad} is invalid)"])
     return OK if ok else FALSE_VERDICT
 
 

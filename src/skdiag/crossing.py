@@ -53,6 +53,10 @@ class FlipSet(NamedTuple):
     flipped_lines: frozenset[int]
     flipped_types: frozenset[LineType]
 
+    def __str__(self) -> str:
+        types = ", ".join(sorted(t.value for t in self.flipped_types))
+        return f"flip set {{{types}}} at triple point {self.triple_id}"
+
 
 def exchange_set(cx: SingularityComplex, curve_ids: Iterable[str]) -> ExchangeSet:
     """Normalize an iterable of curve ids, rejecting unknown ones."""
@@ -131,13 +135,21 @@ def flip_words(cx: SingularityComplex) -> tuple[dict[str, int], int, int]:
     return words, low, (4 ** len(cx.disks) - 1) // 3 << at
 
 
+def flip_set(cx: SingularityComplex, gamma: ExchangeSet, t: TriplePoint) -> FlipSet:
+    """gamma's FlipSet at triple point t: a line flips iff its through-curve is in gamma."""
+    lines = frozenset(i for i in range(3) if cx.line_curve(t.id, i) in gamma)
+    return FlipSet(t.id, lines, frozenset(t.line_types[i] for i in lines))
+
+
 def flip_sets(cx: SingularityComplex, gamma: Iterable[str]) -> list[FlipSet]:
-    """One FlipSet per triple point: a line flips iff its through-curve
-    belongs to gamma."""
+    """One FlipSet per triple point, in order (see flip_set)."""
     gamma = exchange_set(cx, gamma)
-    return [FlipSet(t.id, lines, frozenset(t.line_types[i] for i in lines))
-            for t in cx.triple_points
-            for lines in [frozenset(i for i in range(3) if cx.line_curve(t.id, i) in gamma)]]
+    return [flip_set(cx, gamma, t) for t in cx.triple_points]
+
+
+def flipped_at(cx: SingularityComplex, gamma: ExchangeSet, t: TriplePoint) -> frozenset[LineType]:
+    """The types of the lines gamma flips at triple point t."""
+    return flip_set(cx, gamma, t).flipped_types
 
 
 def _flips(cx: SingularityComplex,
@@ -186,6 +198,12 @@ def flipped_disk(d: DescendentDisk, flips: int) -> DescendentDisk:
                       level2=d.level2.flipped() if flips & 2 else d.level2)
 
 
+def _disk_flips(cx: SingularityComplex, gamma: ExchangeSet) -> list[int]:
+    """Each disk's flip flags under gamma, in a list: every disk's edges are looked up."""
+    return [(cx.curve_of(d.edge1) in gamma) | (cx.curve_of(d.edge2) in gamma) << 1
+            for d in cx.disks]
+
+
 def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> SingularityComplex:
     """The diagram obtained by exchanging upper/lower information along gamma.
 
@@ -200,16 +218,11 @@ def crossing_change(cx: SingularityComplex, gamma: Iterable[str]) -> Singularity
         return cx
     patterns, fs = _flips(cx, gamma)
     if fs is not None:
-        types = "{" + ", ".join(sorted(t.value for t in fs.flipped_types)) + "}"
-        raise NotExchangeableError(
-            fs.triple_id,
-            f"flip set {types} at triple point {fs.triple_id} is not valid")
-    curve_of = cx.curve_of
+        raise NotExchangeableError(fs.triple_id, f"{fs} is not valid")
     return SingularityComplex(  # each record keeps its id, so the parent's order holds
         tuple(relabelled_triple(t, p) if (p := patterns.get(t.id)) else t
               for t in cx.triple_points), cx.branch_points, cx.edges,
-        tuple(flipped_disk(d, (curve_of(d.edge1) in gamma) | (curve_of(d.edge2) in gamma) << 1)
-              for d in cx.disks))
+        tuple(map(flipped_disk, cx.disks, _disk_flips(cx, gamma))))
 
 
 def changed_fingerprinter(cx: SingularityComplex) -> Callable[[int], str]:
@@ -231,11 +244,7 @@ def changed_fingerprinter(cx: SingularityComplex) -> Callable[[int], str]:
 def satisfies_dd_condition(cx: SingularityComplex, gamma: Iterable[str]) -> bool:
     """Descendent disk condition: every disk has both of its curves in
     gamma or both outside it. Decided purely from the disk registry."""
-    gamma, curve_of = exchange_set(cx, gamma), cx.curve_of
-    # a list, not a generator: every disk's edges are looked up, so a
-    # missing edge raises even after a disk has failed
-    return all([(curve_of(d.edge1) in gamma) == (curve_of(d.edge2) in gamma)
-                for d in cx.disks])
+    return all(f in (0, 3) for f in _disk_flips(cx, exchange_set(cx, gamma)))
 
 
 def all_curves(cx: SingularityComplex) -> ExchangeSet:

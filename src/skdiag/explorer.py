@@ -84,9 +84,8 @@ class DuReport(NamedTuple):
     note: str = DIAGRAM_BOUND_NOTE
 
     def best_witness(self) -> DuWitness | None:
-        candidates = [w for w in self.witnesses
-                      if w.exchangeable and w.dd and w.verdict is Verdict.TRIVIAL]
-        return min(candidates, key=lambda w: (w.size, w.gamma), default=None)
+        """``best_union``'s pick: in scan order, the first passing witness is the smallest."""
+        return best_union((w, w.exchangeable and w.dd, w.verdict) for w in self.witnesses)
 
 
 class DuStatus(str, Enum):

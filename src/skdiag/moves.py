@@ -24,13 +24,13 @@ from typing import Iterable, NamedTuple, Union, get_args
 
 from .canonical import fingerprint
 from .crossing import (
-    PATTERN_OF_LINES,
-    RELABEL,
     ExchangeSet,
     exchange_set,
     first_invalid_flip,
+    flipped_at,
     flipped_disk,
     is_exchangeable,
+    is_valid_flip,
     satisfies_dd_condition,
 )
 from .edit import rebuilt
@@ -48,9 +48,11 @@ from .singularity import (
     CurveKind,
     DescendentDisk,
     Level,
+    LineType,
     Pairing,
     SingularityComplex,
     TripleSlot,
+    census,
     endpoints,
 )
 
@@ -299,10 +301,6 @@ def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
     return removed, added
 
 
-def _closed_count(cx: SingularityComplex) -> int:
-    return sum(1 for c in cx.curves if c.kind is CurveKind.CLOSED)
-
-
 def _descend_curve(cx: SingularityComplex, out: _Outcome, curve_id: str) -> str | None:
     """New-complex curve containing the remains of an old curve, if any."""
     for eid in cx.curves_by_id[curve_id].edges:
@@ -436,7 +434,7 @@ def _apply_r2_minus(cx: SingularityComplex, m: R2Minus) -> _Outcome:
              "the two deleted closed curves must be distinct")
     (survivor,) = _check_sites(cx, (m.t1, m.t2), m.curves)
     out = _cancel_move(cx, {m.t1, m.t2}, m.curves, m.splice, m.drop_disks)
-    _require(_closed_count(cx) - _closed_count(out.complex) == 2,
+    _require(census(cx).closed_curves - census(out.complex).closed_curves == 2,
              "postcondition", "closed double curve count did not drop by two")
     _check_shortening(cx, out, survivor, by=2)
     return out
@@ -463,7 +461,7 @@ def _apply_r3_minus(cx: SingularityComplex, m: R3Minus) -> _Outcome:
              "the central triple point's curves do not match the surviving "
              "curves at the deleted sites")
     out = _cancel_move(cx, set(m.triples), m.curves, m.splice, m.drop_disks)
-    _require(_closed_count(cx) - _closed_count(out.complex) == 3,
+    _require(census(cx).closed_curves - census(out.complex).closed_curves == 3,
              "postcondition", "closed double curve count did not drop by three")
     for cid in sorted(center_curves):
         _check_shortening(cx, out, cid, by=2)
@@ -556,13 +554,11 @@ def _transport_with(cx: SingularityComplex, gamma: ExchangeSet,
                     move: MoveInstance, out: _Outcome) -> ExchangeSet:
     replaced, born = frozenset(), _born_into(cx, gamma, move)
     if move.kind is MoveKind.R3_MINUS:
-        t = cx.triples_by_id[move.center]
-        pattern = PATTERN_OF_LINES[t.line_types][sum(
-            1 << i for i in range(3) if cx.line_curve(t.id, i) in gamma)]
-        if pattern not in RELABEL:
+        flipped = flipped_at(cx, gamma, cx.triples_by_id[move.center])
+        if not is_valid_flip(flipped):
             # gamma_s, gamma_w, gamma_k: the curves on the bm, mt, bt lines
-            included = [name for name, bit in (("gamma_s", 1), ("gamma_w", 4),
-                                               ("gamma_k", 2)) if pattern & bit]
+            included = [name for name, lt in (("gamma_s", LineType.BM), ("gamma_w", LineType.MT),
+                                              ("gamma_k", LineType.BT)) if lt in flipped]
             raise MoveRejected(
                 "transport-case",
                 f"membership pattern {{{', '.join(included)}}} at {move.center} "

@@ -475,12 +475,19 @@ def assert_matches_fresh_build(cx):
     assert fingerprint(cx) == fingerprint(fresh)
 
 
+#: the views a child holds when its parent holds them: edit.rebuilt patches each
+DERIVED_VIEWS = {"_claims", "curves", "curve_by_edge", "curves_by_id", "canonical_lines"}
+
+
 def apply_derived(cx, move):
-    """apply_move on a parent whose index, curves and lines exist, so the
-    child inherits all three; the child is checked against a fresh build,
-    and keeps every disk the move neither drops nor operates on."""
+    """apply_move on a parent whose index, curves, curve maps and lines
+    exist, so the child holds every one of them when it is made; the child
+    is checked against a fresh build, and keeps every disk the move neither
+    drops nor operates on."""
     fingerprint(cx)
+    cx.curves_by_id  # traces the parent: the child's curves are then patched
     child = apply_move(cx, move)
+    assert DERIVED_VIEWS <= vars(child).keys(), DERIVED_VIEWS - vars(child).keys()
     assert_matches_fresh_build(child)
     spent = {*getattr(move, "drop_disks", ()), getattr(move, "disk_id", None)}
     assert set(cx.disks_by_id) - spent <= set(child.disks_by_id)
@@ -577,7 +584,10 @@ def test_derived_complexes_match_fresh_builds(seed, budget, disks, steps):
             continue
         try:
             cx = apply_derived(cx, move)
-        except MoveRejected:
+        except MoveRejected as exc:
+            # a drawn move may miss its pattern, but one that passes it and
+            # fails a postcondition was derived from wrongly patched views
+            assert exc.check != "postcondition", exc
             continue
 
 
@@ -655,7 +665,7 @@ def reference_r2_minus(cx, m):
                 "triple points belong to different curves")
         survivor = rest
     out = moves._cancel_move(cx, {m.t1, m.t2}, (c1, c2), m.splice, m.drop_disks)
-    require(moves._closed_count(cx) - moves._closed_count(out.complex) == 2,
+    require(census(cx).closed_curves - census(out.complex).closed_curves == 2,
             "postcondition", "closed double curve count did not drop by two")
     moves._check_shortening(cx, out, survivor, by=2)
     return out.complex

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import skdiag
@@ -164,3 +165,35 @@ def test_each_move_kind_has_one_applier_record_and_key_row():
     assert len(set(moves._APPLIERS.values())) == len(set(moves.MOVE_TYPES.values())) \
         == len(MoveKind)
     assert all(record.kind is kind for kind, record in moves.MOVE_TYPES.items())
+
+
+#: what only crossing may name: its flip tables, and a flip set's types
+FLIP_RULES = {"RELABEL", "PATTERN_OF_LINES", "PATTERN_TYPES", "_BIT_OF", "flipped_types"}
+
+
+def spelled(node: ast.AST) -> set:
+    """The names a node reads or imports, or the words of a string constant."""
+    if isinstance(node, ast.alias):
+        return {node.name}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return set(re.findall(r"\w+", node.value))
+    return {getattr(node, "id", None), getattr(node, "attr", None)}
+
+
+def test_only_crossing_knows_how_a_union_flips():
+    # moves asks crossing whether the R3- centre's flip is valid, and cli
+    # words an invalid flip set by the FlipSet's own text, so no other module
+    # imports, reads or spells out a flip table or a flip set's types
+    named = sorted({path.stem for path in SOURCES
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if FLIP_RULES & spelled(node)})
+    assert named == ["crossing"], named
+
+
+def test_a_du_reports_best_witness_is_best_unions():
+    tree = ast.parse(Path(skdiag.__file__).with_name("explorer.py").read_text(encoding="utf-8"))
+    best_witness = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                        and node.name == "best_witness")
+    calls = {node.func.id for node in ast.walk(best_witness)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "best_union" in calls and "min" not in calls
