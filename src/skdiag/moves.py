@@ -266,9 +266,8 @@ def _merge_chains(cx: SingularityComplex, dead_triples: set[str],
 
 
 def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
-                 reversed_edges: set[str], dead_edges: set[str],
-                 drop_disks: tuple[str, ...]) -> tuple[list, list]:
-    """The disks a move drops or changes, and what the changed ones become."""
+                 reversed_edges: set[str], drop_disks: tuple[str, ...]) -> tuple[list, list]:
+    """The disks a move drops or changes, and what they become (a dead edge descends to None)."""
     drop = set(drop_disks)
     unknown = sorted(drop - set(cx.disks_by_id))
     _require(not unknown, "drop-disks", "unknown disk id(s): " + ", ".join(unknown))
@@ -277,14 +276,12 @@ def _remap_disks(cx: SingularityComplex, descent: dict[str, str | None],
         m1 = descent.get(d.edge1, d.edge1)
         m2 = descent.get(d.edge2, d.edge2)
         if d.id in drop:
-            touches_dead = d.edge1 in dead_edges or d.edge2 in dead_edges
-            collapses = m1 is not None and m1 == m2
-            _require(touches_dead or collapses, "drop-disks",
+            _require(None in (m1, m2) or m1 == m2, "drop-disks",
                      f"disk {d.id} does not reference a destroyed edge")
             removed.append(d)
             continue
-        for eid in (d.edge1, d.edge2):
-            _require(eid not in dead_edges, "disk-destroyed",
+        for eid, new in ((d.edge1, m1), (d.edge2, m2)):
+            _require(new is not None, "disk-destroyed",
                      f"disk {d.id} references deleted edge {eid!r}; "
                      "list it in drop_disks")
         _require(m1 != m2, "disk-collapsed",
@@ -332,7 +329,7 @@ def _cancel_move(cx: SingularityComplex, dead_triples: set[str],
     new_edges, descent, rev = _merge_chains(cx, dead_triples, dead_edges, splice, set())
     for eid in dead_edges:
         descent[eid] = None
-    old_disks, new_disks = _remap_disks(cx, descent, rev, dead_edges, drop_disks)
+    old_disks, new_disks = _remap_disks(cx, descent, rev, drop_disks)
     dead_branches = sorted({end.branch_id for eid in dead_edges
                             for end in cx.edges_by_id[eid][1:] if type(end) is BranchRef})
     new_cx = rebuilt(
@@ -394,14 +391,18 @@ def _apply_r4_minus(cx: SingularityComplex, m: R4Minus) -> _Outcome:
     return _cancel_move(cx, set(), (m.edge_id,), (), m.drop_disks)
 
 
-def _check_sites(cx: SingularityComplex, triples: tuple[str, ...],
-                 curves: tuple[str, ...]) -> set[str]:
-    """Check that the closed curves ``curves`` cancel at ``triples``: they
-    meet no other triple point, each of ``triples`` carries two of them and
-    one surviving curve, and each pair of them meets at exactly two of
-    ``triples``, whose surviving lines belong to one curve. Returns the
-    surviving curves."""
-    for cid in curves:
+def _cancel_closed(cx: SingularityComplex, m: R2Minus | R3Minus, triples: tuple[str, ...],
+                   label: str, count: int, center: str | None = None) -> _Outcome:
+    """Apply ``m``, the ``label`` move: delete its ``count`` closed curves and
+    ``triples``. The curves meet no other triple point, each of ``triples``
+    carries two of them and one surviving curve, and each pair of them meets
+    at exactly two of ``triples``, whose surviving lines belong to one curve.
+    R3-'s ``center`` carries the survivors, which each lose two edges."""
+    word = {2: "two", 3: "three"}[count]
+    _require(len(m.curves) == count, "locus", f"{label} deletes exactly {word} closed curves")
+    _require(len(set(m.curves)) == count, "pattern",
+             f"the {word} deleted closed curves must be distinct")
+    for cid in m.curves:
         curve = cx.curves_by_id.get(cid)
         _require(curve is not None, "pattern", f"no double curve with id {cid!r}")
         _require(curve.kind is CurveKind.CLOSED, "pattern", f"curve {cid} is not closed")
@@ -411,10 +412,10 @@ def _check_sites(cx: SingularityComplex, triples: tuple[str, ...],
     sites: dict[frozenset, list[str]] = {}  # the survivors at each pair's sites
     for tid in triples:
         through = [cx.line_curve(tid, i) for i in range(3)]
-        here = [c for c in through if c in curves]
+        here = [c for c in through if c in m.curves]
         _require(len(here) == 2 and here[0] != here[1], "pattern",
                  f"triple point {tid} does not carry two distinct deleted curves")
-        sites.setdefault(frozenset(here), []).extend(c for c in through if c not in curves)
+        sites.setdefault(frozenset(here), []).extend(c for c in through if c not in m.curves)
     # R2-'s one pair always meets at both of its two: only R3- can fail this
     _require(all(len(v) == 2 for v in sites.values()), "pattern",
              "each pair of deleted curves must meet at exactly two of the "
@@ -422,22 +423,28 @@ def _check_sites(cx: SingularityComplex, triples: tuple[str, ...],
     _require(all(s1 == s2 for s1, s2 in sites.values()), "pattern",
              "the surviving lines at the two sites of a deleted-curve "
              "pair belong to different curves")
-    return {s1 for s1, _ in sites.values()}
+    survivors = {s1 for s1, _ in sites.values()}
+    if center is not None:
+        center_curves = {cx.line_curve(center, i) for i in range(3)}
+        _require(len(center_curves) == 3, "pattern",
+                 "the central triple point's three lines must carry three "
+                 "distinct curves")
+        _require(center_curves == survivors, "pattern",
+                 "the central triple point's curves do not match the surviving "
+                 "curves at the deleted sites")
+    out = _cancel_move(cx, set(triples), m.curves, m.splice, m.drop_disks)
+    _require(census(cx).closed_curves - census(out.complex).closed_curves == count,
+             "postcondition", f"closed double curve count did not drop by {word}")
+    for cid in sorted(survivors):
+        _check_shortening(cx, out, cid, by=2)
+    return out
 
 
 def _apply_r2_minus(cx: SingularityComplex, m: R2Minus) -> _Outcome:
     for tid in (m.t1, m.t2):
         _require(tid in cx.triples_by_id, "locus", f"no triple point {tid!r}")
     _require(m.t1 != m.t2, "locus", "the two cancelled triple points must differ")
-    _require(len(m.curves) == 2, "locus", "R2- deletes exactly two closed curves")
-    _require(len(set(m.curves)) == 2, "pattern",
-             "the two deleted closed curves must be distinct")
-    (survivor,) = _check_sites(cx, (m.t1, m.t2), m.curves)
-    out = _cancel_move(cx, {m.t1, m.t2}, m.curves, m.splice, m.drop_disks)
-    _require(census(cx).closed_curves - census(out.complex).closed_curves == 2,
-             "postcondition", "closed double curve count did not drop by two")
-    _check_shortening(cx, out, survivor, by=2)
-    return out
+    return _cancel_closed(cx, m, (m.t1, m.t2), "R2-", 2)
 
 
 def _apply_r3_minus(cx: SingularityComplex, m: R3Minus) -> _Outcome:
@@ -449,23 +456,7 @@ def _apply_r3_minus(cx: SingularityComplex, m: R3Minus) -> _Outcome:
              f"no triple point {m.center!r}")
     _require(m.center not in m.triples, "locus",
              "the central triple point survives the move")
-    _require(len(m.curves) == 3, "locus", "R3- deletes exactly three closed curves")
-    _require(len(set(m.curves)) == 3, "pattern",
-             "the three deleted closed curves must be distinct")
-    survivors = _check_sites(cx, m.triples, m.curves)
-    center_curves = {cx.line_curve(m.center, i) for i in range(3)}
-    _require(len(center_curves) == 3, "pattern",
-             "the central triple point's three lines must carry three "
-             "distinct curves")
-    _require(center_curves == survivors, "pattern",
-             "the central triple point's curves do not match the surviving "
-             "curves at the deleted sites")
-    out = _cancel_move(cx, set(m.triples), m.curves, m.splice, m.drop_disks)
-    _require(census(cx).closed_curves - census(out.complex).closed_curves == 3,
-             "postcondition", "closed double curve count did not drop by three")
-    for cid in sorted(center_curves):
-        _check_shortening(cx, out, cid, by=2)
-    return out
+    return _cancel_closed(cx, m, m.triples, "R3-", 3, m.center)
 
 
 def _apply_r5_minus(cx: SingularityComplex, m: R5Minus) -> _Outcome:
@@ -654,8 +645,7 @@ def apply_sequence(cx: SingularityComplex, gamma: Iterable[str],
     gamma = exchange_set(cx, gamma)
     bad = first_invalid_flip(cx, gamma)
     if bad is not None:
-        raise SequenceAborted(
-            -1, f"initial union is not exchangeable (triple point {bad.triple_id})")
+        raise SequenceAborted(-1, f"initial union is not exchangeable: {bad}")
     if not satisfies_dd_condition(cx, gamma):
         raise SequenceAborted(
             -1, "initial union violates the descendent disk condition")

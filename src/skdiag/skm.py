@@ -5,12 +5,19 @@ reading a `.skd` file never loads this module or the move engine."""
 import re
 
 from .errors import ParseError, UnknownIdError
-from .formats import _LINE_INDEX, _SLOT, _TAGS, _disk_tags, _parse_kv
+from .formats import _ID, _LINE_INDEX, _SLOT, _TAGS, _disk_tags, _parse_kv
 from .moves import (FORBIDDEN_KINDS, MOVE_TYPES, DiskDeclaration, MoveInstance, MoveKind,
                     normalize_kind_token)
 from .singularity import TripleSlot
 
 _SLOT_RE = re.compile(_SLOT + r"\Z")
+
+
+def _id(value: str) -> str:
+    """An id by the `.skd` rule; raises ValueError worded as the `.skd` reader's."""
+    if not re.fullmatch(_ID, value):
+        raise ValueError(f"bad id {value!r}")
+    return value
 
 
 def _slot(token: str) -> TripleSlot:
@@ -35,7 +42,7 @@ def _ids(count: int | None = None, wrong: str = ""):
     """The parser of a comma-separated id list: of any length, or of
     exactly ``count`` ids, raising ValueError(wrong) on another."""
     def parse(value: str) -> tuple[str, ...]:
-        ids = tuple(v for v in value.split(",") if v)
+        ids = tuple(_id(v) for v in value.split(",") if v)
         if count is not None and len(ids) != count:
             raise ValueError(wrong)
         return ids
@@ -47,31 +54,32 @@ _DISK_KEYS = ("disk", "partner", *_TAGS)  # the disk, its partner, then the `.sk
 
 def _declaration(kv: dict[str, str]) -> DiskDeclaration:
     """The disk declared by the five ``_DISK_KEYS``; raises ValueError
-    naming the missing keys, or the first bad pair or level."""
+    naming the missing keys, or the first bad id, pair or level."""
     if missing := [k for k in _DISK_KEYS if k not in kv]:
         raise ValueError("incomplete disk declaration: missing " + ", ".join(missing))
-    return DiskDeclaration(kv["disk"], kv["partner"], *_disk_tags(kv[key] for key in _TAGS))
+    return DiskDeclaration(_id(kv["disk"]), _id(kv["partner"]),
+                           *_disk_tags(kv[key] for key in _TAGS))
 
 
 # Each kind's keys, in the order of its record's fields (moves.MOVE_TYPES),
-# with the parser of their value: a plain id, an id list (of an exact count),
+# with the parser of their value: an id, an id list (of an exact count),
 # the splice map, or the disk declaration, whose five keys make one field. A
 # key is optional when its field has a default. Keyed by kind name, which a
 # MoveKind (a str enum) also looks up.
 _DECLARATION, _DROP = (_DISK_KEYS, _declaration), ("drop_disks", _ids())
 _MOVE_KEYS = {
-    "R1_PLUS": (("circle", str), _DECLARATION),
-    "R1_MINUS": (("circle", str), _DROP),
-    "R2_MINUS": (("t1", str), ("t2", str),
+    "R1_PLUS": (("circle", _id), _DECLARATION),
+    "R1_MINUS": (("circle", _id), _DROP),
+    "R2_MINUS": (("t1", _id), ("t2", _id),
                  ("curves", _ids(2, "curves must name exactly two closed curves")),
                  ("splice", _splice), _DROP),
     "R3_MINUS": (("triples", _ids(6, "triples must name exactly six triple points")),
                  ("curves", _ids(3, "curves must name exactly three closed curves")),
-                 ("center", str), ("splice", _splice), _DROP),
-    "R4_PLUS": (("edge", str), ("branch1", str), ("branch2", str), _DECLARATION),
-    "R4_MINUS": (("edge", str), _DROP),
-    "R5_MINUS": (("t", str), ("edge", str), ("splice", _splice), _DROP),
-    "R6": (("disk", str),),
+                 ("center", _id), ("splice", _splice), _DROP),
+    "R4_PLUS": (("edge", _id), ("branch1", _id), ("branch2", _id), _DECLARATION),
+    "R4_MINUS": (("edge", _id), _DROP),
+    "R5_MINUS": (("t", _id), ("edge", _id), ("splice", _splice), _DROP),
+    "R6": (("disk", _id),),
 }
 
 

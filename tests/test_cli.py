@@ -458,6 +458,16 @@ def test_apply_names_the_skm_file_in_its_diagnostics(capsys, trefoil_path, tmp_p
     assert err.startswith(f"{skm}:1:1: move R2_PLUS violates the t-descendent condition")
 
 
+def test_apply_refuses_an_id_its_reader_would_refuse(capsys, trefoil_path, tmp_path):
+    # an empty id would be written as a record that the `.skd` reader rejects
+    skm = tmp_path / "bad.skm"
+    skm.write_text("R1+ circle=\n")
+    out_path = tmp_path / "out.skd"
+    code, out, err = run(capsys, "apply", trefoil_path, str(skm), "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"{skm}:1:1: R1_PLUS: bad id ''\n")
+    assert not out_path.exists()
+
+
 def test_apply_failing_step_exits_2(capsys, trefoil_path, tmp_path):
     skm = tmp_path / "bad.skm"
     skm.write_text("R1- circle=missing\n")

@@ -230,8 +230,9 @@ def test_parse_skm_incomplete_disk_declaration():
 #: one row per `.skm` diagnostic: its text (a script) and every (line, column,
 #: message) it raises, in order. Kind tokens are checked on every line first;
 #: a line then reports only its first problem, in the order: a bad token,
-#: missing keys, unknown keys, the disk declaration, the splice map, the id
-#: counts in field order.
+#: missing keys, unknown keys, the disk declaration, the splice map, the ids
+#: and id counts in field order. An id follows the `.skd` rule, and a bad one
+#: is worded as `.skd` words it.
 GOLDEN_SKM_DIAGNOSTICS = [
     ("R9- t=T1", [(1, 1, "unknown move kind token 'R9-'")]),
     ("R3+ triples=Ta", [(1, 1, "move R3_PLUS violates the t-descendent condition "
@@ -274,6 +275,17 @@ GOLDEN_SKM_DIAGNOSTICS = [
      [(1, 1, "R3_MINUS: bad splice pair 'x' (expected <slot>:<slot>)")]),
     ("R2- t1=T1 t2=T2 curves=u1,v1 splice=T1.0.a:T1.0.b\nR6 disk=D1 x\nR6 x=1",
      [(2, 12, "bad or repeated key=value token 'x'"), (3, 1, "R6: missing key(s) disk")]),
+    ("R1+ circle=", [(1, 1, "R1_PLUS: bad id ''")]),
+    ("R1+ circle=bad$id", [(1, 1, "R1_PLUS: bad id 'bad$id'")]),
+    ("R4+ edge=x,y branch1=p:q branch2=r", [(1, 1, "R4_PLUS: bad id 'x,y'")]),
+    ("R4+ edge=x branch1=p:q branch2=r", [(1, 1, "R4_PLUS: bad id 'p:q'")]),
+    ("R1+ circle=c disk=P:9 partner=e pair=cross level1=upper level2=upper",
+     [(1, 1, "R1_PLUS: bad id 'P:9'")]),
+    ("R1+ circle=c disk=P9 partner=e/2 pair=cross level1=upper level2=upper",
+     [(1, 1, "R1_PLUS: bad id 'e/2'")]),
+    ("R1- circle=c drop_disks=D1,D$2", [(1, 1, "R1_MINUS: bad id 'D$2'")]),
+    ("R3- triples=Ta,Tb,Tc,Td,Te,T:f curves=f1,g1,h1 center=T0 splice=Ta.0.a:Ta.0.b",
+     [(1, 1, "R3_MINUS: bad id 'T:f'")]),
 ]
 
 

@@ -710,8 +710,11 @@ def test_apply_sequence_aborts_with_index(trefoil):
 
 
 def test_apply_sequence_rejects_bad_initial_gamma(r3):
-    with pytest.raises(SequenceAborted, match="not exchangeable"):
+    # worded by its flip set, as crossing_change and check-exchangeable word it
+    with pytest.raises(SequenceAborted) as info:
         apply_sequence(r3, {"ek1"}, [])
+    assert (info.value.index, info.value.reason) == (
+        -1, "initial union is not exchangeable: flip set {bt} at triple point T0")
 
 
 def test_apply_sequence_rejects_initial_dd_violation(trefoil):

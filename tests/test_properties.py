@@ -20,6 +20,7 @@ from skdiag import (
     DiskDeclaration,
     Level,
     LineType,
+    MoveKind,
     MoveRejected,
     Pairing,
     ParseError,
@@ -572,13 +573,14 @@ def random_move(cx, kind: int, pick: int, step: int):
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
-       disks=st.integers(min_value=0, max_value=2),
+       disks=st.integers(min_value=0, max_value=2), site=st.integers(5, 7),
        steps=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 10 ** 6)),
                       max_size=8))
 @settings(max_examples=60, deadline=None)
-def test_derived_complexes_match_fresh_builds(seed, budget, disks, steps):
+def test_derived_complexes_match_fresh_builds(seed, budget, disks, site, steps):
     cx = with_sites(generate_random_complex(seed, budget, disks=disks), SITE_NAMES, seed)
-    for step, (kind, pick) in enumerate(steps):
+    # a site's cancellation first: every example re-traces a curve that lost an edge
+    for step, (kind, pick) in enumerate([(site, 0), *steps]):
         move = random_move(cx, kind, pick, step)
         if move is None:
             continue
@@ -632,6 +634,67 @@ def test_trail_checks_on_derived_complexes_match_fresh_ones(seed, budget, disks,
         assert entry.fingerprint == fingerprint(fresh)
         assert entry.exchangeable == is_exchangeable(fresh, entry.gamma)
         assert entry.dd == satisfies_dd_condition(fresh, entry.gamma)
+
+
+def locus_curves(cx, move) -> set[str]:
+    """The curves of ``cx`` that ``move`` deletes, shortens or operates on, or
+    whose edge a birth's declared disk pairs with the new one."""
+    if move.kind is MoveKind.R2_MINUS:
+        triples = (move.t1, move.t2)
+    elif move.kind is MoveKind.R3_MINUS:
+        triples = move.triples
+    elif move.kind is MoveKind.R5_MINUS:
+        triples = (move.triple,)
+    elif move.kind is MoveKind.R6:
+        disk = cx.disks_by_id[move.disk_id]
+        return {cx.curve_of(disk.edge1), cx.curve_of(disk.edge2)}
+    elif move.kind in (MoveKind.R1_MINUS, MoveKind.R4_MINUS):
+        return {cx.curve_of(move[0])}  # the circle or arc it deletes
+    else:
+        return {cx.curve_of(move.disk.partner_edge)} if move.disk else set()
+    # a site's move is drawn also once the site is gone
+    return {cx.line_curve(t, i) for t in triples if t in cx.triples_by_id for i in range(3)}
+
+
+def meeting_move(cx, gamma, kind: int, pick: int, step: int):
+    """random_move's move for the first of eight picks from ``pick`` whose
+    locus meets gamma, or else for ``pick``."""
+    drawn = [random_move(cx, kind, p, step) for p in range(pick, pick + 8)]
+    return next((m for m in drawn if m is not None and locus_curves(cx, m) & gamma),
+                drawn[0])
+
+
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), budget=budgets,
+       disks=st.integers(min_value=0, max_value=2), kinds=st.permutations(range(8)),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=8, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_t_descendent_steps_keep_the_union_and_commute_with_the_change(seed, budget, disks,
+                                                                       kinds, picks):
+    """The paper's preservation result at every step of a random sequence
+    that draws every kind once: the carried union stays exchangeable and
+    dd-satisfying, and changing then moving (the locus relabelled for the
+    change) gives what moving then changing along the carried union gives.
+    A union that meets a site's curves, and loci that meet the union, are
+    drawn first."""
+    cx = with_sites(generate_random_complex(seed, budget, disks=disks), SITE_NAMES, seed)
+    unions = [g for g in enumerate_exchangeable(cx, max_size=3)
+              if satisfies_dd_condition(cx, g)]
+    sites = set().union(*(locus_curves(cx, random_move(cx, k, 0, 0)) for k in (5, 6, 7)))
+    most = max(len(g & sites) for g in unions)
+    meeting = [g for g in unions if len(g & sites) == most]
+    gamma = meeting[seed % len(meeting)]
+    for step, (kind, pick) in enumerate(zip(kinds, picks)):
+        move = meeting_move(cx, gamma, kind, pick, step)
+        if move is None:
+            continue
+        try:
+            moved, moved_gamma = apply_with_transport(cx, gamma, move)
+        except MoveRejected:
+            continue
+        assert moves.union_flags(moved, moved_gamma) == (True, True), (step, move)
+        lhs = apply_move(crossing_change(cx, gamma), relabel_locus_for_change(cx, gamma, move))
+        assert fingerprint(lhs) == fingerprint(crossing_change(moved, moved_gamma)), move
+        cx, gamma = moved, moved_gamma
 
 
 def reference_r2_minus(cx, m):

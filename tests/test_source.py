@@ -197,3 +197,18 @@ def test_a_du_reports_best_witness_is_best_unions():
     calls = {node.func.id for node in ast.walk(best_witness)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "best_union" in calls and "min" not in calls
+
+
+def test_the_closed_curve_cancellation_is_stated_once():
+    # R2- and R3- are one cancellation of closed curves at two sizes: one
+    # function states its curve count, distinctness and closed-count
+    # postcondition, and a dead edge is known by its descent alone
+    text = Path(moves.__file__).read_text(encoding="utf-8")
+    phrases = (r"deletes exactly \S+ closed curves", "deleted closed curves must be distinct",
+               "closed double curve count did not drop by")
+    assert [len(re.findall(phrase, text)) for phrase in phrases] == [1, 1, 1]
+    assert not hasattr(moves, "_check_sites")
+    tree = ast.parse(text)
+    remap = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_remap_disks")
+    assert not [a.arg for a in remap.args.args if "dead" in a.arg]
